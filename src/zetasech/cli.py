@@ -10,7 +10,6 @@ stdout, so identical flags give identical output.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -67,19 +66,14 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _eval_cap(args: argparse.Namespace) -> int:
-    if getattr(args, "eval_cap", None) is not None:
-        return int(args.eval_cap)
-    raw = os.environ.get("ZETASECH_EVAL_CAP")
-    if raw is None:
-        return DEFAULT_EVAL_CAP
+def _positive_int(text: str) -> int:
     try:
-        cap = int(raw)
-        if cap <= 0:
-            raise ValueError
+        value = int(text)
+        if value > 0:
+            return value
     except ValueError:
-        raise CatalogError(f"bad ZETASECH_EVAL_CAP value {raw!r}") from None
-    return cap
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def _parse_params(pairs: Sequence[str]) -> Dict[str, object]:
@@ -174,13 +168,12 @@ def _case_line(res) -> str:
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         records = _select_records(args)
-        cap = _eval_cap(args)
         overrides = _parse_tol_overrides(args.tol or ())
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
     except _INPUT_ERRORS as exc:
         return _fail(str(exc), EXIT_USAGE)
-    suite = run_suite(records, eval_cap=cap, jobs=args.jobs, tol_overrides=overrides)
+    suite = run_suite(records, eval_cap=args.eval_cap, tol_overrides=overrides)
     bad = (Status.FAIL, Status.ERROR, Status.EXPECTED_FAIL_VIOLATED)
     for res in suite.results:
         if args.verbose or res.status in bad:
@@ -198,12 +191,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     try:
         node = parse_expression(args.expr)
         params = _parse_params(args.param or ())
-        cap = _eval_cap(args)
         if args.exact:
             value = evaluate_exact(node, params)  # type: ignore[arg-type]
             print(value)
             return EXIT_OK
-        cfg = EvalConfig(quad_decay=args.decay, eval_cap=cap)
+        cfg = EvalConfig(quad_decay=args.decay, eval_cap=args.eval_cap)
         result = evaluate_numeric(node, params, cfg)  # type: ignore[arg-type]
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
@@ -221,13 +213,12 @@ def _cmd_quad(args: argparse.Namespace) -> int:
         parse_expression(args.expr)  # surface position errors on the raw text
         node = parse_expression(f"integral[{args.var}]{{ {args.expr} }}")
         params = _parse_params(args.param or ())
-        cap = _eval_cap(args)
         cfg = EvalConfig(
             quad_rel_tol=args.rel_tol,
             quad_decay=args.decay,
             quad_vmax=args.vmax,
             quad_p_max=args.p_max,
-            eval_cap=cap,
+            eval_cap=args.eval_cap,
         )
         result = evaluate_numeric(node, params, cfg)  # type: ignore[arg-type]
     except OSError as exc:
@@ -285,16 +276,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--catalog", metavar="FILE",
                        help="load records from a catalog file instead")
 
+    def add_eval_cap(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--eval-cap", type=_positive_int, default=DEFAULT_EVAL_CAP,
+                       metavar="N", help="max integrand evaluations per case")
+
     p_list = sub.add_parser("list", help="print the identity manifest")
     add_filters(p_list)
     p_list.set_defaults(func=_cmd_list)
 
     p_run = sub.add_parser("run", help="verify identities")
     add_filters(p_run)
-    p_run.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker threads (default 1)")
-    p_run.add_argument("--eval-cap", type=int, metavar="N",
-                       help="max integrand evaluations per case")
+    add_eval_cap(p_run)
     p_run.add_argument("--tol", action="append", metavar="CLASS=VALUE",
                        help="override a tolerance class (repeatable)")
     p_run.add_argument("--format", choices=("json", "md", "csv"),
@@ -312,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="evaluate over rationals")
     p_eval.add_argument("--decay", type=float, default=3.141592653589793,
                         metavar="R", help="integrand decay rate hint")
-    p_eval.add_argument("--eval-cap", type=int, metavar="N")
+    add_eval_cap(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_quad = sub.add_parser("quad", help="integrate an expression over [0, inf)")
@@ -327,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_quad.add_argument("--p-max", type=int, default=8, metavar="P",
                         help="polynomial envelope degree")
     p_quad.add_argument("--rel-tol", type=float, default=1e-12, metavar="T")
-    p_quad.add_argument("--eval-cap", type=int, metavar="N")
+    add_eval_cap(p_quad)
     p_quad.set_defaults(func=_cmd_quad)
 
     p_export = sub.add_parser("export-catalog",

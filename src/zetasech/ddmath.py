@@ -21,7 +21,6 @@ __all__ = [
     "dd_ln",
     "dd_mul",
     "dd_mul_d",
-    "dd_neg",
     "dd_sub",
     "to_float",
 ]
@@ -71,10 +70,6 @@ def dd_add_d(x: DD, y: float) -> DD:
     s1, s2 = _two_sum(x[0], y)
     s2 += x[1]
     return _quick_two_sum(s1, s2)
-
-
-def dd_neg(x: DD) -> DD:
-    return -x[0], -x[1]
 
 
 def dd_sub(x: DD, y: DD) -> DD:

@@ -235,7 +235,10 @@ def evaluate_numeric(
     cfg = config or EvalConfig()
     usage = _QuadUsage()
     env = bind_parameters(params)
-    value, err = _eval_num(node, env, cfg, usage)
+    try:
+        value, err = _eval_num(node, env, cfg, usage)
+    except RecursionError:
+        raise EvalError("expression nested too deeply to evaluate") from None
     return NumericResult(value, err, usage.evals, usage.converged)
 
 
@@ -276,7 +279,10 @@ def _eval_exact(node: Node, env: Dict[str, Fraction]) -> Fraction:
         if spec.exact is None:
             raise ExactEvalError(f"{node.name} has no exact evaluation")
         args = tuple(_eval_exact(a, env) for a in node.args)
-        return spec.exact(*args)
+        try:
+            return spec.exact(*args)
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ExactEvalError(f"{node.name} failed: {exc}") from None
     if isinstance(node, Sum):
         lo = _eval_exact(node.lo, env)
         hi = _eval_exact(node.hi, env)
@@ -304,4 +310,7 @@ def _eval_exact(node: Node, env: Dict[str, Fraction]) -> Fraction:
 
 def evaluate_exact(node: Node, params: Mapping[str, Fraction]) -> Fraction:
     env = bind_parameters_exact(params)
-    return _eval_exact(node, env)
+    try:
+        return _eval_exact(node, env)
+    except RecursionError:
+        raise ExactEvalError("expression nested too deeply to evaluate") from None

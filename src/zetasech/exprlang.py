@@ -37,6 +37,10 @@ CONSTANT_NAMES = frozenset(
     ["pi", "ln2", "euler_gamma", "catalan", "ln_glaisher", "ln_glaisher3"]
 )
 _KEYWORDS = frozenset(["sum", "integral"])
+# Every nested construct re-enters the parser through unary(), taking at most
+# seven Python frames per level, so this bound keeps parsing well inside the
+# default recursion limit of 1000.
+_MAX_DEPTH = 100
 
 
 class SourceError(ValueError):
@@ -202,6 +206,7 @@ class _Parser:
         self.pos = 0
         self.functions = functions
         self.bound: List[str] = []
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -251,10 +256,19 @@ class _Parser:
         return node
 
     def unary(self) -> Node:
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            tok = self.peek()
+            raise SourceError(
+                f"expression nested more than {_MAX_DEPTH} levels deep", tok.line, tok.col
+            )
         if self.at_op("-"):
             self.advance()
-            return UnaryNeg(self.unary())
-        return self.power()
+            node: Node = UnaryNeg(self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Node:
         node = self.primary()

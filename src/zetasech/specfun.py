@@ -3,12 +3,13 @@
 The Hurwitz zeta evaluator runs Euler-Maclaurin summation in compensated
 double-double arithmetic because the head sum and the pole/tail terms cancel
 catastrophically for negative order; plain binary64 loses seven or more
-digits there. Derivatives with respect to the order s are forward-mode duals
-threaded through every intermediate, so no finite differences appear
-anywhere. The alternating variant switches between a convergence-accelerated
-alternating sum (stable near s = 1, including at the point itself) and the
-double-double zeta difference (stable for decidedly non-positive s), and the
-two routes cross-check each other inside S_of.
+digits there. Derivatives with respect to the order s are forward-mode:
+each intermediate travels as a (value, d/ds) double-double pair, so no
+finite differences appear anywhere. The alternating variant switches between
+a convergence-accelerated alternating sum (stable near s = 1, including at
+the point itself) and the double-double zeta difference (stable for
+decidedly non-positive s), and the two routes cross-check each other inside
+S_of.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import Tuple
 
 from .ddmath import (
     DD,
@@ -32,7 +33,6 @@ from .ddmath import (
     dd_sub,
     to_float,
 )
-from .dual import DualReal, variable
 from .exact import bernoulli_number
 from .quadrature import tanh_sinh
 
@@ -58,8 +58,6 @@ __all__ = [
     "S_ds",
     "zeta_prime_at",
 ]
-
-Order = Union[DualReal, float, int]
 
 
 class SpecfunError(ValueError):
@@ -161,24 +159,14 @@ def _hz_dd(sv: float, sd: float, a: float) -> Tuple[DD, DD]:
     return val, der
 
 
-def _order_parts(s: Order) -> Tuple[float, float, bool]:
-    if isinstance(s, DualReal):
-        return s.val, s.eps, True
-    return float(s), 0.0, False
-
-
-def hurwitz_zeta(s: Order, a: float) -> Union[DualReal, float]:
+def hurwitz_zeta(s: float, a: float) -> float:
     """zeta(s, a) = sum over k >= 0 of (k+a)^(-s), continued in s."""
-    sv, sd, dual = _order_parts(s)
-    v, d = _hz_dd(sv, sd, float(a))
-    if dual:
-        return DualReal(to_float(v), to_float(d))
-    return to_float(v)
+    return to_float(_hz_dd(float(s), 0.0, float(a))[0])
 
 
 def hurwitz_zeta_ds(s: float, a: float) -> float:
     """d/ds zeta(s, a)."""
-    return hurwitz_zeta(variable(float(s)), a).eps
+    return to_float(_hz_dd(float(s), 1.0, float(a))[1])
 
 
 # ----------------------------------------------------------------------
@@ -222,31 +210,18 @@ def _eta_parts(sv: float, sd: float, a: float) -> Tuple[float, float]:
     return to_float(out[0]), to_float(out[1])
 
 
-def eta(s: Order, a: float) -> Union[DualReal, float]:
+def eta(s: float, a: float) -> float:
     """Alternating Hurwitz function sum over k >= 0 of (-1)^k (k+a)^(-s)."""
-    sv, sd, dual = _order_parts(s)
-    v, d = _eta_parts(sv, sd, float(a))
-    if dual:
-        return DualReal(v, d)
-    return v
+    return _eta_parts(float(s), 0.0, float(a))[0]
 
 
 def eta_ds(s: float, a: float) -> float:
     """d/ds eta(s, a)."""
-    sv = float(s)
-    _, d = _eta_parts(sv, 1.0, float(a))
-    return d
+    return _eta_parts(float(s), 1.0, float(a))[1]
 
 
-def S_of(s: Order, a: float) -> Union[DualReal, float]:
-    """zeta(s, a) - zeta(s, a + 1/2), evaluated through the alternating form.
-
-    The identity S(s,a) = 2^s eta(s, 2a) keeps the value finite at s = 1.
-    Away from s = 1 the direct zeta difference is computed as well and the
-    two routes must agree, otherwise a SpecfunError is raised.
-    """
-    sv, sd, dual = _order_parts(s)
-    a = float(a)
+def _S_parts(sv: float, sd: float, a: float) -> Tuple[float, float]:
+    # value and d/ds of S_of, with the cross-check run at the same (sv, sd)
     ev, ed = _eta_parts(sv, sd, 2.0 * a)
     pw = math.exp(sv * math.log(2.0))
     val = pw * ev
@@ -261,14 +236,22 @@ def S_of(s: Order, a: float) -> Union[DualReal, float]:
             raise SpecfunError(
                 f"S cross-check failed at s={sv}, a={a}: {val} vs {other}"
             )
-    if dual:
-        return DualReal(val, der)
-    return val
+    return val, der
+
+
+def S_of(s: float, a: float) -> float:
+    """zeta(s, a) - zeta(s, a + 1/2), evaluated through the alternating form.
+
+    The identity S(s,a) = 2^s eta(s, 2a) keeps the value finite at s = 1.
+    Away from s = 1 the direct zeta difference is computed as well and the
+    two routes must agree, otherwise a SpecfunError is raised.
+    """
+    return _S_parts(float(s), 0.0, float(a))[0]
 
 
 def S_ds(s: float, a: float) -> float:
     """d/ds of S_of."""
-    return S_of(variable(float(s)), a).eps
+    return _S_parts(float(s), 1.0, float(a))[1]
 
 
 # ----------------------------------------------------------------------
@@ -324,16 +307,11 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def dirichlet_beta(s: Order) -> Union[DualReal, float]:
+def dirichlet_beta(s: float) -> float:
     """Dirichlet beta, as 2^(-s) eta(s, 1/2); entire in s."""
-    sv, sd, dual = _order_parts(s)
-    ev, ed = _eta_parts(sv, sd, 0.5)
-    pw = math.exp(-sv * math.log(2.0))
-    val = pw * ev
-    der = pw * (ed - math.log(2.0) * sd * ev)
-    if dual:
-        return DualReal(val, der)
-    return val
+    sv = float(s)
+    ev, _ = _eta_parts(sv, 0.0, 0.5)
+    return math.exp(-sv * math.log(2.0)) * ev
 
 
 def zeta_prime_at(s: float) -> float:

@@ -14,11 +14,10 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .catalog import (
     GridValue,
@@ -279,7 +278,6 @@ def verify_case(
 def run_suite(
     records: Optional[Sequence[IdentityRecord]] = None,
     eval_cap: int = DEFAULT_EVAL_CAP,
-    jobs: int = 1,
     tol_overrides: Optional[Mapping[str, float]] = None,
 ) -> SuiteResult:
     """Verify every case of every record, in deterministic catalog order.
@@ -289,22 +287,14 @@ def run_suite(
     """
     recs = builtin_identities() if records is None else tuple(records)
     overrides = dict(tol_overrides or {})
-    work: List[Tuple[IdentityRecord, Dict[str, GridValue]]] = [
-        (rec, params) for rec in recs for params in rec.case_params()
-    ]
-
-    def one(item: Tuple[IdentityRecord, Dict[str, GridValue]]) -> CaseResult:
-        rec, params = item
-        return verify_case(
+    start = time.perf_counter()
+    results = tuple(
+        verify_case(
             rec, params, eval_cap, tol_override=overrides.get(rec.tol_class.value)
         )
-
-    start = time.perf_counter()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = tuple(pool.map(one, work))
-    else:
-        results = tuple(one(item) for item in work)
+        for rec in recs
+        for params in rec.case_params()
+    )
     elapsed = (time.perf_counter() - start) * 1000.0
     return SuiteResult(results, elapsed)
 

@@ -9,7 +9,6 @@ import math
 from fractions import Fraction
 
 from zetasech.catalog import builtin_identities, format_catalog, get_identity, parse_catalog
-from zetasech.dual import DualReal
 from zetasech.exact import eta_exact, zeta_exact_nonpos
 from zetasech.exprlang import SourceError, format_expression, parse_expression
 from zetasech import specfun as sf
@@ -155,10 +154,10 @@ def test_criterion_7_specfun_properties():
     # dual-mode derivatives against Richardson-extrapolated central differences
     h = 1e-5
     fd_bad = []
-    for fn in (sf.hurwitz_zeta, sf.eta):
+    for fn, fn_ds in ((sf.hurwitz_zeta, sf.hurwitz_zeta_ds), (sf.eta, sf.eta_ds)):
         for s in (-3.5, -1.0, 0.0, 0.5, 2.3):
             for a in (0.3, 1.0, 2.7):
-                dual = fn(DualReal(s, 1.0), a).eps
+                dual = fn_ds(s, a)
                 d1 = (fn(s + h, a) - fn(s - h, a)) / (2 * h)
                 d2 = (fn(s + h / 2, a) - fn(s - h / 2, a)) / h
                 richardson = (4 * d2 - d1) / 3

@@ -205,24 +205,30 @@ def test_report_rejects_foreign_json(tmp_path, capsys):
     assert "report" in err
 
 
-def test_eval_cap_env_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ZETASECH_EVAL_CAP", "25")
-    code, out, err = run_cli(capsys, "quad", "exp(-pi*v)")
+def test_eval_cap_env_override(capsys):
+    code, out, err = run_cli(capsys, "quad", "exp(-pi*v)", "--eval-cap", "25")
     assert code == 0
     assert "not converged" in err or "converge" in err
 
 
-def test_eval_cap_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("ZETASECH_EVAL_CAP", "banana")
-    assert run_cli(capsys, "eval", "1 + 1")[0] == 2
-    monkeypatch.setenv("ZETASECH_EVAL_CAP", "-3")
-    assert run_cli(capsys, "eval", "1 + 1")[0] == 2
+def test_eval_cap_env_validation(capsys):
+    for cmd in (("run", "--id", "Theorem4"), ("eval", "1 + 1"), ("quad", "exp(-pi*v)")):
+        for cap in ("banana", "-3", "0"):
+            code, out, err = run_cli(capsys, *cmd, "--eval-cap", cap)
+            assert code == 2, (cmd, cap)
+            assert "error: argument --eval-cap" in err
+            assert out == ""
 
 
-def test_eval_cap_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("ZETASECH_EVAL_CAP", "25")
-    code, out, err = run_cli(
-        capsys, "quad", "exp(-pi*v)", "--eval-cap", "2000000"
-    )
-    assert code == 0
-    assert "converge" not in err
+@pytest.mark.parametrize("exact", [(), ("--exact",)])
+def test_long_sum_is_input_error(capsys, exact):
+    code, out, err = run_cli(capsys, "eval", *exact, "+".join(["1"] * 5000))
+    assert code == 2
+    assert "nested too deeply" in err
+
+
+def test_deep_parentheses_are_positioned_error(capsys):
+    code, out, err = run_cli(capsys, "eval", "(" * 3000 + "1" + ")" * 3000)
+    assert code == 2
+    assert "zetasech: error:" in err
+    assert "(line 1, column 101)" in err

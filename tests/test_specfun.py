@@ -10,7 +10,6 @@ import math
 import mpmath as mp
 import pytest
 
-from zetasech.dual import DualReal
 from zetasech import specfun as sf
 
 mp.mp.dps = 30
@@ -278,16 +277,6 @@ def test_hurwitz_zeta_domain_errors():
         sf.hurwitz_zeta(2.0, -1.5)
     with pytest.raises(sf.SpecfunError):
         sf.hurwitz_zeta(1.0, 2.0)
-
-
-def test_dual_order_matches_ds():
-    for s in (-2.5, 0.5, 2.3):
-        for a in (0.6, 1.0, 3.0):
-            dual = sf.hurwitz_zeta(DualReal(s, 1.0), a)
-            assert_rel(dual.val, sf.hurwitz_zeta(s, a), 1e-13)
-            assert_rel(dual.eps, sf.hurwitz_zeta_ds(s, a), 1e-13)
-            dual_eta = sf.eta(DualReal(s, 1.0), a)
-            assert_rel(dual_eta.eps, sf.eta_ds(s, a), 1e-13)
 
 
 def test_ds_against_central_difference():

@@ -87,6 +87,17 @@ def test_domain_error_is_reported_not_raised():
     assert res.message
 
 
+def test_exact_domain_errors_are_reported_not_raised():
+    fact = probe("FactDomain", "fact(n)", "1", kind="EXACT", tol="EXACT",
+                 extra="params = n in {-1, 0}\n")
+    euler = probe("EulerDomain", "eulerpoly(n, 1/2)", "0", kind="EXACT", tol="EXACT",
+                  extra="params = n in {-1}\n")
+    suite = run_suite([fact, euler])
+    assert [r.status for r in suite.results] == [Status.ERROR, Status.PASS, Status.ERROR]
+    assert suite.results[0].message.startswith("fact failed:")
+    assert suite.results[2].message.startswith("eulerpoly failed:")
+
+
 def test_negative_control_confirmed():
     res = verify_case(get_identity("Eq3p1Ctl"), next(iter(get_identity("Eq3p1Ctl").case_params())))
     assert res.status is Status.EXPECTED_FAIL_CONFIRMED
@@ -118,13 +129,6 @@ def test_run_suite_is_deterministic_modulo_timing():
     assert strip_ms(first) == strip_ms(second)
     assert to_csv(first) == to_csv(second)
     assert to_json(first, include_ms=False) == to_json(second, include_ms=False)
-
-
-def test_parallel_run_matches_serial():
-    records = [get_identity(rid) for rid in ("SinId", "CodId", "EuId", "T1s0")]
-    serial = run_suite(records, jobs=1)
-    threaded = run_suite(records, jobs=3)
-    assert strip_ms(serial) == strip_ms(threaded)
 
 
 def test_tol_overrides_by_class():
