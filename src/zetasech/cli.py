@@ -10,6 +10,7 @@ stdout, so identical flags give identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -21,18 +22,10 @@ from .catalog import (
     format_catalog,
     parse_catalog,
 )
-from .evaluator import (
-    EvalConfig,
-    EvalError,
-    ExactEvalError,
-    evaluate_exact,
-    evaluate_numeric,
-)
-from .exprlang import SourceError, parse_expression
-from .quadrature import DEFAULT_EVAL_CAP, QuadratureError
-from .specfun import SpecfunError
+from .evaluator import EvalConfig, evaluate_exact, evaluate_numeric
+from .exprlang import parse_expression
+from .quadrature import DEFAULT_EVAL_CAP
 from .verifier import (
-    Status,
     SuiteResult,
     from_json,
     run_suite,
@@ -48,17 +41,8 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-_INPUT_ERRORS = (
-    CatalogError,
-    EvalError,
-    ExactEvalError,
-    QuadratureError,
-    SourceError,
-    SpecfunError,
-    OverflowError,
-    ZeroDivisionError,
-    ValueError,
-)
+# every zetasech error class subclasses ValueError
+_INPUT_ERRORS = (ValueError, ArithmeticError)
 
 
 def _fail(message: str, code: int) -> int:
@@ -76,6 +60,35 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
+def _finite_float(text: str, zero_ok: bool) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isfinite(value) and (value > 0.0 or (zero_ok and value == 0.0)):
+        return value
+    bound = ">= 0" if zero_ok else "> 0"
+    raise argparse.ArgumentTypeError(f"expected a finite number {bound}, got {text!r}")
+
+
+def _positive_float(text: str) -> float:
+    return _finite_float(text, zero_ok=False)
+
+
+def _nonnegative_float(text: str) -> float:
+    return _finite_float(text, zero_ok=True)
+
+
+def _tol_override(text: str) -> Tuple[str, float]:
+    name, sep, value = text.partition("=")
+    name = name.strip().upper()
+    if not sep or name not in {"TIGHT", "MED", "LOOSE"}:
+        raise argparse.ArgumentTypeError(
+            f"expected TIGHT|MED|LOOSE=value, got {text!r}"
+        )
+    return name, _positive_float(value)
+
+
 def _parse_params(pairs: Sequence[str]) -> Dict[str, object]:
     params: Dict[str, object] = {}
     for pair in pairs:
@@ -85,19 +98,6 @@ def _parse_params(pairs: Sequence[str]) -> Dict[str, object]:
             raise CatalogError(f"bad --param {pair!r}, expected name=value")
         params[name] = _parse_value(value, 0)
     return params
-
-
-def _parse_tol_overrides(pairs: Sequence[str]) -> Dict[str, float]:
-    overrides: Dict[str, float] = {}
-    for pair in pairs:
-        name, sep, value = pair.partition("=")
-        name = name.strip().upper()
-        if not sep or name not in {"TIGHT", "MED", "LOOSE"}:
-            raise CatalogError(
-                f"bad --tol {pair!r}, expected TIGHT|MED|LOOSE=value"
-            )
-        overrides[name] = float(value)
-    return overrides
 
 
 def _select_records(args: argparse.Namespace) -> Tuple[IdentityRecord, ...]:
@@ -139,12 +139,7 @@ def _render(suite: SuiteResult, fmt: str, to_stdout: bool) -> str:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    try:
-        records = _select_records(args)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    except _INPUT_ERRORS as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    records = _select_records(args)
     total = 0
     for rec in records:
         total += rec.case_count()
@@ -166,41 +161,26 @@ def _case_line(res) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        records = _select_records(args)
-        overrides = _parse_tol_overrides(args.tol or ())
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    except _INPUT_ERRORS as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    records = _select_records(args)
+    overrides = dict(args.tol or ())
     suite = run_suite(records, eval_cap=args.eval_cap, tol_overrides=overrides)
-    bad = (Status.FAIL, Status.ERROR, Status.EXPECTED_FAIL_VIOLATED)
     for res in suite.results:
-        if args.verbose or res.status in bad:
+        if args.verbose or not res.status.ok:
             print(_case_line(res))
     print(suite.summary())
     if args.out is not None:
-        try:
-            _write_output(_render(suite, args.format, to_stdout=False), args.out)
-        except OSError as exc:
-            return _fail(str(exc), EXIT_IO)
+        _write_output(_render(suite, args.format, to_stdout=False), args.out)
     return EXIT_OK if suite.ok else EXIT_VERIFY
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        node = parse_expression(args.expr)
-        params = _parse_params(args.param or ())
-        if args.exact:
-            value = evaluate_exact(node, params)  # type: ignore[arg-type]
-            print(value)
-            return EXIT_OK
-        cfg = EvalConfig(quad_decay=args.decay, eval_cap=args.eval_cap)
-        result = evaluate_numeric(node, params, cfg)  # type: ignore[arg-type]
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    except _INPUT_ERRORS as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    node = parse_expression(args.expr)
+    params = _parse_params(args.param or ())
+    if args.exact:
+        print(evaluate_exact(node, params))  # type: ignore[arg-type]
+        return EXIT_OK
+    cfg = EvalConfig(quad_decay=args.decay, eval_cap=args.eval_cap)
+    result = evaluate_numeric(node, params, cfg)  # type: ignore[arg-type]
     print(repr(result.value))
     print(f"err_budget = {result.err_budget!r}")
     if not result.converged:
@@ -209,22 +189,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_quad(args: argparse.Namespace) -> int:
-    try:
-        parse_expression(args.expr)  # surface position errors on the raw text
-        node = parse_expression(f"integral[{args.var}]{{ {args.expr} }}")
-        params = _parse_params(args.param or ())
-        cfg = EvalConfig(
-            quad_rel_tol=args.rel_tol,
-            quad_decay=args.decay,
-            quad_vmax=args.vmax,
-            quad_p_max=args.p_max,
-            eval_cap=args.eval_cap,
-        )
-        result = evaluate_numeric(node, params, cfg)  # type: ignore[arg-type]
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    except _INPUT_ERRORS as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    parse_expression(args.expr)  # surface position errors on the raw text
+    node = parse_expression(f"integral[{args.var}]{{ {args.expr} }}")
+    params = _parse_params(args.param or ())
+    cfg = EvalConfig(
+        quad_rel_tol=args.rel_tol,
+        quad_decay=args.decay,
+        quad_vmax=args.vmax,
+        quad_p_max=args.p_max,
+        eval_cap=args.eval_cap,
+    )
+    result = evaluate_numeric(node, params, cfg)  # type: ignore[arg-type]
     print(repr(result.value))
     print(f"err_budget = {result.err_budget!r}")
     print(f"quad_evals = {result.quad_evals}")
@@ -234,30 +209,14 @@ def _cmd_quad(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_catalog(args: argparse.Namespace) -> int:
-    try:
-        records = _select_records(args)
-        _write_output(format_catalog(records), args.out)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    except _INPUT_ERRORS as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    _write_output(format_catalog(_select_records(args)), args.out)
     return EXIT_OK
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            suite = from_json(fh.read())
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
-    except _INPUT_ERRORS as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    try:
-        _write_output(
-            _render(suite, args.format, to_stdout=args.out is None), args.out
-        )
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+    with open(args.report, "r", encoding="utf-8") as fh:
+        suite = from_json(fh.read())
+    _write_output(_render(suite, args.format, to_stdout=args.out is None), args.out)
     return EXIT_OK
 
 
@@ -287,7 +246,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="verify identities")
     add_filters(p_run)
     add_eval_cap(p_run)
-    p_run.add_argument("--tol", action="append", metavar="CLASS=VALUE",
+    p_run.add_argument("--tol", action="append", type=_tol_override,
+                       metavar="CLASS=VALUE",
                        help="override a tolerance class (repeatable)")
     p_run.add_argument("--format", choices=("json", "md", "csv"),
                        default="json", help="report format for --out")
@@ -302,8 +262,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="bind a parameter (repeatable)")
     p_eval.add_argument("--exact", action="store_true",
                         help="evaluate over rationals")
-    p_eval.add_argument("--decay", type=float, default=3.141592653589793,
-                        metavar="R", help="integrand decay rate hint")
+    p_eval.add_argument("--decay", type=_nonnegative_float,
+                        default=3.141592653589793, metavar="R",
+                        help="integrand decay rate hint")
     add_eval_cap(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 
@@ -312,13 +273,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_quad.add_argument("--var", default="v", metavar="NAME",
                         help="integration variable (default v)")
     p_quad.add_argument("--param", "-p", action="append", metavar="NAME=VALUE")
-    p_quad.add_argument("--decay", type=float, default=3.141592653589793,
-                        metavar="R", help="exponential decay rate (0 = algebraic)")
-    p_quad.add_argument("--vmax", type=float, metavar="V",
+    p_quad.add_argument("--decay", type=_nonnegative_float,
+                        default=3.141592653589793, metavar="R",
+                        help="exponential decay rate (0 = algebraic)")
+    p_quad.add_argument("--vmax", type=_positive_float, metavar="V",
                         help="cap the truncation cutoff")
     p_quad.add_argument("--p-max", type=int, default=8, metavar="P",
                         help="polynomial envelope degree")
-    p_quad.add_argument("--rel-tol", type=float, default=1e-12, metavar="T")
+    p_quad.add_argument("--rel-tol", type=_positive_float, default=1e-12, metavar="T")
     add_eval_cap(p_quad)
     p_quad.set_defaults(func=_cmd_quad)
 
@@ -345,7 +307,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else EXIT_USAGE
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        return _fail(str(exc), EXIT_IO)
+    except _INPUT_ERRORS as exc:
+        return _fail(str(exc), EXIT_USAGE)
 
 
 if __name__ == "__main__":

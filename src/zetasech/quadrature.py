@@ -77,7 +77,6 @@ def tanh_sinh(
     a: float,
     b: float,
     rel_tol: float = 1e-13,
-    abs_tol: float = 0.0,
     eval_cap: int = DEFAULT_EVAL_CAP,
 ) -> QuadResult:
     """Integrate f over the finite interval [a, b].
@@ -123,7 +122,7 @@ def tanh_sinh(
         estimate = 0.5 * previous + inner * h * half
         err = abs(estimate - previous)
         previous = estimate
-        if err <= rel_tol * abs(estimate) + abs_tol:
+        if err <= rel_tol * abs(estimate):
             converged = True
             break
     floor = 4.0 * 2.0 ** -52 * abs(estimate)

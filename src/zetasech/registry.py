@@ -100,14 +100,6 @@ def _num_h3f2(m: float, z: float) -> float:
     return specfun.hyp3f2_reduction(_as_index(m, "h3f2"), z)
 
 
-def _num_hzeta(s: float, a: float) -> float:
-    return specfun.hurwitz_zeta(s, a)
-
-
-def _num_s(s: float, a: float) -> float:
-    return specfun.S_of(s, a)
-
-
 # exact wrappers --------------------------------------------------------
 
 def _ex_fact(x: Fraction) -> Fraction:
@@ -207,11 +199,11 @@ def function_table() -> Mapping[str, FunctionSpec]:
         FunctionSpec("loggamma", 1, specfun.log_gamma),
         FunctionSpec("digamma", 1, specfun.digamma),
         FunctionSpec("polygamma", 2, _num_polygamma),
-        FunctionSpec("hzeta", 2, _num_hzeta, _ex_hzeta),
+        FunctionSpec("hzeta", 2, specfun.hurwitz_zeta, _ex_hzeta),
         FunctionSpec("hzeta_ds", 2, specfun.hurwitz_zeta_ds),
         FunctionSpec("eta", 2, specfun.eta, _ex_eta),
         FunctionSpec("eta_ds", 2, specfun.eta_ds),
-        FunctionSpec("S", 2, _num_s, _ex_s),
+        FunctionSpec("S", 2, specfun.S_of, _ex_s),
         FunctionSpec("S_ds", 2, specfun.S_ds),
         FunctionSpec("zetap", 1, specfun.zeta_prime_at),
         FunctionSpec("betadir", 1, specfun.dirichlet_beta),

@@ -14,10 +14,10 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .catalog import (
     GridValue,
@@ -25,12 +25,14 @@ from .catalog import (
     Kind,
     TOLERANCES,
     _format_value,
+    _parse_value,
     builtin_identities,
 )
 from .evaluator import (
     EvalConfig,
     EvalError,
     ExactEvalError,
+    NumericResult,
     evaluate_exact,
     evaluate_numeric,
 )
@@ -44,6 +46,7 @@ __all__ = [
     "SuiteResult",
     "config_for",
     "from_json",
+    "judge",
     "run_suite",
     "to_csv",
     "to_json",
@@ -61,6 +64,11 @@ class Status(Enum):
     ERROR = "ERROR"
     EXPECTED_FAIL_CONFIRMED = "EXPECTED_FAIL_CONFIRMED"
     EXPECTED_FAIL_VIOLATED = "EXPECTED_FAIL_VIOLATED"
+
+    @property
+    def ok(self) -> bool:
+        """False for the verdicts that make a suite fail."""
+        return self not in (Status.FAIL, Status.ERROR, Status.EXPECTED_FAIL_VIOLATED)
 
 
 @dataclass(frozen=True)
@@ -97,8 +105,7 @@ class SuiteResult:
 
     @property
     def ok(self) -> bool:
-        bad = (Status.FAIL, Status.ERROR, Status.EXPECTED_FAIL_VIOLATED)
-        return not any(res.status in bad for res in self.results)
+        return all(res.status.ok for res in self.results)
 
     def summary(self) -> str:
         counts = self.counts()
@@ -128,22 +135,54 @@ _EVAL_ERRORS = (
 )
 
 
-def _verify_exact(
-    record: IdentityRecord, params: Mapping[str, GridValue]
-) -> Tuple[Status, Optional[float], Optional[float], Optional[float], str]:
-    exact_params = {k: Fraction(v) for k, v in params.items()}
-    lv = evaluate_exact(record.lhs(), exact_params)
-    rv = evaluate_exact(record.rhs(), exact_params)
-    resid = lv - rv
-    if resid == 0:
-        return Status.PASS, float(lv), float(rv), 0.0, ""
-    return (
-        Status.FAIL,
-        float(lv),
-        float(rv),
-        abs(float(resid)),
-        f"exact residual {resid}",
-    )
+def judge(
+    record: IdentityRecord,
+    left: Union[Fraction, NumericResult],
+    right: Union[Fraction, NumericResult],
+    tol_override: Optional[float] = None,
+) -> Tuple[Status, Optional[float], Optional[float], str]:
+    """The verdict on two evaluated sides: (status, residual, allowed, message).
+
+    The sides are Fractions for EXACT records and NumericResults otherwise.
+    Nothing is evaluated here, so stored sides can be judged again.
+    """
+    if record.kind is Kind.EXACT:
+        resid = left - right
+        if resid == 0:
+            return Status.PASS, 0.0, 0.0, ""
+        return Status.FAIL, abs(float(resid)), 0.0, f"exact residual {resid}"
+
+    if not (math.isfinite(left.value) and math.isfinite(right.value)):
+        return Status.ERROR, None, None, "non-finite value"
+    diff = abs(left.value - right.value)
+    if record.rhs_src.strip() == "0":
+        scale = 1.0
+    else:
+        scale = max(abs(left.value), abs(right.value), _SCALE_FLOOR)
+    converged = left.converged and right.converged
+
+    if record.kind is Kind.NEGATIVE_CONTROL:
+        threshold = record.floor * scale
+        if not converged:
+            return Status.ERROR, diff, threshold, "quadrature did not converge"
+        if diff > threshold:
+            return Status.EXPECTED_FAIL_CONFIRMED, diff, threshold, ""
+        return (
+            Status.EXPECTED_FAIL_VIOLATED,
+            diff,
+            threshold,
+            "control variant was not detectably wrong",
+        )
+
+    tol = TOLERANCES[record.tol_class] if tol_override is None else tol_override
+    # budgets first: tol * scale + lb + rb rounds some gates differently
+    allowed = tol * scale + (left.err_budget + right.err_budget)
+    if not converged:
+        return Status.FAIL, diff, allowed, "quadrature did not converge"
+    if diff <= allowed:
+        return Status.PASS, diff, allowed, ""
+    message = f"residual {diff:.3e} exceeds allowed {allowed:.3e}"
+    return Status.FAIL, diff, allowed, message
 
 
 def verify_case(
@@ -153,125 +192,40 @@ def verify_case(
     tol_override: Optional[float] = None,
 ) -> CaseResult:
     """Evaluate both sides of one record at one parameter point."""
-    frozen = tuple(params.items())
     start = time.perf_counter()
-
-    def done(
-        status: Status,
-        lhs: Optional[float] = None,
-        rhs: Optional[float] = None,
-        residual: Optional[float] = None,
-        allowed: Optional[float] = None,
-        err_budget: float = 0.0,
-        quad_evals: int = 0,
-        message: str = "",
-    ) -> CaseResult:
-        return CaseResult(
-            identity=record.id,
-            group=record.group,
-            kind=record.kind,
-            tol_class=record.tol_class.value,
-            params=frozen,
-            status=status,
-            lhs=lhs,
-            rhs=rhs,
-            residual=residual,
-            allowed=allowed,
-            err_budget=err_budget,
-            quad_evals=quad_evals,
-            ms=(time.perf_counter() - start) * 1000.0,
-            message=message,
-        )
-
-    if record.kind is Kind.EXACT:
-        try:
-            status, lv, rv, resid, msg = _verify_exact(record, params)
-        except _EVAL_ERRORS as exc:
-            return done(Status.ERROR, message=str(exc))
-        return done(status, lv, rv, resid, allowed=0.0, message=msg)
-
-    cfg = config_for(record, eval_cap=eval_cap)
     try:
-        left = evaluate_numeric(record.lhs(), params, cfg)
-        right = evaluate_numeric(record.rhs(), params, cfg)
+        if record.kind is Kind.EXACT:
+            exact_params = {k: Fraction(v) for k, v in params.items()}
+            left = evaluate_exact(record.lhs(), exact_params)
+            right = evaluate_exact(record.rhs(), exact_params)
+            lhs, rhs, budget, evals = float(left), float(right), 0.0, 0
+        else:
+            cfg = config_for(record, eval_cap=eval_cap)
+            left = evaluate_numeric(record.lhs(), params, cfg)
+            right = evaluate_numeric(record.rhs(), params, cfg)
+            lhs, rhs = left.value, right.value
+            budget = left.err_budget + right.err_budget
+            evals = left.quad_evals + right.quad_evals
+        status, residual, allowed, message = judge(record, left, right, tol_override)
     except _EVAL_ERRORS as exc:
-        return done(Status.ERROR, message=str(exc))
-
-    budget = left.err_budget + right.err_budget
-    evals = left.quad_evals + right.quad_evals
-    diff = abs(left.value - right.value)
-    if record.rhs_src.strip() == "0":
-        scale = 1.0
-    else:
-        scale = max(abs(left.value), abs(right.value), _SCALE_FLOOR)
-    if not (math.isfinite(left.value) and math.isfinite(right.value)):
-        return done(
-            Status.ERROR,
-            left.value,
-            right.value,
-            err_budget=budget,
-            quad_evals=evals,
-            message="non-finite value",
-        )
-
-    if record.kind is Kind.NEGATIVE_CONTROL:
-        threshold = record.floor * scale
-        if not (left.converged and right.converged):
-            return done(
-                Status.ERROR,
-                left.value,
-                right.value,
-                diff,
-                threshold,
-                budget,
-                evals,
-                "quadrature did not converge",
-            )
-        if diff > threshold:
-            return done(
-                Status.EXPECTED_FAIL_CONFIRMED,
-                left.value,
-                right.value,
-                diff,
-                threshold,
-                budget,
-                evals,
-            )
-        return done(
-            Status.EXPECTED_FAIL_VIOLATED,
-            left.value,
-            right.value,
-            diff,
-            threshold,
-            budget,
-            evals,
-            "control variant was not detectably wrong",
-        )
-
-    tol = TOLERANCES[record.tol_class] if tol_override is None else tol_override
-    allowed = tol * scale + budget
-    if not (left.converged and right.converged):
-        return done(
-            Status.FAIL,
-            left.value,
-            right.value,
-            diff,
-            allowed,
-            budget,
-            evals,
-            "quadrature did not converge",
-        )
-    if diff <= allowed:
-        return done(Status.PASS, left.value, right.value, diff, allowed, budget, evals)
-    return done(
-        Status.FAIL,
-        left.value,
-        right.value,
-        diff,
-        allowed,
-        budget,
-        evals,
-        f"residual {diff:.3e} exceeds allowed {allowed:.3e}",
+        lhs = rhs = residual = allowed = None
+        budget, evals = 0.0, 0
+        status, message = Status.ERROR, str(exc)
+    return CaseResult(
+        identity=record.id,
+        group=record.group,
+        kind=record.kind,
+        tol_class=record.tol_class.value,
+        params=tuple(params.items()),
+        status=status,
+        lhs=lhs,
+        rhs=rhs,
+        residual=residual,
+        allowed=allowed,
+        err_budget=budget,
+        quad_evals=evals,
+        ms=(time.perf_counter() - start) * 1000.0,
+        message=message,
     )
 
 
@@ -300,28 +254,54 @@ def run_suite(
 
 
 # ---------------------------------------------------------------------------
-# report serialization; field order is part of the format
+# report serialization
+
+# The report columns: one per CaseResult field, in field order. Names and
+# order are part of the format. CSV rows leave out "ms", and so do JSON rows
+# written with include_ms=False.
+_COLUMNS = (
+    "identity",
+    "group",
+    "kind",
+    "tol",
+    "params",
+    "status",
+    "lhs",
+    "rhs",
+    "residual",
+    "allowed",
+    "err_budget",
+    "quad_evals",
+    "ms",
+    "message",
+)
 
 
-def _case_dict(res: CaseResult, include_ms: bool) -> Dict[str, object]:
-    out: Dict[str, object] = {
-        "identity": res.identity,
-        "group": res.group,
-        "kind": res.kind.value,
-        "tol": res.tol_class,
-        "params": {k: _format_value(v) for k, v in res.params},
-        "status": res.status.value,
-        "lhs": res.lhs,
-        "rhs": res.rhs,
-        "residual": res.residual,
-        "allowed": res.allowed,
-        "err_budget": res.err_budget,
-        "quad_evals": res.quad_evals,
-    }
-    if include_ms:
-        out["ms"] = round(res.ms, 3)
-    out["message"] = res.message
-    return out
+def _row(res: CaseResult, include_ms: bool = True) -> Dict[str, object]:
+    """A case as a JSON report row."""
+    row = dict(zip(_COLUMNS, (getattr(res, f.name) for f in fields(res))))
+    row.update(
+        kind=res.kind.value,
+        params={k: _format_value(v) for k, v in res.params},
+        status=res.status.value,
+        ms=round(res.ms, 3),
+    )
+    if not include_ms:
+        del row["ms"]
+    return row
+
+
+def _case(row: Mapping[str, object]) -> CaseResult:
+    """Inverse of _row; a row without timing reads back with ms 0."""
+    cells = {"ms": 0.0, "message": "", **row}
+    res = CaseResult(*(cells[name] for name in _COLUMNS))
+    return replace(
+        res,
+        kind=Kind(res.kind),
+        params=tuple((k, _parse_value(v, 0)) for k, v in res.params.items()),
+        status=Status(res.status),
+        ms=float(res.ms),
+    )
 
 
 def to_json(suite: SuiteResult, include_ms: bool = True) -> str:
@@ -333,47 +313,18 @@ def to_json(suite: SuiteResult, include_ms: bool = True) -> str:
     }
     if include_ms:
         doc["elapsed_ms"] = round(suite.elapsed_ms, 3)
-    doc["cases"] = [_case_dict(res, include_ms) for res in suite.results]
+    doc["cases"] = [_row(res, include_ms) for res in suite.results]
     return json.dumps(doc, indent=2) + "\n"
 
 
 def from_json(text: str) -> SuiteResult:
     """Rebuild a SuiteResult from to_json output (for report re-rendering)."""
-    from .catalog import _parse_value
-
     try:
         doc = json.loads(text)
-        cases = []
-        for entry in doc["cases"]:
-            cases.append(
-                CaseResult(
-                    identity=entry["identity"],
-                    group=entry["group"],
-                    kind=Kind(entry["kind"]),
-                    tol_class=entry["tol"],
-                    params=tuple(
-                        (k, _parse_value(v, 0)) for k, v in entry["params"].items()
-                    ),
-                    status=Status(entry["status"]),
-                    lhs=entry["lhs"],
-                    rhs=entry["rhs"],
-                    residual=entry["residual"],
-                    allowed=entry["allowed"],
-                    err_budget=entry["err_budget"],
-                    quad_evals=entry["quad_evals"],
-                    ms=float(entry.get("ms", 0.0)),
-                    message=entry.get("message", ""),
-                )
-            )
-        return SuiteResult(tuple(cases), float(doc.get("elapsed_ms", 0.0)))
-    except (KeyError, TypeError, ValueError) as exc:
+        cases = tuple(_case(row) for row in doc["cases"])
+        return SuiteResult(cases, float(doc.get("elapsed_ms", 0.0)))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"not a zetasech JSON report: {exc}") from None
-
-
-def _fmt_float(x: Optional[float]) -> str:
-    if x is None:
-        return ""
-    return repr(x)
 
 
 def to_markdown(suite: SuiteResult) -> str:
@@ -409,43 +360,12 @@ def to_markdown(suite: SuiteResult) -> str:
     return "\n".join(lines)
 
 
-_CSV_FIELDS = (
-    "identity",
-    "group",
-    "kind",
-    "tol",
-    "params",
-    "status",
-    "lhs",
-    "rhs",
-    "residual",
-    "allowed",
-    "err_budget",
-    "quad_evals",
-    "message",
-)
-
-
 def to_csv(suite: SuiteResult) -> str:
+    """CSV report: the JSON rows without timing, params as params_text()."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
+    header = [name for name in _COLUMNS if name != "ms"]
+    writer = csv.DictWriter(buf, header, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
     for res in suite.results:
-        writer.writerow(
-            (
-                res.identity,
-                res.group,
-                res.kind.value,
-                res.tol_class,
-                res.params_text(),
-                res.status.value,
-                _fmt_float(res.lhs),
-                _fmt_float(res.rhs),
-                _fmt_float(res.residual),
-                _fmt_float(res.allowed),
-                repr(res.err_budget),
-                res.quad_evals,
-                res.message,
-            )
-        )
+        writer.writerow({**_row(res, include_ms=False), "params": res.params_text()})
     return buf.getvalue()

@@ -232,3 +232,29 @@ def test_deep_parentheses_are_positioned_error(capsys):
     assert code == 2
     assert "zetasech: error:" in err
     assert "(line 1, column 101)" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("run", "--id", "SinId", "--tol", "TIGHT=-1"), "--tol"),
+        (("run", "--id", "SinId", "--tol", "TIGHT=nan"), "--tol"),
+        (("run", "--id", "SinId", "--tol", "TIGHT=inf"), "--tol"),
+        (("run", "--id", "SinId", "--tol", "TIGHT=0"), "--tol"),
+        (("quad", "exp(-v)", "--rel-tol", "0"), "--rel-tol"),
+        (("quad", "exp(-v)", "--rel-tol", "-1"), "--rel-tol"),
+        (("quad", "exp(-v)", "--rel-tol", "inf"), "--rel-tol"),
+        (("quad", "exp(-v)", "--decay", "1", "--vmax", "0"), "--vmax"),
+        (("quad", "exp(-v)", "--decay", "1", "--vmax", "-3"), "--vmax"),
+        (("quad", "exp(-v)", "--vmax", "nan"), "--vmax"),
+        (("quad", "exp(-v)", "--decay", "inf"), "--decay"),
+        (("eval", "integral[v]{exp(-v)}", "--decay", "inf"), "--decay"),
+        (("eval", "integral[v]{exp(-v)}", "--decay", "-1"), "--decay"),
+        (("eval", "integral[v]{exp(-v)}", "--decay", "nan"), "--decay"),
+    ],
+)
+def test_numeric_flags_reject_out_of_range_values(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert f"error: argument {flag}:" in err
+    assert out == ""

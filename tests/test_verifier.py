@@ -6,8 +6,10 @@ import json
 import pytest
 
 from zetasech.catalog import builtin_identities, get_identity, parse_catalog
+from zetasech.quadrature import DEFAULT_EVAL_CAP
 from zetasech.verifier import (
     Status,
+    SuiteResult,
     from_json,
     run_suite,
     to_csv,
@@ -160,6 +162,10 @@ def test_from_json_rejects_foreign_documents():
         from_json('{"hello": "world"}')
     with pytest.raises(ValueError):
         from_json("[]")
+    doc = json.loads(to_json(run_suite([get_identity("SinId")])))
+    doc["cases"][0]["params"] = ["x"]
+    with pytest.raises(ValueError):
+        from_json(json.dumps(doc))
 
 
 def test_csv_shape():
@@ -185,3 +191,70 @@ def test_full_builtin_suite_is_green():
     assert counts["EXPECTED_FAIL_CONFIRMED"] == 4
     assert counts["FAIL"] == 0 and counts["ERROR"] == 0
     assert sum(counts.values()) == 994
+    # every report format re-renders byte for byte from the saved JSON
+    back = from_json(to_json(suite))
+    assert to_json(back, include_ms=False) == to_json(suite, include_ms=False)
+    assert to_csv(back) == to_csv(suite)
+    assert to_markdown(back) == to_markdown(suite)
+
+
+# One probe per verdict branch: the record's sides, kind and tolerance class,
+# the case parameters and eval cap, then the expected status, message prefix
+# ("" means no message) and which of lhs/rhs/residual/allowed are None.
+SIDES = ("lhs", "rhs", "residual", "allowed")
+VERDICT_BRANCHES = [
+    pytest.param("exp(ln(10))", "10", "NUMERIC", "TIGHT", {}, DEFAULT_EVAL_CAP,
+                 Status.PASS, "", (), id="pass"),
+    pytest.param("2 + 2", "5", "NUMERIC", "TIGHT", {}, DEFAULT_EVAL_CAP,
+                 Status.FAIL, "residual 1.000e+00 exceeds allowed", (), id="fail"),
+    pytest.param("hzeta(1, 1)", "0", "NUMERIC", "TIGHT", {}, DEFAULT_EVAL_CAP,
+                 Status.ERROR, "hzeta failed:", SIDES, id="eval-error"),
+    pytest.param("10^200*10^200", "1", "NUMERIC", "TIGHT", {}, DEFAULT_EVAL_CAP,
+                 Status.ERROR, "non-finite value", ("residual", "allowed"),
+                 id="non-finite"),
+    pytest.param("integral[v]{exp(-pi*v)}", "1/pi", "NUMERIC", "TIGHT", {}, 20,
+                 Status.FAIL, "quadrature did not converge", (), id="unconverged"),
+    pytest.param("1/3 - 1/4", "1/12", "EXACT", "EXACT", {}, DEFAULT_EVAL_CAP,
+                 Status.PASS, "", (), id="exact-pass"),
+    pytest.param("1/3", "1/4", "EXACT", "EXACT", {}, DEFAULT_EVAL_CAP,
+                 Status.FAIL, "exact residual 1/12", (), id="exact-fail"),
+    pytest.param("fact(n)", "1", "EXACT", "EXACT", {"n": -1}, DEFAULT_EVAL_CAP,
+                 Status.ERROR, "fact failed:", SIDES, id="exact-error"),
+    pytest.param("1", "2", "NEGATIVE_CONTROL", "MED", {}, DEFAULT_EVAL_CAP,
+                 Status.EXPECTED_FAIL_CONFIRMED, "", (), id="control-confirmed"),
+    pytest.param("2 + 2", "4", "NEGATIVE_CONTROL", "MED", {}, DEFAULT_EVAL_CAP,
+                 Status.EXPECTED_FAIL_VIOLATED,
+                 "control variant was not detectably wrong", (), id="control-violated"),
+    pytest.param("integral[v]{exp(-pi*v)}", "2/pi", "NEGATIVE_CONTROL", "MED", {}, 20,
+                 Status.ERROR, "quadrature did not converge", (),
+                 id="control-unconverged"),
+]
+
+
+def verdict_case(lhs, rhs, kind, tol, params, eval_cap):
+    return verify_case(probe("Branch", lhs, rhs, kind=kind, tol=tol), params, eval_cap)
+
+
+@pytest.mark.parametrize(
+    "lhs, rhs, kind, tol, params, eval_cap, status, prefix, none_sides",
+    VERDICT_BRANCHES,
+)
+def test_every_verdict_branch(lhs, rhs, kind, tol, params, eval_cap, status, prefix,
+                              none_sides):
+    res = verdict_case(lhs, rhs, kind, tol, params, eval_cap)
+    assert res.status is status
+    assert res.message.startswith(prefix)
+    assert bool(res.message) == bool(prefix)
+    for side in SIDES:
+        assert (getattr(res, side) is None) == (side in none_sides), side
+
+
+def test_mixed_verdicts_re_render_from_json():
+    suite = SuiteResult(
+        tuple(verdict_case(*branch.values[:6]) for branch in VERDICT_BRANCHES), 12.5
+    )
+    assert {res.status for res in suite.results} == set(Status)
+    back = from_json(to_json(suite))
+    assert to_json(back, include_ms=False) == to_json(suite, include_ms=False)
+    assert to_csv(back) == to_csv(suite)
+    assert to_markdown(back) == to_markdown(suite)
