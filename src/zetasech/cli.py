@@ -179,7 +179,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.exact:
         print(evaluate_exact(node, params))  # type: ignore[arg-type]
         return EXIT_OK
-    cfg = EvalConfig(quad_decay=args.decay, eval_cap=args.eval_cap)
+    cfg = EvalConfig(
+        quad_decay=args.decay, quad_p_max=args.p_max, eval_cap=args.eval_cap
+    )
     result = evaluate_numeric(node, params, cfg)  # type: ignore[arg-type]
     print(repr(result.value))
     print(f"err_budget = {result.err_budget!r}")
@@ -239,6 +241,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eval-cap", type=_positive_int, default=DEFAULT_EVAL_CAP,
                        metavar="N", help="max integrand evaluations per case")
 
+    def add_envelope(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--decay", type=_nonnegative_float,
+                       default=3.141592653589793, metavar="R",
+                       help="exponential decay rate (0 = algebraic)")
+        p.add_argument("--p-max", type=int, default=8, metavar="P",
+                       help="polynomial envelope degree")
+
     p_list = sub.add_parser("list", help="print the identity manifest")
     add_filters(p_list)
     p_list.set_defaults(func=_cmd_list)
@@ -262,9 +271,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="bind a parameter (repeatable)")
     p_eval.add_argument("--exact", action="store_true",
                         help="evaluate over rationals")
-    p_eval.add_argument("--decay", type=_nonnegative_float,
-                        default=3.141592653589793, metavar="R",
-                        help="integrand decay rate hint")
+    add_envelope(p_eval)
     add_eval_cap(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 
@@ -273,13 +280,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_quad.add_argument("--var", default="v", metavar="NAME",
                         help="integration variable (default v)")
     p_quad.add_argument("--param", "-p", action="append", metavar="NAME=VALUE")
-    p_quad.add_argument("--decay", type=_nonnegative_float,
-                        default=3.141592653589793, metavar="R",
-                        help="exponential decay rate (0 = algebraic)")
+    add_envelope(p_quad)
     p_quad.add_argument("--vmax", type=_positive_float, metavar="V",
                         help="cap the truncation cutoff")
-    p_quad.add_argument("--p-max", type=int, default=8, metavar="P",
-                        help="polynomial envelope degree")
     p_quad.add_argument("--rel-tol", type=_positive_float, default=1e-12, metavar="T")
     add_eval_cap(p_quad)
     p_quad.set_defaults(func=_cmd_quad)

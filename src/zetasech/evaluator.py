@@ -3,8 +3,11 @@
 The numeric path carries a first-order error budget alongside every value.
 Quadrature is the only source that injects nonzero budget; arithmetic then
 propagates it linearly so the verifier can add it to the comparison
-tolerance. The exact path refuses anything that is not rational-valued, so
-a successful exact evaluation is a proof-grade computation.
+tolerance. Each integral body is compiled once into a Python function of
+its variable (_compile_integral), which quadrature samples; the AST walk
+handles the rest of an expression once per evaluation. The exact path
+refuses anything that is not rational-valued, so a successful exact
+evaluation is a proof-grade computation.
 """
 from __future__ import annotations
 
@@ -12,7 +15,8 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Tuple, Union
+from functools import lru_cache
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from .exprlang import (
     BinaryOp,
@@ -27,7 +31,7 @@ from .exprlang import (
     UnaryNeg,
 )
 from .quadrature import DEFAULT_EVAL_CAP, QuadratureError, integrate_decaying
-from .registry import function_table
+from .registry import RegistryError, exact_power, function_table
 from .specfun import constants
 
 __all__ = [
@@ -42,6 +46,7 @@ __all__ = [
 ]
 
 _SUM_LIMIT = 1_000_000
+_NUM_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 
 
 class EvalError(ValueError):
@@ -141,7 +146,7 @@ def _eval_num(
         # power
         try:
             v = lv ** rv
-        except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        except _NUM_ERRORS as exc:
             raise EvalError(f"power failed: {exc}") from None
         if isinstance(v, complex):
             raise EvalError("power produced a complex value")
@@ -162,7 +167,7 @@ def _eval_num(
         spec = function_table()[node.name]
         try:
             v = spec.numeric(*vals)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except _NUM_ERRORS as exc:
             raise EvalError(f"{node.name} failed: {exc}") from None
         if not math.isfinite(v):
             raise EvalError(f"{node.name} returned a non-finite value")
@@ -191,40 +196,177 @@ def _eval_num(
                 env.pop(node.var, None)
         return total, total_err
     if isinstance(node, Integral):
-        saved = env.get(node.var)
-        had = node.var in env
-
-        def integrand(x: float) -> float:
-            env[node.var] = x
-            v, _ = _eval_num(node.body, env, cfg, usage)
-            return v
-
-        try:
-            remaining = cfg.eval_cap - usage.evals
-            if remaining <= 0:
-                raise EvalError("evaluation cap exhausted")
-            try:
-                quad = integrate_decaying(
-                    integrand,
-                    rate=cfg.quad_decay,
-                    rel_tol=cfg.quad_rel_tol,
-                    scale=cfg.quad_scale,
-                    p_max=cfg.quad_p_max,
-                    vmax=cfg.quad_vmax,
-                    eval_cap=remaining,
-                )
-            except QuadratureError as exc:
-                raise EvalError(f"quadrature failed: {exc}") from None
-        finally:
-            if had:
-                env[node.var] = saved  # type: ignore[assignment]
-            else:
-                env.pop(node.var, None)
-        usage.evals += quad.evaluations
-        if not quad.converged:
-            usage.converged = False
-        return quad.value, quad.abs_error_estimate
+        return _integrate(_compile_integral(node), env, cfg, usage)
     raise TypeError(f"not an expression node: {node!r}")
+
+
+# make(env, cfg, usage) -> f(x): the integrand of one Integral node
+_Make = Callable[[Dict[str, float], EvalConfig, _QuadUsage], Callable[[float], float]]
+
+
+def _integrate(
+    make: _Make,
+    env: Dict[str, float],
+    cfg: EvalConfig,
+    usage: _QuadUsage,
+) -> Tuple[float, float]:
+    """Value and error estimate of one integral, counted against the cap."""
+    remaining = cfg.eval_cap - usage.evals
+    if remaining <= 0:
+        raise EvalError("evaluation cap exhausted")
+    try:
+        quad = integrate_decaying(
+            make(env, cfg, usage),
+            rate=cfg.quad_decay,
+            rel_tol=cfg.quad_rel_tol,
+            scale=cfg.quad_scale,
+            p_max=cfg.quad_p_max,
+            vmax=cfg.quad_vmax,
+            eval_cap=remaining,
+        )
+    except QuadratureError as exc:
+        raise EvalError(f"quadrature failed: {exc}") from None
+    usage.evals += quad.evaluations
+    if not quad.converged:
+        usage.converged = False
+    return quad.value, quad.abs_error_estimate
+
+
+_MISSING = object()
+
+
+class _Codegen:
+    """Python source for one integral body, computing only its value.
+
+    Every node gets one temporary, computed in _eval_num's operation order,
+    so a compiled sample equals the AST walk's value bit for bit; each
+    failure raises the EvalError message _eval_num raises. The source holds
+    only generated names: values, callables and every string taken from the
+    expression reach it through the exec namespace.
+    """
+
+    def __init__(self) -> None:
+        self.namespace: Dict[str, object] = {
+            "EvalError": EvalError,
+            "MISSING": _MISSING,
+            "NUM_ERRORS": _NUM_ERRORS,
+            "isfinite": math.isfinite,
+            "near_int": _near_int,
+            "integrate": _integrate,
+        }
+        self.params: Dict[str, str] = {}
+        self.lines: List[str] = []
+        self.temps = 0
+
+    def const(self, value: object) -> str:
+        name = f"c{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def line(self, indent: str, text: str) -> None:
+        self.lines.append(indent + text)
+
+    def fail_if(self, indent: str, test: str, message: str) -> None:
+        self.line(indent, f"if {test}:")
+        self.line(indent, f"    raise EvalError({self.const(message)})")
+
+    def guarded(self, indent: str, stmt: str, prefix: str) -> None:
+        self.line(indent, "try:")
+        self.line(indent, "    " + stmt)
+        self.line(indent, "except NUM_ERRORS as exc:")
+        self.line(indent, f"    raise EvalError({self.const(prefix)} + str(exc)) from None")
+
+    def emit(self, node: Node, scope: Dict[str, str], indent: str) -> str:
+        """Emit the lines computing node; return the name holding its value.
+
+        scope maps each bound variable in reach to its local name; any other
+        name is a parameter, read from env once per make() call.
+        """
+        if isinstance(node, NumberLiteral):
+            return self.const(float(node.value))
+        if isinstance(node, ConstantRef):
+            return self.const(getattr(constants(), node.name))
+        if isinstance(node, (ParamRef, BoundVarRef)):
+            local = scope.get(node.name)
+            if local is None:
+                local = self.params.setdefault(node.name, f"p{len(self.params)}")
+                self.fail_if(indent, f"{local} is MISSING", f"unbound name {node.name!r}")
+            return local
+        if isinstance(node, UnaryNeg):
+            v = self.emit(node.operand, scope, indent)
+            t = self.temp()
+            self.line(indent, f"{t} = -{v}")
+            return t
+        if isinstance(node, BinaryOp):
+            lv = self.emit(node.left, scope, indent)
+            rv = self.emit(node.right, scope, indent)
+            t = self.temp()
+            if node.op in ("+", "-", "*"):
+                self.line(indent, f"{t} = {lv} {node.op} {rv}")
+            elif node.op == "/":
+                self.fail_if(indent, f"{rv} == 0.0", "division by zero")
+                self.line(indent, f"{t} = {lv} / {rv}")
+            else:
+                self.guarded(indent, f"{t} = {lv} ** {rv}", "power failed: ")
+                self.fail_if(indent, f"isinstance({t}, complex)", "power produced a complex value")
+            return t
+        if isinstance(node, Call):
+            args = ", ".join(self.emit(arg, scope, indent) for arg in node.args)
+            fn = self.const(function_table()[node.name].numeric)
+            t = self.temp()
+            self.guarded(indent, f"{t} = {fn}({args})", f"{node.name} failed: ")
+            self.fail_if(indent, f"not isfinite({t})", f"{node.name} returned a non-finite value")
+            return t
+        if isinstance(node, Sum):
+            lov = self.emit(node.lo, scope, indent)
+            hiv = self.emit(node.hi, scope, indent)
+            lo, hi, total, k, kv = (self.temp() for _ in range(5))
+            self.line(indent, f"{lo} = near_int({lov}, {self.const('sum lower bound')})")
+            self.line(indent, f"{hi} = near_int({hiv}, {self.const('sum upper bound')})")
+            self.fail_if(indent, f"{hi} - {lo} > {self.const(_SUM_LIMIT)}", "sum range too large")
+            self.line(indent, f"{total} = 0.0")
+            self.line(indent, f"for {k} in range({lo}, {hi} + 1):")
+            inner = indent + "    "
+            self.line(inner, f"{kv} = float({k})")
+            v = self.emit(node.body, {**scope, node.var: kv}, inner)
+            self.line(inner, f"{total} += {v}")
+            return total
+        if isinstance(node, Integral):
+            make = self.const(_compile_integral(node))
+            bound, t = self.temp(), self.temp()
+            self.line(indent, f"{bound} = dict(env)")
+            for name, local in scope.items():
+                self.line(indent, f"{bound}[{self.const(name)}] = {local}")
+            self.line(indent, f"{t} = integrate({make}, {bound}, cfg, usage)[0]")
+            return t
+        raise TypeError(f"not an expression node: {node!r}")
+
+
+@lru_cache(maxsize=256)
+def _compile_integral(node: Integral) -> _Make:
+    """The integrand of node as a factory make(env, cfg, usage) -> f(x).
+
+    Compiled once per distinct node, on first evaluation, so the function
+    table is read after any wrapping of its entries. make reads each
+    parameter from env once; f then evaluates the body at one abscissa.
+    """
+    gen = _Codegen()
+    result = gen.emit(node.body, {node.var: "x"}, " " * 8)
+    source = "\n".join([
+        "def make(env, cfg, usage):",
+        *(f"    {local} = env.get({gen.const(name)}, MISSING)"
+          for name, local in gen.params.items()),
+        "    def f(x):",
+        *gen.lines,
+        f"        return {result}",
+        "    return f",
+    ])
+    exec(compile(source, "<integral>", "exec"), gen.namespace)
+    return gen.namespace["make"]  # type: ignore[return-value]
 
 
 def evaluate_numeric(
@@ -270,10 +412,10 @@ def _eval_exact(node: Node, env: Dict[str, Fraction]) -> Fraction:
             return lv / rv
         if rv.denominator != 1:
             raise ExactEvalError("exact power needs an integer exponent")
-        n = rv.numerator
-        if lv == 0 and n <= 0:
-            raise ExactEvalError("0 to a non-positive power")
-        return lv ** n
+        try:
+            return exact_power(lv, rv.numerator)
+        except RegistryError as exc:
+            raise ExactEvalError(str(exc)) from None
     if isinstance(node, Call):
         spec = function_table()[node.name]
         if spec.exact is None:
@@ -281,7 +423,7 @@ def _eval_exact(node: Node, env: Dict[str, Fraction]) -> Fraction:
         args = tuple(_eval_exact(a, env) for a in node.args)
         try:
             return spec.exact(*args)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except _NUM_ERRORS as exc:
             raise ExactEvalError(f"{node.name} failed: {exc}") from None
     if isinstance(node, Sum):
         lo = _eval_exact(node.lo, env)

@@ -140,16 +140,16 @@ def _pick_cutoff(rate: float, p_max: int, target: float, vmax: Optional[float]) 
             break
     if vmax is not None and v > vmax:
         v = vmax
-    return max(v, 1.0)
+    return v
 
 
 def _algebraic_cutoff(p_max: int, target: float, vmax: Optional[float]) -> float:
     # solve (1+V)^(p_max+1) / (-p_max-1) == target
     power = float(-(p_max + 1))
-    v = (power * target) ** (-1.0 / power) - 1.0
+    v = max((power * target) ** (-1.0 / power) - 1.0, 1.0)
     if vmax is not None and v > vmax:
         v = vmax
-    return max(v, 1.0)
+    return v
 
 
 def integrate_decaying(

@@ -15,7 +15,17 @@ from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from . import exact, specfun
 
-__all__ = ["FunctionSpec", "function_arities", "function_table", "RegistryError"]
+__all__ = [
+    "FunctionSpec",
+    "exact_power",
+    "function_arities",
+    "function_table",
+    "RegistryError",
+]
+
+# Largest integer, in bits, that a power, factorial or binomial may build;
+# the builtin catalog's estimates stay under 100 bits.
+_MAX_EXACT_BITS = 100_000
 
 
 class RegistryError(ValueError):
@@ -43,21 +53,43 @@ def _exact_int(x: Fraction, what: str) -> int:
     return x.numerator
 
 
+def _check_bits(bits: int, what: str) -> None:
+    if bits > _MAX_EXACT_BITS:
+        raise RegistryError(f"{what} would exceed {_MAX_EXACT_BITS} bits")
+
+
+def _factorial(n: int) -> int:
+    if n < 0:
+        raise RegistryError("fact needs n >= 0")
+    _check_bits(n * n.bit_length(), "factorial")
+    return math.factorial(n)
+
+
+def _comb(n: int, k: int) -> int:
+    if n < 0 or k < 0:
+        raise RegistryError("binom needs non-negative integers")
+    _check_bits(min(k, n - k) * n.bit_length(), "binomial")
+    return math.comb(n, k)
+
+
+def exact_power(x: Fraction, n: int) -> Fraction:
+    """x**n, refusing 0 to a non-positive power and results over the bit cap."""
+    if x == 0 and n <= 0:
+        raise RegistryError("0 to a non-positive power")
+    # a lower bound, |n| * floor(log2 max(|p|, q)), so that 1 and -1 pass
+    width = max(x.numerator.bit_length(), x.denominator.bit_length())
+    _check_bits(abs(n) * (width - 1), "power")
+    return x ** n
+
+
 # numeric wrappers ------------------------------------------------------
 
 def _num_fact(x: float) -> float:
-    n = _as_index(x, "fact")
-    if n < 0:
-        raise RegistryError("fact needs n >= 0")
-    return float(math.factorial(n))
+    return float(_factorial(_as_index(x, "fact")))
 
 
 def _num_binom(x: float, y: float) -> float:
-    n = _as_index(x, "binom")
-    k = _as_index(y, "binom")
-    if n < 0 or k < 0:
-        raise RegistryError("binom needs non-negative integers")
-    return float(math.comb(n, k))
+    return float(_comb(_as_index(x, "binom"), _as_index(y, "binom")))
 
 
 def _num_kron(x: float, y: float) -> float:
@@ -103,18 +135,11 @@ def _num_h3f2(m: float, z: float) -> float:
 # exact wrappers --------------------------------------------------------
 
 def _ex_fact(x: Fraction) -> Fraction:
-    n = _exact_int(x, "fact")
-    if n < 0:
-        raise RegistryError("fact needs n >= 0")
-    return Fraction(math.factorial(n))
+    return Fraction(_factorial(_exact_int(x, "fact")))
 
 
 def _ex_binom(x: Fraction, y: Fraction) -> Fraction:
-    n = _exact_int(x, "binom")
-    k = _exact_int(y, "binom")
-    if n < 0 or k < 0:
-        raise RegistryError("binom needs non-negative integers")
-    return Fraction(math.comb(n, k))
+    return Fraction(_comb(_exact_int(x, "binom"), _exact_int(y, "binom")))
 
 
 def _ex_kron(x: Fraction, y: Fraction) -> Fraction:
@@ -125,7 +150,7 @@ def _ex_gammafn(x: Fraction) -> Fraction:
     n = _exact_int(x, "gammafn")
     if n <= 0:
         raise RegistryError("exact gammafn needs a positive integer")
-    return Fraction(math.factorial(n - 1))
+    return Fraction(_factorial(n - 1))
 
 
 def _ex_abs(x: Fraction) -> Fraction:
@@ -133,10 +158,7 @@ def _ex_abs(x: Fraction) -> Fraction:
 
 
 def _ex_pow(x: Fraction, y: Fraction) -> Fraction:
-    n = _exact_int(y, "pow exponent")
-    if x == 0 and n <= 0:
-        raise RegistryError("0 to a non-positive power")
-    return x ** n
+    return exact_power(x, _exact_int(y, "pow exponent"))
 
 
 def _ex_eulerpoly(n: Fraction, x: Fraction) -> Fraction:

@@ -1,9 +1,13 @@
 """Command line behavior: subcommands, exit codes, and output contracts."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import zetasech
 from zetasech.cli import main
 from zetasech.verifier import from_json
 
@@ -125,6 +129,32 @@ def test_eval_exact_mode_prints_fraction(capsys):
     code, out, _ = run_cli(capsys, "eval", "--exact", "bernpoly(4, 1/2)")
     assert code == 0
     assert out.splitlines()[0].strip() == "7/240"
+
+
+def test_eval_takes_algebraic_envelope(capsys):
+    code, out, _ = run_cli(
+        capsys, "eval", "integral[v]{1/(1+v)^3}", "--decay", "0", "--p-max", "-3"
+    )
+    assert code == 0
+    assert abs(float(out.splitlines()[0]) - 0.5) < 1e-12
+
+
+@pytest.mark.parametrize("expr", ["10^(10^8)", "pow(10, 10^8)", "fact(10^7)"])
+def test_oversized_exact_result_is_input_error(expr):
+    # a child process with a timeout, so that a missing guard fails the test
+    # instead of hanging it
+    src = os.path.dirname(os.path.dirname(zetasech.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zetasech.cli", "eval", "--exact", expr],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 2
+    assert "would exceed 100000 bits" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_eval_rejects_bad_expression(capsys):

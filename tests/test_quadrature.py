@@ -100,6 +100,21 @@ def test_vmax_truncates_and_budgets():
     assert cut.abs_error_estimate >= 0.9 * math.exp(-8.0)
 
 
+@pytest.mark.parametrize(
+    "f, rate, p_max, want",
+    [
+        (lambda v: math.exp(-v), 1.0, 8, 1.0 - math.exp(-0.5)),
+        (lambda v: (1.0 + v) ** -3, 0.0, -3, (1.0 - 1.0 / 1.5**2) / 2.0),
+    ],
+    ids=["exponential", "algebraic"],
+)
+def test_vmax_below_one_is_the_cutoff(f, rate, p_max, want):
+    # the integral over [0, 0.5], not over [0, 1]
+    res = integrate_decaying(f, rate=rate, p_max=p_max, vmax=0.5)
+    assert res.converged
+    assert math.isclose(res.value, want, rel_tol=1e-12)
+
+
 def test_scale_raises_truncation_target():
     tiny = integrate_decaying(
         lambda v: 1e-12 * math.exp(-v), rate=1.0, scale=1e-12
