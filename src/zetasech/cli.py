@@ -173,11 +173,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK if suite.ok else EXIT_VERIFY
 
 
+def _exact_text(value: object) -> str:
+    # an exact result may have ~30,000 digits, past the interpreter's
+    # default limit on int-to-str conversion; lift it for this one str()
+    if not hasattr(sys, "get_int_max_str_digits"):  # Python < 3.10.7
+        return str(value)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     node = parse_expression(args.expr)
     params = _parse_params(args.param or ())
     if args.exact:
-        print(evaluate_exact(node, params))  # type: ignore[arg-type]
+        print(_exact_text(evaluate_exact(node, params)))  # type: ignore[arg-type]
         return EXIT_OK
     cfg = EvalConfig(
         quad_decay=args.decay, quad_p_max=args.p_max, eval_cap=args.eval_cap

@@ -65,14 +65,20 @@ def euler_poly(n: int, x: Fraction) -> Fraction:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _bernoulli_poly_coeffs(n: int) -> Tuple[Fraction, ...]:
+    # B_n(x) = sum_k C(n,k) B(k) x^(n-k), stored high degree first
+    return tuple(math.comb(n, k) * bernoulli_number(k) for k in range(n + 1))
+
+
 def bernoulli_poly(n: int, x: Fraction) -> Fraction:
     """Bernoulli polynomial B_n(x) evaluated exactly."""
     if n < 0:
         raise ValueError("bernoulli_poly needs n >= 0")
     x = Fraction(x)
     acc = _ZERO
-    for k in range(n + 1):
-        acc = acc * x + math.comb(n, k) * bernoulli_number(k)
+    for c in _bernoulli_poly_coeffs(n):
+        acc = acc * x + c
     return acc
 
 

@@ -8,8 +8,10 @@ each intermediate travels as a (value, d/ds) double-double pair, so no
 finite differences appear anywhere. The alternating variant switches between
 a convergence-accelerated alternating sum (stable near s = 1, including at
 the point itself) and the double-double zeta difference (stable for
-decidedly non-positive s), and the two routes cross-check each other inside
-S_of.
+decidedly non-positive s). S_of compares its value with the direct zeta
+difference; that is a second route only inside the accelerated-sum band
+|s - 1| < 0.6. Outside it both sides read the same _hz_dd values, and the
+comparison re-checks only the 2^s scaling.
 """
 from __future__ import annotations
 
@@ -73,16 +75,18 @@ _LN2_DD = dd_ln(2.0)
 _EM_TAIL_TERMS = 15
 
 
-def _dd_log2s(x: DD) -> DD:
-    # log of a double-double with relative spread below one ulp
-    y = dd_ln(x[0])
-    return dd_add_d(y, x[1] / x[0])
+@lru_cache(maxsize=256)
+def _head_log(k: int, a: float) -> DD:
+    # ln(k + a) in double-double, shared by every order s that sums over
+    # the same a; the low word enters to first order
+    x = _two_sum(float(k), a)
+    return dd_add_d(dd_ln(x[0]), x[1] / x[0])
 
 
-def _exp_dual(lnbase: DD, cv: float, cd: float) -> _DDual:
-    """exp(c * lnbase) where c = cv + cd*eps and lnbase is constant in s."""
-    e = dd_exp(dd_mul_d(lnbase, cv))
-    return e, dd_mul(e, dd_mul_d(lnbase, cd))
+def _pow_dual(lnbase: DD, s: float) -> _DDual:
+    """base^(-s) and its d/ds, for base = exp(lnbase) constant in s."""
+    e = dd_exp(dd_mul_d(lnbase, -s))
+    return e, dd_mul(e, (-lnbase[0], -lnbase[1]))
 
 
 def _ddu_mul(x: _DDual, y: _DDual) -> _DDual:
@@ -102,8 +106,13 @@ def _bern_over_fact() -> Tuple[DD, ...]:
 
 
 @lru_cache(maxsize=8192)
-def _hz_dd(sv: float, sd: float, a: float) -> Tuple[DD, DD]:
-    """Euler-Maclaurin Hurwitz zeta, value and d/ds, both double-double."""
+def _hz_dd(sv: float, a: float) -> Tuple[DD, DD]:
+    """Euler-Maclaurin Hurwitz zeta, value and d/ds, both double-double.
+
+    The derivative needs no exp or log of its own, so it is always
+    computed, and one cache entry per (s, a) serves both hurwitz_zeta and
+    hurwitz_zeta_ds.
+    """
     if a <= 0.0:
         raise SpecfunError("hurwitz zeta needs a > 0")
     if abs(sv - 1.0) < 1e-9:
@@ -114,14 +123,12 @@ def _hz_dd(sv: float, sd: float, a: float) -> Tuple[DD, DD]:
     head_v: DD = (0.0, 0.0)
     head_d: DD = (0.0, 0.0)
     for k in range(n_head):
-        lnt = _dd_log2s(_two_sum(float(k), a))
-        tv, td = _exp_dual(lnt, -sv, -sd)
+        tv, td = _pow_dual(_head_log(k, a), sv)
         head_v = dd_add(head_v, tv)
         head_d = dd_add(head_d, td)
 
     z = _two_sum(float(n_head), a)
-    lnz = _dd_log2s(z)
-    pw = _exp_dual(lnz, -sv, -sd)  # z^(-s)
+    pw = _pow_dual(_head_log(n_head, a), sv)  # z^(-s)
 
     # pole term z^(1-s) / (s-1)
     num_v = dd_mul(z, pw[0])
@@ -129,7 +136,7 @@ def _hz_dd(sv: float, sd: float, a: float) -> Tuple[DD, DD]:
     den = _two_sum(sv, -1.0)
     pole_v = dd_div(num_v, den)
     pole_d = dd_div(
-        dd_sub(dd_mul(num_d, den), dd_mul_d(num_v, sd)),
+        dd_sub(dd_mul(num_d, den), num_v),
         dd_mul(den, den),
     )
 
@@ -139,7 +146,7 @@ def _hz_dd(sv: float, sd: float, a: float) -> Tuple[DD, DD]:
     # Bernoulli tail: sum_j B(2j)/(2j)! * (s)_(2j-1) * z^(-s-2j+1)
     z2inv = dd_div((1.0, 0.0), dd_mul(z, z))
     r: _DDual = (dd_div(pw[0], z), dd_div(pw[1], z))  # z^(-s-1)
-    c: _DDual = ((sv, 0.0), (sd, 0.0))  # rising factorial, starts at (s)_1
+    c: _DDual = ((sv, 0.0), (1.0, 0.0))  # rising factorial, starts at (s)_1
     tail_v: DD = (0.0, 0.0)
     tail_d: DD = (0.0, 0.0)
     coeffs = _bern_over_fact()
@@ -149,8 +156,8 @@ def _hz_dd(sv: float, sd: float, a: float) -> Tuple[DD, DD]:
         tail_v = dd_add(tail_v, dd_mul(b, cr[0]))
         tail_d = dd_add(tail_d, dd_mul(b, cr[1]))
         if j < _EM_TAIL_TERMS:
-            f1: _DDual = (_two_sum(sv, 2.0 * j - 1.0), (sd, 0.0))
-            f2: _DDual = (_two_sum(sv, 2.0 * j), (sd, 0.0))
+            f1: _DDual = (_two_sum(sv, 2.0 * j - 1.0), (1.0, 0.0))
+            f2: _DDual = (_two_sum(sv, 2.0 * j), (1.0, 0.0))
             c = _ddu_mul(c, _ddu_mul(f1, f2))
             r = (dd_mul(r[0], z2inv), dd_mul(r[1], z2inv))
 
@@ -161,12 +168,12 @@ def _hz_dd(sv: float, sd: float, a: float) -> Tuple[DD, DD]:
 
 def hurwitz_zeta(s: float, a: float) -> float:
     """zeta(s, a) = sum over k >= 0 of (k+a)^(-s), continued in s."""
-    return to_float(_hz_dd(float(s), 0.0, float(a))[0])
+    return to_float(_hz_dd(float(s), float(a))[0])
 
 
 def hurwitz_zeta_ds(s: float, a: float) -> float:
     """d/ds zeta(s, a)."""
-    return to_float(_hz_dd(float(s), 1.0, float(a))[1])
+    return to_float(_hz_dd(float(s), float(a))[1])
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +183,7 @@ _ETA_BAND = 0.6
 _CVZ_TERMS = 60
 
 
-def _eta_cvz(sv: float, sd: float, a: float) -> Tuple[float, float]:
+def _eta_cvz(sv: float, a: float) -> Tuple[float, float]:
     # accelerated alternating sum; weights stay O(1) relative to the result
     # only while the terms (k+a)^(-s) decay, hence the band around s = 1
     n = _CVZ_TERMS
@@ -191,45 +198,43 @@ def _eta_cvz(sv: float, sd: float, a: float) -> Tuple[float, float]:
         lt = math.log(k + a)
         term = math.exp(-sv * lt)
         acc_v += c * term
-        acc_d += c * term * (-sd * lt)
+        acc_d += c * term * (-lt)
         b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
     return acc_v / d, acc_d / d
 
 
-def _eta_parts(sv: float, sd: float, a: float) -> Tuple[float, float]:
+def _eta_parts(sv: float, a: float) -> Tuple[float, float]:
+    # value and d/ds of eta
     if a <= 0.0:
         raise SpecfunError("eta needs a > 0")
     if abs(sv - 1.0) < _ETA_BAND:
-        return _eta_cvz(sv, sd, a)
+        return _eta_cvz(sv, a)
     # eta(s,a) = 2^(-s) * (zeta(s, a/2) - zeta(s, (a+1)/2))
-    pv, pd = _hz_dd(sv, sd, 0.5 * a)
-    qv, qd = _hz_dd(sv, sd, 0.5 * (a + 1.0))
+    pv, pd = _hz_dd(sv, 0.5 * a)
+    qv, qd = _hz_dd(sv, 0.5 * (a + 1.0))
     diff: _DDual = (dd_sub(pv, qv), dd_sub(pd, qd))
-    scale = _exp_dual(_LN2_DD, -sv, -sd)
-    out = _ddu_mul(scale, diff)
+    out = _ddu_mul(_pow_dual(_LN2_DD, sv), diff)
     return to_float(out[0]), to_float(out[1])
 
 
 def eta(s: float, a: float) -> float:
     """Alternating Hurwitz function sum over k >= 0 of (-1)^k (k+a)^(-s)."""
-    return _eta_parts(float(s), 0.0, float(a))[0]
+    return _eta_parts(float(s), float(a))[0]
 
 
 def eta_ds(s: float, a: float) -> float:
     """d/ds eta(s, a)."""
-    return _eta_parts(float(s), 1.0, float(a))[1]
+    return _eta_parts(float(s), float(a))[1]
 
 
-def _S_parts(sv: float, sd: float, a: float) -> Tuple[float, float]:
-    # value and d/ds of S_of, with the cross-check run at the same (sv, sd)
-    ev, ed = _eta_parts(sv, sd, 2.0 * a)
+def _S_parts(sv: float, a: float) -> Tuple[float, float]:
+    # value and d/ds of S_of, with the cross-check on the value
+    ev, ed = _eta_parts(sv, 2.0 * a)
     pw = math.exp(sv * math.log(2.0))
     val = pw * ev
-    der = pw * (math.log(2.0) * sd * ev + ed)
+    der = pw * (math.log(2.0) * ev + ed)
     if abs(sv - 1.0) > 1e-6:
-        pv, _ = _hz_dd(sv, sd, a)
-        qv, _ = _hz_dd(sv, sd, a + 0.5)
-        other = to_float(dd_sub(pv, qv))
+        other = to_float(dd_sub(_hz_dd(sv, a)[0], _hz_dd(sv, a + 0.5)[0]))
         scale = max(abs(val), abs(other))
         tol = 1e-9 + 3e-16 / abs(sv - 1.0)
         if scale > 0.0 and abs(val - other) > tol * scale:
@@ -244,14 +249,16 @@ def S_of(s: float, a: float) -> float:
 
     The identity S(s,a) = 2^s eta(s, 2a) keeps the value finite at s = 1.
     Away from s = 1 the direct zeta difference is computed as well and the
-    two routes must agree, otherwise a SpecfunError is raised.
+    two must agree, otherwise a SpecfunError is raised. Only for
+    |s - 1| < 0.6, where eta sums the series itself, is that an independent
+    route; elsewhere eta is built from the same two zeta values.
     """
-    return _S_parts(float(s), 0.0, float(a))[0]
+    return _S_parts(float(s), float(a))[0]
 
 
 def S_ds(s: float, a: float) -> float:
     """d/ds of S_of."""
-    return _S_parts(float(s), 1.0, float(a))[1]
+    return _S_parts(float(s), float(a))[1]
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +317,7 @@ def log_gamma(x: float) -> float:
 def dirichlet_beta(s: float) -> float:
     """Dirichlet beta, as 2^(-s) eta(s, 1/2); entire in s."""
     sv = float(s)
-    ev, _ = _eta_parts(sv, 0.0, 0.5)
+    ev, _ = _eta_parts(sv, 0.5)
     return math.exp(-sv * math.log(2.0)) * ev
 
 

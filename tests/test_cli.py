@@ -131,6 +131,20 @@ def test_eval_exact_mode_prints_fraction(capsys):
     assert out.splitlines()[0].strip() == "7/240"
 
 
+def test_eval_exact_prints_large_integers(capsys):
+    # 2^20000 has 6,021 digits, past the interpreter's default str() limit
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "eval", "--exact", "2^20000")
+    assert sys.get_int_max_str_digits() == limit
+    assert code == 0, err
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(2**20000)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out.strip() == want
+
+
 def test_eval_takes_algebraic_envelope(capsys):
     code, out, _ = run_cli(
         capsys, "eval", "integral[v]{1/(1+v)^3}", "--decay", "0", "--p-max", "-3"

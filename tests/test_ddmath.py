@@ -1,6 +1,7 @@
 """Double-double arithmetic: representation invariants and accuracy."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,7 +12,6 @@ from zetasech.ddmath import (
     dd_add,
     dd_add_d,
     dd_div,
-    dd_div_d,
     dd_exp,
     dd_from_fraction,
     dd_ln,
@@ -73,8 +73,6 @@ def test_scalar_helpers_agree_with_full_ops(a, b):
     y = dd_from_fraction(Fraction(b))
     assert dd_add_d(x, b) == dd_add(x, y)
     assert dd_mul_d(x, b) == dd_mul(x, y)
-    if b != 0.0:
-        assert dd_div_d(x, b) == dd_div(x, y)
 
 
 @given(nonzero)
@@ -95,6 +93,20 @@ def test_exp_matches_mpmath(x):
     got = as_fraction(dd_exp(dd_from_fraction(Fraction(x))))
     want = mp.exp(mp.mpf(x))
     assert abs(mp.mpf(got.numerator) / got.denominator - want) < abs(want) * mp.mpf("1e-28")
+
+
+def test_exp_of_double_double_matches_mpmath():
+    # inputs with a nonzero low word, spread over [-60, 60]
+    rng = random.Random(2001)
+    worst = mp.mpf(0)
+    for _ in range(300):
+        hi = rng.uniform(-60.0, 60.0)
+        x = dd_from_fraction(Fraction(hi) * (1 + Fraction(rng.uniform(-1.0, 1.0)) / 2**60))
+        assert x[1] != 0.0
+        got = as_fraction(dd_exp(x))
+        want = mp.exp(mp.mpf(x[0]) + mp.mpf(x[1]))
+        worst = max(worst, abs(mp.mpf(got.numerator) / got.denominator - want) / want)
+    assert worst <= mp.mpf("4e-30"), worst
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))

@@ -180,6 +180,124 @@ def test_s_route_consistency():
             assert_rel(direct, via_zeta, 1e-11)
 
 
+# (s, a, (zeta, zeta_ds, eta, eta_ds, S, S_ds)); compared by repr, they hold
+# every bit of the engine's output, including at s = 0.5, where eta takes its
+# accelerated-sum route
+ENGINE_PINS = [
+    (-7.0, 0.37, (
+        -0.002841284096092346,
+        -0.004222105156644617,
+        0.4217541819199149,
+        -1.8988546383730232,
+        -0.005680408253460001,
+        -0.008493803953149644,
+    )),
+    (-7.0, 2.71, (
+        -42.84560512543401,
+        22.912354718728277,
+        42.0116931222272,
+        -23.719719802497075,
+        218.43232580092686,
+        -181.98582991799665,
+    )),
+    (-1.5, 0.5, (
+        0.01647482235172846,
+        0.04308434019571009,
+        -0.10194590554786921,
+        0.12062089897209982,
+        0.0419600242415615,
+        0.11939359551626097,
+    )),
+    (-1.5, 1.0, (
+        -0.025485201889833036,
+        -0.07630925532055088,
+        0.11868087071984021,
+        0.25543277315331103,
+        0.31159336635171225,
+        0.12567094035087584,
+    )),
+    (0.5, 0.37, (
+        -0.24452808988810967,
+        -2.403065702042037,
+        1.1471248147646713,
+        1.658924967259684,
+        1.036653783552355,
+        1.4127454950690888,
+    )),
+    (0.5, 2.71, (
+        -2.9794232524601316,
+        -3.596050460497819,
+        0.33073748813390563,
+        -0.2767120716762201,
+        0.31759612059976666,
+        -0.28903943318360126,
+    )),
+    (2.3, 0.5, (
+        5.621634885496197,
+        2.7997364116044676,
+        4.616062014125168,
+        3.5040517087656946,
+        4.189217086180873,
+        3.33221671979619,
+    )),
+    (2.3, 2.71, (
+        0.26788736411007735,
+        -0.4260639952528458,
+        0.06939101406476503,
+        -0.062075441133333395,
+        0.0608036756791548,
+        -0.05632692600670543,
+    )),
+    (4.0, 1.0, (
+        1.0823232337111381,
+        -0.06891126589612538,
+        0.9470328294972459,
+        0.033478804578565065,
+        0.8474747280440652,
+        0.05176384508250919,
+    )),
+    (4.0, 0.37, (
+        53.68609638623869,
+        52.91489596264098,
+        53.099216342120044,
+        53.119229369292846,
+        51.83571489078181,
+        52.751670412917456,
+    )),
+    (30.0, 0.5, (
+        1073741824.0000052,
+        744261117.9548908,
+        1073741823.9999948,
+        744261117.9548951,
+        1073741823.0000043,
+        744261117.9548903,
+    )),
+    (30.0, 2.71, (
+        1.0255490274713461e-13,
+        -1.0224457899233875e-13,
+        1.0253831399361705e-13,
+        -1.0222283059043728e-13,
+        1.019166739164174e-13,
+        -1.0150018042608788e-13,
+    )),
+]
+
+
+@pytest.mark.parametrize("s,a,want", ENGINE_PINS)
+def test_engine_outputs_are_pinned(s, a, want):
+    fns = (sf.hurwitz_zeta, sf.hurwitz_zeta_ds, sf.eta, sf.eta_ds, sf.S_of, sf.S_ds)
+    assert [repr(f(s, a)) for f in fns] == [repr(w) for w in want]
+
+
+def test_value_and_derivative_share_one_engine_entry():
+    sf._hz_dd.cache_clear()
+    s, a = 3.456789, 1.2345
+    sf.hurwitz_zeta(s, a)
+    sf.hurwitz_zeta_ds(s, a)
+    info = sf._hz_dd.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_s_finite_at_pole():
     # the zeta poles cancel in the difference
     val = sf.S_of(1.0, 3.0)
