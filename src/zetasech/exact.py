@@ -1,7 +1,9 @@
 """Exact rational arithmetic for Bernoulli and Euler structures.
 
-Everything here is computed over fractions.Fraction so that identity checks
-in the exact evaluation path can demand a residual of exactly zero. The
+Everything here is exact, so that identity checks in the exact evaluation
+path can demand a residual of exactly zero. Numbers are Fractions; each
+polynomial keeps its coefficients as integers over one common denominator
+and runs Horner's rule on integers, building one Fraction per value. The
 Bernoulli convention is B(1) == -1/2.
 """
 from __future__ import annotations
@@ -9,7 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple
+from typing import Sequence, Tuple
 
 __all__ = [
     "bernoulli_number",
@@ -40,46 +42,53 @@ def bernoulli_number(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
+def _over_common_denominator(coeffs: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
+    """(D, integers C_i) with coeffs[i] == C_i / D, high degree first."""
+    d = math.lcm(*(c.denominator for c in coeffs))
+    return d, tuple(c.numerator * (d // c.denominator) for c in coeffs)
+
+
+def _horner(poly: Tuple[int, Tuple[int, ...]], x: Fraction) -> Fraction:
+    """The polynomial (D, C) at x = p/q, in integers: after step i the
+    accumulator is q^i times the Horner value over D, so the one Fraction
+    built at the end is the only normalisation."""
+    d, coeffs = poly
+    p, q = x.numerator, x.denominator
+    acc = coeffs[0]
+    qi = 1
+    for c in coeffs[1:]:
+        qi *= q
+        acc = acc * p + c * qi
+    return Fraction(acc, d * qi)
+
+
 @lru_cache(maxsize=None)
-def _euler_poly_coeffs(n: int) -> Tuple[Fraction, ...]:
-    # E_n(x) = x^n - (1/2) * sum_{k<n} C(n,k) E_k(x), stored low degree first
-    if n == 0:
-        return (Fraction(1),)
-    coeffs = [_ZERO] * (n + 1)
-    coeffs[n] = Fraction(1)
-    for k in range(n):
-        c = math.comb(n, k)
-        for i, ek in enumerate(_euler_poly_coeffs(k)):
-            coeffs[i] -= _HALF * c * ek
-    return tuple(coeffs)
+def _euler_poly_ints(n: int) -> Tuple[int, Tuple[int, ...]]:
+    # E_n(x) = sum_k C(n,k) E_k(0) x^(n-k), with E_k(0) = -2 (2^(k+1) - 1) B(k+1) / (k+1)
+    return _over_common_denominator([
+        math.comb(n, k) * -2 * (2 ** (k + 1) - 1) * bernoulli_number(k + 1) / (k + 1)
+        for k in range(n + 1)
+    ])
 
 
 def euler_poly(n: int, x: Fraction) -> Fraction:
     """Euler polynomial E_n(x) evaluated exactly."""
     if n < 0:
         raise ValueError("euler_poly needs n >= 0")
-    x = Fraction(x)
-    acc = _ZERO
-    for c in reversed(_euler_poly_coeffs(n)):
-        acc = acc * x + c
-    return acc
+    return _horner(_euler_poly_ints(n), x)
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_poly_coeffs(n: int) -> Tuple[Fraction, ...]:
-    # B_n(x) = sum_k C(n,k) B(k) x^(n-k), stored high degree first
-    return tuple(math.comb(n, k) * bernoulli_number(k) for k in range(n + 1))
+def _bernoulli_poly_ints(n: int) -> Tuple[int, Tuple[int, ...]]:
+    # B_n(x) = sum_k C(n,k) B(k) x^(n-k)
+    return _over_common_denominator([math.comb(n, k) * bernoulli_number(k) for k in range(n + 1)])
 
 
 def bernoulli_poly(n: int, x: Fraction) -> Fraction:
     """Bernoulli polynomial B_n(x) evaluated exactly."""
     if n < 0:
         raise ValueError("bernoulli_poly needs n >= 0")
-    x = Fraction(x)
-    acc = _ZERO
-    for c in _bernoulli_poly_coeffs(n):
-        acc = acc * x + c
-    return acc
+    return _horner(_bernoulli_poly_ints(n), x)
 
 
 @lru_cache(maxsize=None)
@@ -97,17 +106,16 @@ def eta_exact(m: int, z: Fraction) -> Fraction:
     """Alternating Hurwitz zeta at non-positive integer order: eta(-m, z)."""
     if m < 0:
         raise ValueError("eta_exact needs m >= 0")
-    return euler_poly(m, Fraction(z)) / 2
+    return euler_poly(m, z) / 2
 
 
 def zeta_exact_nonpos(m: int, a: Fraction) -> Fraction:
     """Hurwitz zeta at non-positive integer order: zeta(-m, a)."""
     if m < 0:
         raise ValueError("zeta_exact_nonpos needs m >= 0")
-    return -bernoulli_poly(m + 1, Fraction(a)) / (m + 1)
+    return -bernoulli_poly(m + 1, a) / (m + 1)
 
 
 def s_diff_exact(m: int, q: Fraction) -> Fraction:
     """zeta(-m, q) - zeta(-m, q + 1/2), exactly."""
-    q = Fraction(q)
     return zeta_exact_nonpos(m, q) - zeta_exact_nonpos(m, q + _HALF)

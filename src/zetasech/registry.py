@@ -79,7 +79,7 @@ def exact_power(x: Fraction, n: int) -> Fraction:
     # a lower bound, |n| * floor(log2 max(|p|, q)), so that 1 and -1 pass
     width = max(x.numerator.bit_length(), x.denominator.bit_length())
     _check_bits(abs(n) * (width - 1), "power")
-    return x ** n
+    return Fraction(x) ** n if n < 0 and isinstance(x, int) else x ** n
 
 
 # numeric wrappers ------------------------------------------------------

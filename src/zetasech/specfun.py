@@ -73,6 +73,12 @@ _DDual = Tuple[DD, DD]
 
 _LN2_DD = dd_ln(2.0)
 _EM_TAIL_TERMS = 15
+# Below this order the head terms (k+a)^(-s) cancel past double-double
+# precision. Against mpmath at 600 seeded points of each unit band of s,
+# a in [0.05, 8], away from the zeros of zeta(s, .) and its d/ds, the worst
+# relative error is 6.7e-13 for s in (-12, -11] and 1.9e-11 for s in
+# (-13, -12]; it reaches 41 at s = -23.7.
+_HZ_MIN_ORDER = -12.0
 
 
 @lru_cache(maxsize=256)
@@ -117,6 +123,8 @@ def _hz_dd(sv: float, a: float) -> Tuple[DD, DD]:
         raise SpecfunError("hurwitz zeta needs a > 0")
     if abs(sv - 1.0) < 1e-9:
         raise SpecfunError("hurwitz zeta pole at s = 1")
+    if sv < _HZ_MIN_ORDER:
+        raise SpecfunError(f"hurwitz zeta is not accurate for s < {_HZ_MIN_ORDER:g}")
     zmin = max(12.0, 1.1 * abs(sv) + 3.0)
     n_head = max(0, math.ceil(zmin - a))
 

@@ -171,6 +171,49 @@ def test_oversized_exact_result_is_input_error(expr):
     assert proc.stdout == ""
 
 
+def _nested_sums(body, depth=40):
+    # sum[k0=0,0]{ sum[k1=0,0]{ ... body ... } }: each level adds one term
+    return "".join(f"sum[k{i}=0,0]{{" for i in range(depth)) + body + "}" * depth
+
+
+def test_deeply_nested_sums_evaluate(capsys):
+    # CPython allows 20 nested blocks per code object; a compiled sum must
+    # not nest its loop inside the code of the enclosing sum
+    code, out, err = run_cli(capsys, "eval", "--exact", _nested_sums("1"))
+    assert code == 0, err
+    assert out.strip() == "1"
+    code, want, err = run_cli(capsys, "eval", "integral[v]{exp(-v)}")
+    assert code == 0, err
+    code, out, err = run_cli(capsys, "eval", f"integral[v]{{ {_nested_sums('exp(-v)')} }}")
+    assert code == 0, err
+    assert out == want
+
+
+def test_exact_sum_total_is_capped():
+    # the harmonic sum's denominator passes 100,000 bits near k = 70,000;
+    # uncapped, the 10^6 terms run for minutes
+    src = os.path.dirname(os.path.dirname(zetasech.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zetasech.cli", "eval", "--exact", "sum[k=1,1000000]{1/k}"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 2
+    assert "sum would exceed 100000 bits" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_hurwitz_zeta_below_its_accurate_range_is_input_error(capsys):
+    # the engine printed -539648.0 with err_budget 0.0 (true value 11287.6)
+    code, out, err = run_cli(capsys, "eval", "hzeta(-23.88, 1.177271)")
+    assert code == 2
+    assert "hurwitz zeta is not accurate for s < -12" in err
+    assert out == ""
+
+
 def test_eval_rejects_bad_expression(capsys):
     code, _, err = run_cli(capsys, "eval", "sin(")
     assert code == 2

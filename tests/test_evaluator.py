@@ -1,6 +1,7 @@
 """Numeric and exact evaluation of parsed expressions."""
 
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -162,6 +163,12 @@ def test_function_calls_in_numeric_context():
             {},
             (0.9999999597555242, 4.959455701238146e-15, 15750, True),
         ),
+        (
+            "integral[v]{sum[k=1,2]{integral[w]{exp(-v-k*w)*w}}}",
+            {},
+            (1.2499995981299288, 5.181500306163177e-15, 46875, True),
+        ),
+        ("integral[v]{sum[k=0,1]{b*exp(-v)}}", {}, "unbound name 'b'"),
     ],
 )
 def test_integral_outcomes_are_pinned(src, config, want):
@@ -221,6 +228,18 @@ def test_compiled_integrands_equal_the_ast_walk():
     assert checked == 476  # one per quadrature call of a catalog run
 
 
+def test_compiled_sums_read_outer_locals_and_parameters():
+    # each sum is compiled to its own function, which takes the integrand
+    # variable, enclosing indices and parameters as arguments
+    cfg = EvalConfig()
+    node = parse_expression("integral[v]{ sum[k=0,n]{ sum[j=k,n]{ a*v^j/(k+1) } - k*a } }")
+    env = bind_parameters({"n": 3.0, "a": 0.5})
+    f = _compile_integral(node)(env, cfg, _QuadUsage())
+    for x in (0.0, 0.3, 1.7, 12.5):
+        walk = {**env, node.var: x}
+        assert f(x) == _eval_num(node.body, walk, cfg, _QuadUsage())[0]
+
+
 def test_exact_arithmetic():
     assert exact("3*(1 + 2)^2 - 4/8") == F(53, 2)
     assert exact("(1/3 + 1/6)^2") == F(1, 4)
@@ -263,3 +282,82 @@ def test_exact_negative_integer_power():
 def test_exact_kron_and_fact():
     assert exact("kron(2, 2) + fact(4)") == 25
     assert exact("kron(2, 3)") == 0
+
+
+def test_exact_results_of_a_catalog_run_are_pinned():
+    # the report digest sees only float(left); this pins every Fraction
+    # evaluate_exact returns in a catalog run, in order
+    from zetasech.verifier import Kind
+
+    reprs = []
+    for record in builtin_identities():
+        if record.kind is not Kind.EXACT:
+            continue
+        for params in record.case_params():
+            exact_params = {k: F(v) for k, v in params.items()}
+            for side in (record.lhs(), record.rhs()):
+                value = evaluate_exact(side, exact_params)
+                assert type(value) is F
+                reprs.append(repr(value))
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert len(reprs) == 928
+    assert digest == "fadffb84546cd577f9aaf96d72474d3d6a10d362ee3cd25f66af02818b215e5d"
+
+
+@pytest.mark.parametrize(
+    "src, params, message",
+    [
+        ("pi", {}, "constant 'pi' is not rational"),
+        ("s + 1", {}, "unbound name 's'"),
+        ("sum[k=0,2]{k*x}", {}, "unbound name 'x'"),
+        ("1/(2 - 2)", {}, "division by zero"),
+        ("1/(a - 1)", {"a": 1}, "division by zero"),
+        ("2^(1/2)", {}, "exact power needs an integer exponent"),
+        ("2^a", {"a": F(1, 3)}, "exact power needs an integer exponent"),
+        ("10^(10^8)", {}, "power would exceed 100000 bits"),
+        ("0^0", {}, "0 to a non-positive power"),
+        ("digamma(1/2)", {}, "digamma has no exact evaluation"),
+        # refused before its argument is evaluated
+        ("digamma(1/0)", {}, "digamma has no exact evaluation"),
+        ("fact(1/2)", {}, "fact failed: fact needs an integer, got Fraction(1, 2)"),
+        ("fact(a)", {"a": F(1, 2)}, "fact failed: fact needs an integer, got Fraction(1, 2)"),
+        ("binom(-1, 2)", {}, "binom failed: binom needs non-negative integers"),
+        ("pow(0, -1)", {}, "pow failed: 0 to a non-positive power"),
+        ("hzeta(1, 1/2)", {}, "hzeta failed: exact hzeta needs a non-positive integer order"),
+        ("sum[k=0,1/2]{k}", {}, "sum bounds must be integers"),
+        ("sum[k=0,a]{k}", {"a": F(3, 2)}, "sum bounds must be integers"),
+        ("sum[k=0,10^7]{k}", {}, "sum range too large"),
+        ("integral[v]{v}", {}, "integrals have no exact evaluation"),
+        # left before right, outer before inner
+        ("1/0 + pi", {}, "division by zero"),
+        ("pi + 1/0", {}, "constant 'pi' is not rational"),
+        ("sum[k=0,1]{1/(k - 1)}", {}, "division by zero"),
+    ],
+)
+def test_exact_errors_are_pinned(src, params, message):
+    with pytest.raises(ExactEvalError) as info:
+        exact(src, **params)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "src, params, want",
+    [
+        ("pow(2, -1)", {}, F(1, 2)),
+        ("(-2)^(-3)", {}, F(-1, 8)),
+        ("abs(-3)/2", {}, F(3, 2)),
+        ("binom(4,2)^(-2)", {}, F(1, 36)),
+        ("2+3", {}, F(5)),
+        ("q", {"a": 3}, F(1)),
+        ("q/2 + 1/q", {"a": 3}, F(3, 2)),
+        ("n/2 - n^(-1)", {"n": 3}, F(7, 6)),
+        ("sum[k=1,4]{1/k}", {}, F(25, 12)),
+        ("sum[k=1,3]{k^(-2)} - sum[k=1,3]{(-k)^(-1)}", {}, F(49, 36) + F(11, 6)),
+        ("kron(n, 2)/n", {"n": 2}, F(1, 2)),
+        ("fact(n)/fact(n + 2)", {"n": 2}, F(1, 12)),
+    ],
+)
+def test_exact_results_are_fractions_at_integer_values(src, params, want):
+    got = exact(src, **params)
+    assert type(got) is F
+    assert got == want

@@ -1,5 +1,7 @@
 """Rational special sequences: Bernoulli, Euler, and their polynomials."""
 
+import math
+import random
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
@@ -110,3 +112,28 @@ def test_negative_order_rejected():
             pass
         else:
             raise AssertionError("expected ValueError")
+
+
+def _bernoulli_by_definition(n, x):
+    return sum(math.comb(n, k) * bernoulli_number(k) * x ** (n - k) for k in range(n + 1))
+
+
+def _euler_by_recurrence(n, x, memo):
+    # E_n(x) = x^n - (1/2) sum_{k<n} C(n,k) E_k(x)
+    if n not in memo:
+        tail = sum((math.comb(n, k) * _euler_by_recurrence(k, x, memo) for k in range(n)), F(0))
+        memo[n] = x**n - tail / 2
+    return memo[n]
+
+
+def test_polynomials_match_their_definitions_at_seeded_points():
+    rng = random.Random(20200509)
+    for _ in range(40):
+        x = F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+        memo = {}
+        for n in range(41):
+            want_b = _bernoulli_by_definition(n, x)
+            want_e = _euler_by_recurrence(n, x, memo)
+            got_b, got_e = bernoulli_poly(n, x), euler_poly(n, x)
+            assert (got_b.numerator, got_b.denominator) == (want_b.numerator, want_b.denominator)
+            assert (got_e.numerator, got_e.denominator) == (want_e.numerator, want_e.denominator)

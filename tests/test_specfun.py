@@ -395,6 +395,18 @@ def test_hurwitz_zeta_domain_errors():
         sf.hurwitz_zeta(2.0, -1.5)
     with pytest.raises(sf.SpecfunError):
         sf.hurwitz_zeta(1.0, 2.0)
+    # below s = -12 the double-double head sum cancels past 1e-12
+    for fn in (sf.hurwitz_zeta, sf.hurwitz_zeta_ds, sf.eta, sf.S_of):
+        with pytest.raises(sf.SpecfunError, match="not accurate for s < -12"):
+            fn(-12.01, 1.177271)
+
+
+def test_hurwitz_zeta_is_accurate_down_to_its_bound():
+    # points of [-12, -11] away from the zeros of zeta(s, .) and its d/ds,
+    # where a relative error means nothing
+    for s, a in [(-12.0, 0.37), (-12.0, 5.0), (-11.9, 0.7), (-11.6, 1.177271), (-11.3, 0.37)]:
+        assert float(abs(sf.hurwitz_zeta(s, a) / mp.zeta(s, a) - 1)) <= 1e-12, (s, a)
+        assert float(abs(sf.hurwitz_zeta_ds(s, a) / mp.zeta(s, a, 1) - 1)) <= 1e-12, (s, a)
 
 
 def test_ds_against_central_difference():
