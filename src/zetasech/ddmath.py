@@ -3,6 +3,16 @@
 A value is an (hi, lo) pair of floats with |lo| <= ulp(hi)/2, giving ~31
 significant digits. Only the operations needed by the zeta machinery are
 provided; everything stays deterministic binary64 pairs.
+
+The helpers (_two_sum, _split, _two_prod, dd_add, dd_mul, ...) are the
+readable rule, and the cold paths call them. The hot kernels are fused:
+dd_exp here, and the head and Bernoulli-tail loops of specfun._hz_dd,
+expand the helpers in place (Hida, Li & Bailey's QD library does the same)
+so that no per-operation call or tuple remains. A fused kernel runs the same
+float operations in the same order as its composed form, so every word it
+returns is bit-identical; only a split that would be repeated is done once.
+tests/test_ddmath.py compares dd_exp with the composed rule, and
+tests/test_specfun.py pins the engine's words.
 """
 from __future__ import annotations
 
@@ -109,25 +119,121 @@ _INV_FACT: Tuple[DD, ...] = tuple(
 )
 
 
+# splits that dd_exp would otherwise redo on every call: the high word of
+# ln 2 and the 1/32 scaling factor
+_LN2_HI_SPLIT = _split(_LN2[0])
+_SCALE = 1.0 / 32.0
+_SCALE_SPLIT = _split(_SCALE)
+_INV_FACT_DOWN = _INV_FACT[-2::-1]
+
+
 def dd_exp(x: DD) -> DD:
-    # reduce by ln 2, then scale the argument into a fast Taylor range
-    if x[0] < -745.0:
+    """exp(x) in double-double, fused (see the module docstring).
+
+    Reduce by ln 2, scale the argument into a fast Taylor range, run Horner
+    and square back; composed, that is
+
+        r = dd_mul_d(dd_sub(x, dd_mul_d(_LN2, m)), 1/32)
+        p = 1/12!;  p = dd_add(dd_mul(p, r), 1/i!) for i = 11 .. 1
+        total = dd_add_d(dd_mul(p, r), 1.0)
+        total = dd_mul(total, total) five times
+    """
+    x0, x1 = x
+    if x0 < -745.0:
         return 0.0, 0.0
-    if x[0] > 709.0:
+    if x0 > 709.0:
         raise OverflowError("dd_exp overflow")
-    m = round(x[0] / _LN2[0])
-    r = dd_sub(x, dd_mul_d(_LN2, float(m)))
-    k = 5
-    r = dd_mul_d(r, 1.0 / 32.0)
+    sp = _SPLITTER
+    m = round(x0 / _LN2[0])
+    fm = float(m)
+    # q = dd_mul_d(_LN2, fm)
+    p = _LN2[0] * fm
+    ah, al = _LN2_HI_SPLIT
+    t = sp * fm
+    bh = t - (t - fm)
+    bl = fm - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    e += _LN2[1] * fm
+    q0 = p + e
+    q1 = e - (q0 - p)
+    # r = dd_sub(x, q), the dd_add of x and (-q0, -q1)
+    q0 = -q0
+    q1 = -q1
+    s = x0 + q0
+    bb = s - x0
+    se = (x0 - (s - bb)) + (q0 - bb)
+    t = x1 + q1
+    bb = t - x1
+    te = (x1 - (t - bb)) + (q1 - bb)
+    se += t
+    u = s + se
+    se = se - (u - s)
+    se += te
+    r0 = u + se
+    r1 = se - (r0 - u)
+    # r = dd_mul_d(r, 1/32)
+    p = r0 * _SCALE
+    t = sp * r0
+    ah = t - (t - r0)
+    al = r0 - ah
+    bh, bl = _SCALE_SPLIT
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    e += r1 * _SCALE
+    r0 = p + e
+    r1 = e - (r0 - p)
+    t = sp * r0
+    rh = t - (t - r0)
+    rl = r0 - rh
     # Taylor in Horner form: |r| <= ~0.011 after reduction, 12 terms reach
-    # ~1e-33
-    p = _INV_FACT[-1]
-    for c in _INV_FACT[-2::-1]:
-        p = dd_add(dd_mul(p, r), c)
-    total = dd_add_d(dd_mul(p, r), 1.0)
-    for _ in range(k):
-        total = dd_mul(total, total)
-    return math.ldexp(total[0], m), math.ldexp(total[1], m)
+    # ~1e-33. Each step is p = dd_add(dd_mul(p, r), c).
+    p0, p1 = _INV_FACT[-1]
+    for c0, c1 in _INV_FACT_DOWN:
+        p = p0 * r0
+        t = sp * p0
+        ah = t - (t - p0)
+        al = p0 - ah
+        e = ((ah * rh - p) + ah * rl + al * rh) + al * rl
+        e += p0 * r1 + p1 * r0
+        m0 = p + e
+        m1 = e - (m0 - p)
+        s = m0 + c0
+        bb = s - m0
+        se = (m0 - (s - bb)) + (c0 - bb)
+        t = m1 + c1
+        bb = t - m1
+        te = (m1 - (t - bb)) + (c1 - bb)
+        se += t
+        u = s + se
+        se = se - (u - s)
+        se += te
+        p0 = u + se
+        p1 = se - (p0 - u)
+    # total = dd_add_d(dd_mul(p, r), 1.0), kept as (t0, t1)
+    p = p0 * r0
+    t = sp * p0
+    ah = t - (t - p0)
+    al = p0 - ah
+    e = ((ah * rh - p) + ah * rl + al * rh) + al * rl
+    e += p0 * r1 + p1 * r0
+    m0 = p + e
+    m1 = e - (m0 - p)
+    s = m0 + 1.0
+    bb = s - m0
+    se = (m0 - (s - bb)) + (1.0 - bb)
+    se += m1
+    t0 = s + se
+    t1 = se - (t0 - s)
+    # undo the 1/32 scaling: total = dd_mul(total, total) five times
+    for _ in range(5):
+        p = t0 * t0
+        t = sp * t0
+        ah = t - (t - t0)
+        al = t0 - ah
+        e = ((ah * ah - p) + ah * al + al * ah) + al * al
+        e += t0 * t1 + t1 * t0
+        t0 = p + e
+        t1 = e - (t0 - p)
+    return math.ldexp(t0, m), math.ldexp(t1, m)
 
 
 def dd_ln(x: float) -> DD:

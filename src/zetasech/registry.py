@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple, Union
 
 from . import exact, specfun
 
@@ -37,7 +37,9 @@ class FunctionSpec:
     name: str
     arity: int
     numeric: Callable[..., float]
-    exact: Optional[Callable[..., Fraction]] = None
+    # returns an int where the value is always an integer (fact, binom,
+    # kron, gammafn, eulernum), so compiled exact code multiplies ints
+    exact: Optional[Callable[..., Union[int, Fraction]]] = None
 
 
 def _as_index(x: float, what: str) -> int:
@@ -134,23 +136,23 @@ def _num_h3f2(m: float, z: float) -> float:
 
 # exact wrappers --------------------------------------------------------
 
-def _ex_fact(x: Fraction) -> Fraction:
-    return Fraction(_factorial(_exact_int(x, "fact")))
+def _ex_fact(x: Fraction) -> int:
+    return _factorial(_exact_int(x, "fact"))
 
 
-def _ex_binom(x: Fraction, y: Fraction) -> Fraction:
-    return Fraction(_comb(_exact_int(x, "binom"), _exact_int(y, "binom")))
+def _ex_binom(x: Fraction, y: Fraction) -> int:
+    return _comb(_exact_int(x, "binom"), _exact_int(y, "binom"))
 
 
-def _ex_kron(x: Fraction, y: Fraction) -> Fraction:
-    return Fraction(1 if x == y else 0)
+def _ex_kron(x: Fraction, y: Fraction) -> int:
+    return 1 if x == y else 0
 
 
-def _ex_gammafn(x: Fraction) -> Fraction:
+def _ex_gammafn(x: Fraction) -> int:
     n = _exact_int(x, "gammafn")
     if n <= 0:
         raise RegistryError("exact gammafn needs a positive integer")
-    return Fraction(_factorial(n - 1))
+    return _factorial(n - 1)
 
 
 def _ex_abs(x: Fraction) -> Fraction:
@@ -165,8 +167,8 @@ def _ex_eulerpoly(n: Fraction, x: Fraction) -> Fraction:
     return exact.euler_poly(_exact_int(n, "eulerpoly"), x)
 
 
-def _ex_eulernum(n: Fraction) -> Fraction:
-    return Fraction(exact.euler_number(_exact_int(n, "eulernum")))
+def _ex_eulernum(n: Fraction) -> int:
+    return exact.euler_number(_exact_int(n, "eulernum"))
 
 
 def _ex_bernpoly(n: Fraction, x: Fraction) -> Fraction:

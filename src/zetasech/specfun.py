@@ -23,6 +23,7 @@ from typing import Tuple
 
 from .ddmath import (
     DD,
+    _SPLITTER,
     _two_sum,
     dd_add,
     dd_add_d,
@@ -118,6 +119,13 @@ def _hz_dd(sv: float, a: float) -> Tuple[DD, DD]:
     The derivative needs no exp or log of its own, so it is always
     computed, and one cache entry per (s, a) serves both hurwitz_zeta and
     hurwitz_zeta_ds.
+
+    The head loop and the Bernoulli tail loop are fused: each composed step
+    named in their comments (_pow_dual, _ddu_mul, dd_mul, dd_add) is
+    expanded in place into the same float operations in the same order, so
+    every (hi, lo) word is bit-identical to the composed form;
+    tests/test_specfun.py pins those words. Splits a step would repeat are
+    done once. The one-off pole, z^-2 and r setup stays composed.
     """
     if a <= 0.0:
         raise SpecfunError("hurwitz zeta needs a > 0")
@@ -127,13 +135,65 @@ def _hz_dd(sv: float, a: float) -> Tuple[DD, DD]:
         raise SpecfunError(f"hurwitz zeta is not accurate for s < {_HZ_MIN_ORDER:g}")
     zmin = max(12.0, 1.1 * abs(sv) + 3.0)
     n_head = max(0, math.ceil(zmin - a))
+    sp = _SPLITTER
 
-    head_v: DD = (0.0, 0.0)
-    head_d: DD = (0.0, 0.0)
+    # head: sum over k < n_head of _pow_dual(ln(k + a), s), that is of
+    # v = exp(dd_mul_d(l, -s)) and d = dd_mul(v, -l). dd_exp stays a call
+    # through this module's attribute, so wrappers that count it see it.
+    ns = -sv
+    t = sp * ns
+    nsh = t - (t - ns)
+    nsl = ns - nsh
+    hv0 = hv1 = hd0 = hd1 = 0.0
     for k in range(n_head):
-        tv, td = _pow_dual(_head_log(k, a), sv)
-        head_v = dd_add(head_v, tv)
-        head_d = dd_add(head_d, td)
+        l0, l1 = _head_log(k, a)
+        t = sp * l0
+        lh = t - (t - l0)
+        ll = l0 - lh
+        p = l0 * ns
+        e = ((lh * nsh - p) + lh * nsl + ll * nsh) + ll * nsl
+        e += l1 * ns
+        x0 = p + e
+        v0, v1 = dd_exp((x0, e - (x0 - p)))
+        nl0 = -l0
+        nl1 = -l1
+        t = sp * v0
+        vh = t - (t - v0)
+        vl = v0 - vh
+        t = sp * nl0
+        nlh = t - (t - nl0)
+        nll = nl0 - nlh
+        p = v0 * nl0
+        e = ((vh * nlh - p) + vh * nll + vl * nlh) + vl * nll
+        e += v0 * nl1 + v1 * nl0
+        d0 = p + e
+        d1 = e - (d0 - p)
+        # head_v = dd_add(head_v, v)
+        s = hv0 + v0
+        bb = s - hv0
+        se = (hv0 - (s - bb)) + (v0 - bb)
+        t = hv1 + v1
+        bb = t - hv1
+        te = (hv1 - (t - bb)) + (v1 - bb)
+        se += t
+        u = s + se
+        se = se - (u - s)
+        se += te
+        hv0 = u + se
+        hv1 = se - (hv0 - u)
+        # head_d = dd_add(head_d, d)
+        s = hd0 + d0
+        bb = s - hd0
+        se = (hd0 - (s - bb)) + (d0 - bb)
+        t = hd1 + d1
+        bb = t - hd1
+        te = (hd1 - (t - bb)) + (d1 - bb)
+        se += t
+        u = s + se
+        se = se - (u - s)
+        se += te
+        hd0 = u + se
+        hd1 = se - (hd0 - u)
 
     z = _two_sum(float(n_head), a)
     pw = _pow_dual(_head_log(n_head, a), sv)  # z^(-s)
@@ -151,26 +211,198 @@ def _hz_dd(sv: float, a: float) -> Tuple[DD, DD]:
     half_v = dd_mul_d(pw[0], 0.5)
     half_d = dd_mul_d(pw[1], 0.5)
 
-    # Bernoulli tail: sum_j B(2j)/(2j)! * (s)_(2j-1) * z^(-s-2j+1)
-    z2inv = dd_div((1.0, 0.0), dd_mul(z, z))
-    r: _DDual = (dd_div(pw[0], z), dd_div(pw[1], z))  # z^(-s-1)
-    c: _DDual = ((sv, 0.0), (1.0, 0.0))  # rising factorial, starts at (s)_1
-    tail_v: DD = (0.0, 0.0)
-    tail_d: DD = (0.0, 0.0)
-    coeffs = _bern_over_fact()
-    for j in range(1, _EM_TAIL_TERMS + 1):
-        cr = _ddu_mul(c, r)
-        b = coeffs[j - 1]
-        tail_v = dd_add(tail_v, dd_mul(b, cr[0]))
-        tail_d = dd_add(tail_d, dd_mul(b, cr[1]))
-        if j < _EM_TAIL_TERMS:
-            f1: _DDual = (_two_sum(sv, 2.0 * j - 1.0), (1.0, 0.0))
-            f2: _DDual = (_two_sum(sv, 2.0 * j), (1.0, 0.0))
-            c = _ddu_mul(c, _ddu_mul(f1, f2))
-            r = (dd_mul(r[0], z2inv), dd_mul(r[1], z2inv))
+    # Bernoulli tail: sum_j B(2j)/(2j)! * (s)_(2j-1) * z^(-s-2j+1), with
+    # c = (s)_(2j-1) and r = z^(-s-2j+1) as (value, d/ds) pairs
+    w0, w1 = dd_div((1.0, 0.0), dd_mul(z, z))  # z^-2
+    t = sp * w0
+    wh = t - (t - w0)
+    wl = w0 - wh
+    (rv0, rv1), (rd0, rd1) = dd_div(pw[0], z), dd_div(pw[1], z)  # z^(-s-1)
+    cv0, cv1, cd0, cd1 = sv, 0.0, 1.0, 0.0  # (s)_1 and its d/ds
+    tv0 = tv1 = td0 = td1 = 0.0
+    for j, (b0, b1) in enumerate(_bern_over_fact(), 1):
+        # cr = _ddu_mul(c, r): crv = cv * rv, crd = cd * rv + cv * rd
+        t = sp * cv0
+        cvh = t - (t - cv0)
+        cvl = cv0 - cvh
+        t = sp * rv0
+        rvh = t - (t - rv0)
+        rvl = rv0 - rvh
+        p = cv0 * rv0
+        e = ((cvh * rvh - p) + cvh * rvl + cvl * rvh) + cvl * rvl
+        e += cv0 * rv1 + cv1 * rv0
+        crv0 = p + e
+        crv1 = e - (crv0 - p)
+        t = sp * cd0
+        cdh = t - (t - cd0)
+        cdl = cd0 - cdh
+        p = cd0 * rv0
+        e = ((cdh * rvh - p) + cdh * rvl + cdl * rvh) + cdl * rvl
+        e += cd0 * rv1 + cd1 * rv0
+        x0 = p + e
+        x1 = e - (x0 - p)
+        t = sp * rd0
+        rdh = t - (t - rd0)
+        rdl = rd0 - rdh
+        p = cv0 * rd0
+        e = ((cvh * rdh - p) + cvh * rdl + cvl * rdh) + cvl * rdl
+        e += cv0 * rd1 + cv1 * rd0
+        y0 = p + e
+        y1 = e - (y0 - p)
+        s = x0 + y0
+        bb = s - x0
+        se = (x0 - (s - bb)) + (y0 - bb)
+        t = x1 + y1
+        bb = t - x1
+        te = (x1 - (t - bb)) + (y1 - bb)
+        se += t
+        u = s + se
+        se = se - (u - s)
+        se += te
+        crd0 = u + se
+        crd1 = se - (crd0 - u)
+        # tail_v += b * crv and tail_d += b * crd (dd_mul, then dd_add)
+        t = sp * b0
+        bh = t - (t - b0)
+        bl = b0 - bh
+        t = sp * crv0
+        crvh = t - (t - crv0)
+        crvl = crv0 - crvh
+        p = b0 * crv0
+        e = ((bh * crvh - p) + bh * crvl + bl * crvh) + bl * crvl
+        e += b0 * crv1 + b1 * crv0
+        x0 = p + e
+        x1 = e - (x0 - p)
+        s = tv0 + x0
+        bb = s - tv0
+        se = (tv0 - (s - bb)) + (x0 - bb)
+        t = tv1 + x1
+        bb = t - tv1
+        te = (tv1 - (t - bb)) + (x1 - bb)
+        se += t
+        u = s + se
+        se = se - (u - s)
+        se += te
+        tv0 = u + se
+        tv1 = se - (tv0 - u)
+        t = sp * crd0
+        crdh = t - (t - crd0)
+        crdl = crd0 - crdh
+        p = b0 * crd0
+        e = ((bh * crdh - p) + bh * crdl + bl * crdh) + bl * crdl
+        e += b0 * crd1 + b1 * crd0
+        x0 = p + e
+        x1 = e - (x0 - p)
+        s = td0 + x0
+        bb = s - td0
+        se = (td0 - (s - bb)) + (x0 - bb)
+        t = td1 + x1
+        bb = t - td1
+        te = (td1 - (t - bb)) + (x1 - bb)
+        se += t
+        u = s + se
+        se = se - (u - s)
+        se += te
+        td0 = u + se
+        td1 = se - (td0 - u)
+        if j == _EM_TAIL_TERMS:
+            break
+        # g = _ddu_mul(f1, f2) for f1 = (_two_sum(s, 2j - 1), (1, 0)) and
+        # f2 = (_two_sum(s, 2j), (1, 0)), named fa and fb
+        k = 2.0 * j - 1.0
+        fa0 = sv + k
+        bb = fa0 - sv
+        fa1 = (sv - (fa0 - bb)) + (k - bb)
+        k = 2.0 * j
+        fb0 = sv + k
+        bb = fb0 - sv
+        fb1 = (sv - (fb0 - bb)) + (k - bb)
+        # gv = dd_mul(fa, fb)
+        t = sp * fa0
+        fah = t - (t - fa0)
+        fal = fa0 - fah
+        t = sp * fb0
+        fbh = t - (t - fb0)
+        fbl = fb0 - fbh
+        p = fa0 * fb0
+        e = ((fah * fbh - p) + fah * fbl + fal * fbh) + fal * fbl
+        e += fa0 * fb1 + fa1 * fb0
+        gv0 = p + e
+        gv1 = e - (gv0 - p)
+        # gd = dd_add(dd_mul((1, 0), fb), dd_mul(fa, (1, 0))); split(1.0) is
+        # (1.0, 0.0), and the products by 1 and 0 stay because they decide
+        # the signs of zero words
+        p = 1.0 * fb0
+        e = ((1.0 * fbh - p) + 1.0 * fbl + 0.0 * fbh) + 0.0 * fbl
+        e += 1.0 * fb1 + 0.0 * fb0
+        x0 = p + e
+        x1 = e - (x0 - p)
+        p = fa0 * 1.0
+        e = ((fah * 1.0 - p) + fah * 0.0 + fal * 1.0) + fal * 0.0
+        e += fa0 * 0.0 + fa1 * 1.0
+        y0 = p + e
+        y1 = e - (y0 - p)
+        s = x0 + y0
+        bb = s - x0
+        se = (x0 - (s - bb)) + (y0 - bb)
+        t = x1 + y1
+        bb = t - x1
+        te = (x1 - (t - bb)) + (y1 - bb)
+        se += t
+        u = s + se
+        se = se - (u - s)
+        se += te
+        gd0 = u + se
+        gd1 = se - (gd0 - u)
+        # c = _ddu_mul(c, g): cd = cd * gv + cv * gd first, as it reads the
+        # old cv, then cv = cv * gv
+        t = sp * gv0
+        gvh = t - (t - gv0)
+        gvl = gv0 - gvh
+        p = cd0 * gv0
+        e = ((cdh * gvh - p) + cdh * gvl + cdl * gvh) + cdl * gvl
+        e += cd0 * gv1 + cd1 * gv0
+        x0 = p + e
+        x1 = e - (x0 - p)
+        t = sp * gd0
+        gdh = t - (t - gd0)
+        gdl = gd0 - gdh
+        p = cv0 * gd0
+        e = ((cvh * gdh - p) + cvh * gdl + cvl * gdh) + cvl * gdl
+        e += cv0 * gd1 + cv1 * gd0
+        y0 = p + e
+        y1 = e - (y0 - p)
+        s = x0 + y0
+        bb = s - x0
+        se = (x0 - (s - bb)) + (y0 - bb)
+        t = x1 + y1
+        bb = t - x1
+        te = (x1 - (t - bb)) + (y1 - bb)
+        se += t
+        u = s + se
+        se = se - (u - s)
+        se += te
+        cd0 = u + se
+        cd1 = se - (cd0 - u)
+        p = cv0 * gv0
+        e = ((cvh * gvh - p) + cvh * gvl + cvl * gvh) + cvl * gvl
+        e += cv0 * gv1 + cv1 * gv0
+        cv0 = p + e
+        cv1 = e - (cv0 - p)
+        # r = (dd_mul(rv, z2inv), dd_mul(rd, z2inv))
+        p = rv0 * w0
+        e = ((rvh * wh - p) + rvh * wl + rvl * wh) + rvl * wl
+        e += rv0 * w1 + rv1 * w0
+        rv0 = p + e
+        rv1 = e - (rv0 - p)
+        p = rd0 * w0
+        e = ((rdh * wh - p) + rdh * wl + rdl * wh) + rdl * wl
+        e += rd0 * w1 + rd1 * w0
+        rd0 = p + e
+        rd1 = e - (rd0 - p)
 
-    val = dd_add(dd_add(head_v, pole_v), dd_add(half_v, tail_v))
-    der = dd_add(dd_add(head_d, pole_d), dd_add(half_d, tail_d))
+    val = dd_add(dd_add((hv0, hv1), pole_v), dd_add(half_v, (tv0, tv1)))
+    der = dd_add(dd_add((hd0, hd1), pole_d), dd_add(half_d, (td0, td1)))
     return val, der
 
 

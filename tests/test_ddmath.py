@@ -5,9 +5,12 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import pytest
 from hypothesis import given, strategies as st
 
 from zetasech.ddmath import (
+    _INV_FACT,
+    _LN2,
     DD,
     dd_add,
     dd_add_d,
@@ -132,6 +135,39 @@ def test_exp_extremes():
         pass
     else:
         raise AssertionError("expected OverflowError for exp(800)")
+
+
+def composed_exp(x: DD) -> DD:
+    # dd_exp as the composition of the double-double helpers; dd_exp runs
+    # the same float operations in the same order with the helpers inlined
+    if x[0] < -745.0:
+        return 0.0, 0.0
+    if x[0] > 709.0:
+        raise OverflowError("dd_exp overflow")
+    m = round(x[0] / _LN2[0])
+    r = dd_sub(x, dd_mul_d(_LN2, float(m)))
+    r = dd_mul_d(r, 1.0 / 32.0)
+    p = _INV_FACT[-1]
+    for c in _INV_FACT[-2::-1]:
+        p = dd_add(dd_mul(p, r), c)
+    total = dd_add_d(dd_mul(p, r), 1.0)
+    for _ in range(5):
+        total = dd_mul(total, total)
+    return math.ldexp(total[0], m), math.ldexp(total[1], m)
+
+
+def test_exp_is_the_composed_rule_word_for_word():
+    rng = random.Random(2026)
+    xs = [(-745.0, 0.0), (709.0, 0.0), (0.0, 0.0), (-0.0, 0.0), (-0.0, -0.0), (-800.0, 0.0)]
+    for _ in range(3000):
+        hi = rng.uniform(-80.0, 80.0)
+        xs.append((hi, math.ulp(hi) * rng.uniform(-0.5, 0.5)))
+    assert sum(x[1] != 0.0 for x in xs) >= 2990
+    for x in xs:
+        # float.hex also tells -0.0 from 0.0
+        assert [w.hex() for w in dd_exp(x)] == [w.hex() for w in composed_exp(x)], x
+    with pytest.raises(OverflowError):
+        dd_exp((709.0 + 2**-40, 0.0))
 
 
 def test_ln_rejects_nonpositive():

@@ -21,6 +21,7 @@ from zetasech.evaluator import (
     evaluate_numeric,
 )
 from zetasech.exprlang import Integral, Sum, parse_expression
+from zetasech.registry import function_table
 from zetasech.verifier import config_for
 
 F = Fraction
@@ -355,9 +356,29 @@ def test_exact_errors_are_pinned(src, params, message):
         ("sum[k=1,3]{k^(-2)} - sum[k=1,3]{(-k)^(-1)}", {}, F(49, 36) + F(11, 6)),
         ("kron(n, 2)/n", {"n": 2}, F(1, 2)),
         ("fact(n)/fact(n + 2)", {"n": 2}, F(1, 12)),
+        ("fact(3)*binom(5, 2)", {}, F(60)),
+        ("gammafn(4)^(-1)", {}, F(1, 6)),
+        ("binom(4, 2)/gammafn(3)", {}, F(3)),
+        ("eulernum(4) - kron(1, 1)", {}, F(4)),
+        ("sum[k=0,3]{binom(3, k)}", {}, F(8)),
     ],
 )
 def test_exact_results_are_fractions_at_integer_values(src, params, want):
     got = exact(src, **params)
     assert type(got) is F
     assert got == want
+
+
+def test_integer_valued_exact_functions_return_ints():
+    # so that compiled exact code multiplies them as ints, not Fractions
+    table = function_table()
+    for name, args, want in [
+        ("fact", (F(5),), 120),
+        ("binom", (F(5), F(2)), 10),
+        ("kron", (F(2), F(2)), 1),
+        ("kron", (F(2), F(3)), 0),
+        ("gammafn", (F(5),), 24),
+        ("eulernum", (F(4),), 5),
+    ]:
+        got = table[name].exact(*args)
+        assert type(got) is int and got == want, name
