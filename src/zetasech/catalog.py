@@ -1630,6 +1630,14 @@ def _format_value(value: GridValue) -> str:
     return repr(float(value))
 
 
+def _checked_float(text: str, zero_ok: bool = False) -> float:
+    """float(text) if it is finite and > 0 (or 0 with zero_ok); else ValueError."""
+    value = float(text)
+    if math.isfinite(value) and (value > 0.0 or (zero_ok and value == 0.0)):
+        return value
+    raise ValueError(f"out of range: {text!r}")
+
+
 def _parse_value(token: str, lineno: int) -> GridValue:
     token = token.strip()
     try:
@@ -1637,7 +1645,10 @@ def _parse_value(token: str, lineno: int) -> GridValue:
             num, den = token.split("/", 1)
             return Fraction(int(num), int(den))
         if any(ch in token for ch in ".eE") and not token.lstrip("+-").isdigit():
-            return float(token)
+            value = float(token)
+            if not math.isfinite(value):
+                raise ValueError(f"not finite: {token!r}")
+            return value
         return int(token)
     except (ValueError, ZeroDivisionError):
         raise CatalogError(f"line {lineno}: bad grid value {token!r}") from None
@@ -1687,13 +1698,13 @@ def _parse_quad(text: str, lineno: int) -> Dict[str, object]:
             raise CatalogError(f"line {lineno}: bad quad token {token!r}")
         try:
             if key == "decay":
-                out["quad_decay"] = float(val)
+                out["quad_decay"] = _checked_float(val, zero_ok=True)
             elif key == "vmax":
-                out["quad_vmax"] = None if val == "none" else float(val)
+                out["quad_vmax"] = None if val == "none" else _checked_float(val)
             elif key == "p_max":
                 out["quad_p_max"] = int(val)
             elif key == "scale":
-                out["quad_scale"] = float(val)
+                out["quad_scale"] = _checked_float(val)
             else:
                 raise CatalogError(f"line {lineno}: unknown quad key {key!r}")
         except ValueError:
@@ -1799,7 +1810,7 @@ def parse_catalog(text: str) -> Tuple[IdentityRecord, ...]:
             current["quad"] = _parse_quad(value, lineno)
         elif key == "floor":
             try:
-                current["floor"] = float(value)
+                current["floor"] = _checked_float(value)
             except ValueError:
                 raise CatalogError(f"line {lineno}: bad floor {value!r}") from None
         else:

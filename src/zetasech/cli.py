@@ -10,13 +10,14 @@ stdout, so identical flags give identical output.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Dict, Optional, Sequence, Tuple
 
 from .catalog import (
+    TOLERANCES,
     CatalogError,
     IdentityRecord,
+    _checked_float,
     _parse_value,
     builtin_identities,
     format_catalog,
@@ -62,13 +63,12 @@ def _positive_int(text: str) -> int:
 
 def _finite_float(text: str, zero_ok: bool) -> float:
     try:
-        value = float(text)
+        return _checked_float(text, zero_ok)
     except ValueError:
-        value = math.nan
-    if math.isfinite(value) and (value > 0.0 or (zero_ok and value == 0.0)):
-        return value
-    bound = ">= 0" if zero_ok else "> 0"
-    raise argparse.ArgumentTypeError(f"expected a finite number {bound}, got {text!r}")
+        bound = ">= 0" if zero_ok else "> 0"
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number {bound}, got {text!r}"
+        ) from None
 
 
 def _positive_float(text: str) -> float:
@@ -79,12 +79,15 @@ def _nonnegative_float(text: str) -> float:
     return _finite_float(text, zero_ok=True)
 
 
+_TOL_CLASSES = tuple(cls.value for cls in TOLERANCES)
+
+
 def _tol_override(text: str) -> Tuple[str, float]:
     name, sep, value = text.partition("=")
     name = name.strip().upper()
-    if not sep or name not in {"TIGHT", "MED", "LOOSE"}:
+    if not sep or name not in _TOL_CLASSES:
         raise argparse.ArgumentTypeError(
-            f"expected TIGHT|MED|LOOSE=value, got {text!r}"
+            f"expected {'|'.join(_TOL_CLASSES)}=value, got {text!r}"
         )
     return name, _positive_float(value)
 

@@ -12,6 +12,11 @@ parameters into straight-line Python over ints and Fractions
 (_compile_exact); there is no exact tree walk. It refuses anything that is
 not rational-valued, so a successful exact evaluation is a proof-grade
 computation.
+
+Both compilers emit each sum as a for loop inline in the one generated
+function, nested in the loop of its enclosing sum. The parser's cap of 16
+nested sums is what keeps that within CPython's 20 nested blocks per code
+object.
 """
 from __future__ import annotations
 
@@ -241,16 +246,15 @@ _BODY = " " * 4
 
 
 class _Emitter:
-    """Python source for one generated module, shared by both compilers.
+    """Python source for one generated function, shared by both compilers.
 
     Every node gets one temporary, computed in the walk's operation order.
     The source holds only generated names: values, callables and every
     string taken from the expression reach it through the exec namespace,
-    where Error is the compiler's exception class. Each Sum becomes a
-    module-level function of its two bounds and of the outer locals its
-    body reads, so no generated function nests more than a loop and a try
-    block, however deep the sums nest (CPython allows 20 nested blocks per
-    code object).
+    where Error is the compiler's exception class. Each Sum is an inline
+    for loop, so the loops of nested sums nest in one code object; CPython
+    allows 20 nested blocks there, and the parser's cap of 16 nested sums
+    leaves room for a loop's guarded call.
     """
 
     def __init__(self, error: type) -> None:
@@ -260,12 +264,7 @@ class _Emitter:
             "NUM_ERRORS": _NUM_ERRORS,
         }
         self.params: Dict[str, str] = {}
-        self.functions: List[str] = []
         self.lines: List[str] = []
-        # the loop variable of the function being emitted, and the outer
-        # locals its body reads so far (ignored outside a sum function)
-        self.own = ""
-        self.free: Dict[str, None] = {}
         self.temps = 0
 
     def const(self, value: object) -> str:
@@ -293,53 +292,20 @@ class _Emitter:
         self.line(indent, "except NUM_ERRORS as exc:")
         self.line(indent, f"    raise Error({self.const(prefix)} + str(exc)) from None")
 
-    def use(self, local: str) -> str:
-        """local, read by the code being emitted; a sum function takes
-        every local of an outer function as an argument."""
-        if local != self.own:
-            self.free.setdefault(local)
-        return local
-
     def lookup(self, name: str, scope: Dict[str, str], indent: str) -> str:
         """The local holding a bound variable or parameter. scope maps each
         bound variable in reach to its local; any other name is a parameter,
         read once per call of the generated code."""
         local = scope.get(name)
         if local is not None:
-            return self.use(local)
+            return local
         local = self.params.setdefault(name, f"p{len(self.params)}")
-        self.fail_if(indent, f"{self.use(local)} is MISSING", f"unbound name {name!r}")
+        self.fail_if(indent, f"{local} is MISSING", f"unbound name {name!r}")
         return local
 
-    def enter_sum(self, var: str) -> Tuple[List[str], str, Dict[str, None]]:
-        """Start a sum function whose loop variable is var."""
-        outer = (self.lines, self.own, self.free)
-        self.lines, self.own, self.free = [], var, {}
-        return outer
-
-    def leave_sum(
-        self,
-        outer: Tuple[List[str], str, Dict[str, None]],
-        bounds: Tuple[str, str],
-        values: Tuple[str, str],
-        result: str,
-    ) -> str:
-        """Close the sum function, whose bound arguments are named bounds;
-        return its call on the outer values of the bounds."""
-        name = f"s{len(self.functions)}"
-        free = list(self.free)
-        self.functions.append("\n".join([
-            f"def {name}({', '.join([*bounds, *free])}):",
-            *self.lines,
-            f"{_BODY}return {result}",
-        ]))
-        self.lines, self.own, self.free = outer
-        return f"{name}({', '.join([*values, *map(self.use, free)])})"
-
     def build(self, source: List[str]) -> Dict[str, object]:
-        """exec the sum functions, then source; the resulting namespace."""
-        code = compile("\n".join([*self.functions, *source]), "<expression>", "exec")
-        exec(code, self.namespace)
+        """exec source; the resulting namespace."""
+        exec(compile("\n".join(source), "<expression>", "exec"), self.namespace)
         return self.namespace
 
 
@@ -390,28 +356,23 @@ class _Codegen(_Emitter):
         if isinstance(node, Sum):
             lov = self.emit(node.lo, scope, indent)
             hiv = self.emit(node.hi, scope, indent)
-            lo, hi, total, k, kv, t = (self.temp() for _ in range(6))
-            outer = self.enter_sum(kv)
-            self.line(_BODY, f"{lo} = near_int({lo}, {self.const('sum lower bound')})")
-            self.line(_BODY, f"{hi} = near_int({hi}, {self.const('sum upper bound')})")
-            self.fail_if(_BODY, f"{hi} - {lo} > {self.const(_SUM_LIMIT)}", "sum range too large")
-            self.line(_BODY, f"{total} = 0.0")
-            self.line(_BODY, f"for {k} in range({lo}, {hi} + 1):")
-            inner = _BODY * 2
+            lo, hi, total, k, kv = (self.temp() for _ in range(5))
+            self.line(indent, f"{lo} = near_int({lov}, {self.const('sum lower bound')})")
+            self.line(indent, f"{hi} = near_int({hiv}, {self.const('sum upper bound')})")
+            self.fail_if(indent, f"{hi} - {lo} > {self.const(_SUM_LIMIT)}", "sum range too large")
+            self.line(indent, f"{total} = 0.0")
+            self.line(indent, f"for {k} in range({lo}, {hi} + 1):")
+            inner = indent + _BODY
             self.line(inner, f"{kv} = float({k})")
             v = self.emit(node.body, {**scope, node.var: kv}, inner)
             self.line(inner, f"{total} += {v}")
-            call = self.leave_sum(outer, (lo, hi), (lov, hiv), total)
-            self.line(indent, f"{t} = {call}")
-            return t
+            return total
         if isinstance(node, Integral):
             make = self.const(_compile_integral(node))
             bound, t = self.temp(), self.temp()
-            for local in ("env", "cfg", "usage"):
-                self.use(local)
             self.line(indent, f"{bound} = dict(env)")
             for name, local in scope.items():
-                self.line(indent, f"{bound}[{self.const(name)}] = {self.use(local)}")
+                self.line(indent, f"{bound}[{self.const(name)}] = {local}")
             self.line(indent, f"{t} = integrate({make}, {bound}, cfg, usage)[0]")
             return t
         raise TypeError(f"not an expression node: {node!r}")
@@ -540,22 +501,20 @@ class _ExactCodegen(_Emitter):
             self.guarded(indent, f"{t} = {self.const(fn)}({args})", f"{node.name} failed: ")
             return t, None
         if isinstance(node, Sum):
-            lov, lt = self.emit(node.lo, scope, indent)
-            hiv, ht = self.emit(node.hi, scope, indent)
-            lo, hi, total, k, t = (self.temp() for _ in range(5))
-            outer = self.enter_sum(k)
+            lo, lt = self.emit(node.lo, scope, indent)
+            hi, ht = self.emit(node.hi, scope, indent)
             if lt is not int or ht is not int:
                 self.fail_if(
-                    _BODY,
+                    indent,
                     f"{lo}.denominator != 1 or {hi}.denominator != 1",
                     "sum bounds must be integers",
                 )
-                self.line(_BODY, f"{lo} = {lo}.numerator")
-                self.line(_BODY, f"{hi} = {hi}.numerator")
-            self.fail_if(_BODY, f"{hi} - {lo} > {self.const(_SUM_LIMIT)}", "sum range too large")
-            self.line(_BODY, f"{total} = 0")
-            self.line(_BODY, f"for {k} in range({lo}, {hi} + 1):")
-            inner = _BODY * 2
+                lo, hi = f"{lo}.numerator", f"{hi}.numerator"
+            total, k = self.temp(), self.temp()
+            self.fail_if(indent, f"{hi} - {lo} > {self.const(_SUM_LIMIT)}", "sum range too large")
+            self.line(indent, f"{total} = 0")
+            self.line(indent, f"for {k} in range({lo}, {hi} + 1):")
+            inner = indent + _BODY
             v, typ = self.emit(node.body, {**scope, node.var: k}, inner)
             self.line(inner, f"{total} += {v}")
             # a long sum grows its total past any single operation's cap
@@ -568,9 +527,7 @@ class _ExactCodegen(_Emitter):
                     f" or {total}.denominator.bit_length() > {cap}"
                 )
             self.fail_if(inner, too_big, f"sum would exceed {_MAX_EXACT_BITS} bits")
-            call = self.leave_sum(outer, (lo, hi), (lov, hiv), total)
-            self.line(indent, f"{t} = {call}")
-            return t, int if typ is int else None
+            return total, int if typ is int else None
         if isinstance(node, Integral):
             self.fail(indent, "integrals have no exact evaluation")
             return "None", None

@@ -5,6 +5,10 @@ with ^ for powers, registered function calls with parse-time arity checks,
 finite sums, and integrals over [0, inf). The formatter emits canonical text
 whose re-parse reproduces the AST node for node.
 
+Sums nest at most 16 deep, counting only sums inside another sum's body
+(_MAX_SUM_DEPTH); a 17th is a SourceError at its `sum` token. Other
+constructs nest at most 100 deep (_MAX_DEPTH).
+
 Syntax sketch:
 
     2^(1-2*n) * sum[j = 0, 2*n]{ (-2/a)^j * eulerpoly(j+1, 2*q) }
@@ -41,6 +45,10 @@ _KEYWORDS = frozenset(["sum", "integral"])
 # seven Python frames per level, so this bound keeps parsing well inside the
 # default recursion limit of 1000.
 _MAX_DEPTH = 100
+# The compilers nest each sum's loop in its enclosing sum's loop, in one
+# function; CPython allows 20 nested blocks there, and a guarded call in the
+# innermost body adds two (its try and its handler).
+_MAX_SUM_DEPTH = 16
 
 
 class SourceError(ValueError):
@@ -207,6 +215,7 @@ class _Parser:
         self.functions = functions
         self.bound: List[str] = []
         self.depth = 0
+        self.sums = 0  # sums whose body is being parsed
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -295,10 +304,8 @@ class _Parser:
     def name_form(self) -> Node:
         tok = self.advance()
         name = tok.text
-        if name == "sum":
-            return self.sum_form()
-        if name == "integral":
-            return self.integral_form()
+        if name in _KEYWORDS:
+            return self.binder_form(tok)
         if self.at_op("("):
             if name not in self.functions:
                 raise SourceError(f"unknown function {name!r}", tok.line, tok.col)
@@ -326,49 +333,35 @@ class _Parser:
             return BoundVarRef(name)
         return ParamRef(name)
 
-    def sum_form(self) -> Node:
+    def binder_form(self, keyword: _Token) -> Node:
+        """sum[var = lo, hi]{ body } or integral[var]{ body }, after the
+        keyword; var is bound in the body alone."""
+        is_sum = keyword.text == "sum"
+        if is_sum and self.sums == _MAX_SUM_DEPTH:
+            raise SourceError(
+                f"sums nested more than {_MAX_SUM_DEPTH} deep", keyword.line, keyword.col
+            )
         self.expect_op("[")
         var_tok = self.expect_name()
         var = var_tok.text
         if var in _KEYWORDS or var in CONSTANT_NAMES or var in self.functions:
-            raise SourceError(
-                f"{var!r} cannot be used as a summation index",
-                var_tok.line,
-                var_tok.col,
-            )
-        self.expect_op("=")
-        lo = self.additive()
-        self.expect_op(",")
-        hi = self.additive()
+            role = "a summation index" if is_sum else "an integration variable"
+            raise SourceError(f"{var!r} cannot be used as {role}", var_tok.line, var_tok.col)
+        if is_sum:
+            self.expect_op("=")
+            lo = self.additive()
+            self.expect_op(",")
+            hi = self.additive()
         self.expect_op("]")
         self.expect_op("{")
+        # a parse error ends the parse, so the binder needs no unwinding
         self.bound.append(var)
-        try:
-            body = self.additive()
-        finally:
-            self.bound.pop()
+        self.sums += is_sum
+        body = self.additive()
+        self.sums -= is_sum
+        self.bound.pop()
         self.expect_op("}")
-        return Sum(var, lo, hi, body)
-
-    def integral_form(self) -> Node:
-        self.expect_op("[")
-        var_tok = self.expect_name()
-        var = var_tok.text
-        if var in _KEYWORDS or var in CONSTANT_NAMES or var in self.functions:
-            raise SourceError(
-                f"{var!r} cannot be used as an integration variable",
-                var_tok.line,
-                var_tok.col,
-            )
-        self.expect_op("]")
-        self.expect_op("{")
-        self.bound.append(var)
-        try:
-            body = self.additive()
-        finally:
-            self.bound.pop()
-        self.expect_op("}")
-        return Integral(var, body)
+        return Sum(var, lo, hi, body) if is_sum else Integral(var, body)
 
 
 def parse_expression(

@@ -169,12 +169,14 @@ def integrate_decaying(
     purely algebraic envelope |f(v)| <~ (1+v)^p_max, which then needs
     p_max < -1; the reported tail bound is the exact envelope integral.
     """
-    if rate < 0.0:
-        raise QuadratureError("integrate_decaying needs a nonnegative decay rate")
+    if not (0.0 <= rate < math.inf):
+        raise QuadratureError("integrate_decaying needs a finite nonnegative decay rate")
     if rate == 0.0 and p_max >= -1:
         raise QuadratureError("algebraic envelope needs p_max < -1")
-    if scale <= 0.0:
-        raise QuadratureError("integrate_decaying needs a positive scale")
+    if not (0.0 < scale < math.inf):
+        raise QuadratureError("integrate_decaying needs a finite positive scale")
+    if vmax is not None and not (0.0 < vmax < math.inf):
+        raise QuadratureError("integrate_decaying needs a finite positive vmax")
     target = 0.01 * rel_tol * scale
     if rate == 0.0:
         v_cut = _algebraic_cutoff(p_max, target, vmax)

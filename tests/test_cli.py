@@ -104,6 +104,55 @@ def test_run_exit_one_on_failure(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def _nested_sums(body, depth=16):
+    # sum[k0=0,0]{ sum[k1=0,0]{ ... body ... } }: each level adds one term
+    return "".join(f"sum[k{i}=0,0]{{" for i in range(depth)) + body + "}" * depth
+
+
+def _record(kind="NUMERIC", lhs="integral[v]{exp(-v)}", rhs="1", extra=""):
+    return (
+        f"[identity Probe]\ngroup = A\nkind = {kind}\ntol = TIGHT\npaper = probe\n"
+        f"lhs = {lhs}\nrhs = {rhs}\n{extra}"
+    )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # a zero-width tail: [0, 1] would PASS the false value 1 - 1/e
+        (_record(rhs="0.6321205588285577",
+                 extra="quad = decay=inf vmax=none p_max=8 scale=1.0\n"),
+         "line 8: bad quad value 'decay=inf'"),
+        # a negative floor confirms a control whose sides agree
+        (_record(kind="NEGATIVE_CONTROL", lhs="1", extra="floor = -1\n"),
+         "line 8: bad floor '-1'"),
+        (_record(extra="quad = decay=1 vmax=-3\n"), "line 8: bad quad value 'vmax=-3'"),
+        (_record(extra="quad = decay=1 vmax=nan\n"), "line 8: bad quad value 'vmax=nan'"),
+        (_record(extra="quad = decay=-1\n"), "line 8: bad quad value 'decay=-1'"),
+        (_record(extra="quad = scale=0\n"), "line 8: bad quad value 'scale=0'"),
+        (_record(extra="floor = nan\n"), "line 8: bad floor 'nan'"),
+        (_record(lhs="x", rhs="x", extra="params = x in {1.5, 1e999}\n"),
+         "line 8: bad grid value '1e999'"),
+        (_record(lhs=_nested_sums("1", 17)),
+         "line 1: record Probe: sums nested more than 16 deep (line 1, column 199)"),
+    ],
+)
+def test_catalog_hints_out_of_range_are_input_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "probe.cat"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "run", "--catalog", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"zetasech: error: {message}\n"
+
+
+def test_non_finite_param_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "eval", "x + 1", "--param", "x=1e999")
+    assert code == 2
+    assert out == ""
+    assert "bad grid value '1e999'" in err
+
+
 def test_run_tol_override_flag(capsys):
     code, _, _ = run_cli(capsys, "run", "--id", "SinId", "--tol", "TIGHT=1e-2")
     assert code == 0
@@ -171,14 +220,9 @@ def test_oversized_exact_result_is_input_error(expr):
     assert proc.stdout == ""
 
 
-def _nested_sums(body, depth=40):
-    # sum[k0=0,0]{ sum[k1=0,0]{ ... body ... } }: each level adds one term
-    return "".join(f"sum[k{i}=0,0]{{" for i in range(depth)) + body + "}" * depth
-
-
 def test_deeply_nested_sums_evaluate(capsys):
-    # CPython allows 20 nested blocks per code object; a compiled sum must
-    # not nest its loop inside the code of the enclosing sum
+    # 16 is the parser's cap; the compilers nest one loop per sum in one
+    # code object, where CPython allows 20 nested blocks
     code, out, err = run_cli(capsys, "eval", "--exact", _nested_sums("1"))
     assert code == 0, err
     assert out.strip() == "1"
@@ -187,6 +231,45 @@ def test_deeply_nested_sums_evaluate(capsys):
     code, out, err = run_cli(capsys, "eval", f"integral[v]{{ {_nested_sums('exp(-v)')} }}")
     assert code == 0, err
     assert out == want
+
+
+def test_capped_sums_leave_room_for_a_guarded_call(capsys):
+    # a call in the innermost body compiles to a try block inside the loops
+    code, out, err = run_cli(capsys, "eval", "--exact", _nested_sums("binom(2, 1)"))
+    assert code == 0, err
+    assert out.strip() == "2"
+    code, out, err = run_cli(capsys, "eval", _nested_sums("cos(0)"))
+    assert code == 0, err
+    assert out.splitlines()[0] == "1.0"
+    code, want, err = run_cli(capsys, "eval", "integral[v]{exp(-v)}")
+    assert code == 0, err
+    code, out, err = run_cli(
+        capsys, "eval", f"integral[v]{{ {_nested_sums('cos(0)*exp(-v)')} }}"
+    )
+    assert code == 0, err
+    assert out == want
+
+
+@pytest.mark.parametrize("depth", [17, 40])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--exact", "{}"),  # exact compiler
+        ("{}",),  # numeric closed form
+        ("integral[v]{{ {} }}",),  # compiled integrand
+    ],
+)
+def test_sums_nested_past_the_cap_are_positioned_errors(capsys, depth, argv):
+    *flags, template = argv
+    expr = template.format(_nested_sums("exp(-v)", depth))
+    code, out, err = run_cli(capsys, "eval", *flags, expr)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    column = expr.index("sum[k16=") + 1  # the 17th sum
+    assert err == (
+        f"zetasech: error: sums nested more than 16 deep (line 1, column {column})\n"
+    )
 
 
 def test_exact_sum_total_is_capped():

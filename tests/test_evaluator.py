@@ -230,8 +230,8 @@ def test_compiled_integrands_equal_the_ast_walk():
 
 
 def test_compiled_sums_read_outer_locals_and_parameters():
-    # each sum is compiled to its own function, which takes the integrand
-    # variable, enclosing indices and parameters as arguments
+    # each sum is a loop inline in the integrand, reading the integrand
+    # variable, enclosing indices and parameters as locals
     cfg = EvalConfig()
     node = parse_expression("integral[v]{ sum[k=0,n]{ sum[j=k,n]{ a*v^j/(k+1) } - k*a } }")
     env = bind_parameters({"n": 3.0, "a": 0.5})

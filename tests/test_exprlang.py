@@ -122,6 +122,26 @@ def test_nested_binders_shadow_outer_names():
     assert inner.body == BoundVarRef("k")
 
 
+def _nested_sums(depth, body="1"):
+    return "".join(f"sum[k{i}=0,0]{{" for i in range(depth)) + body + "}" * depth
+
+
+def test_sum_nesting_is_capped_at_the_offending_sum():
+    parse_expression(_nested_sums(16))
+    src = "integral[v]{\n  " + _nested_sums(17, "v") + "}"
+    with pytest.raises(SourceError) as info:
+        parse_expression(src)
+    assert info.value.message == "sums nested more than 16 deep"
+    assert (info.value.line, info.value.col) == (2, src.split("\n")[1].index("sum[k16=") + 1)
+
+
+def test_sums_in_bounds_do_not_count_toward_the_cap():
+    deep = _nested_sums(16)
+    parse_expression(f"sum[j = {deep}, {deep}]{{ j }}")
+    with pytest.raises(SourceError):
+        parse_expression(f"sum[j = 0, 1]{{ {deep} }}")
+
+
 @pytest.mark.parametrize("src", ROUND_TRIP_SOURCES)
 def test_format_parse_round_trip(src):
     tree = parse_expression(src)

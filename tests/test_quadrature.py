@@ -92,6 +92,22 @@ def test_negative_rate_rejected():
         integrate_decaying(lambda v: math.exp(-v), rate=-1.0)
 
 
+@pytest.mark.parametrize(
+    "hints",
+    [
+        {"rate": math.inf},
+        {"rate": 1.0, "scale": math.inf},
+        {"rate": 1.0, "vmax": math.nan},
+        {"rate": 1.0, "vmax": 0.0},
+    ],
+    ids=["rate-inf", "scale-inf", "vmax-nan", "vmax-zero"],
+)
+def test_non_finite_or_empty_hints_rejected(hints):
+    # rate=inf once gave the integral over [0, 1] with a zero tail
+    with pytest.raises(QuadratureError):
+        integrate_decaying(lambda v: math.exp(-v), **hints)
+
+
 def test_vmax_truncates_and_budgets():
     full = integrate_decaying(lambda v: math.exp(-v), rate=1.0)
     cut = integrate_decaying(lambda v: math.exp(-v), rate=1.0, vmax=8.0)
