@@ -1638,7 +1638,7 @@ def _checked_float(text: str, zero_ok: bool = False) -> float:
     raise ValueError(f"out of range: {text!r}")
 
 
-def _parse_value(token: str, lineno: int) -> GridValue:
+def _parse_value(token: str) -> GridValue:
     token = token.strip()
     try:
         if "/" in token:
@@ -1651,7 +1651,7 @@ def _parse_value(token: str, lineno: int) -> GridValue:
             return value
         return int(token)
     except (ValueError, ZeroDivisionError):
-        raise CatalogError(f"line {lineno}: bad grid value {token!r}") from None
+        raise CatalogError(f"bad grid value {token!r}") from None
 
 
 def _format_grid(grid: Grid) -> str:
@@ -1673,9 +1673,10 @@ def _parse_grid(text: str, lineno: int) -> Grid:
         body = body.strip()
         if not sep or not name.isidentifier() or not body.startswith("{") or not body.endswith("}"):
             raise CatalogError(f"line {lineno}: bad params clause {chunk!r}")
-        values = tuple(
-            _parse_value(tok, lineno) for tok in body[1:-1].split(",") if tok.strip()
-        )
+        try:
+            values = tuple(_parse_value(tok) for tok in body[1:-1].split(",") if tok.strip())
+        except CatalogError as exc:
+            raise CatalogError(f"line {lineno}: {exc}") from None
         if not values:
             raise CatalogError(f"line {lineno}: empty value set for {name!r}")
         items.append((name, values))

@@ -99,7 +99,10 @@ def _parse_params(pairs: Sequence[str]) -> Dict[str, object]:
         name = name.strip()
         if not sep or not name.isidentifier():
             raise CatalogError(f"bad --param {pair!r}, expected name=value")
-        params[name] = _parse_value(value, 0)
+        try:
+            params[name] = _parse_value(value)
+        except CatalogError as exc:
+            raise CatalogError(f"bad --param {pair!r}: {exc}") from None
     return params
 
 

@@ -16,7 +16,7 @@ Syntax sketch:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
@@ -67,6 +67,16 @@ class SourceError(ValueError):
 @dataclass(frozen=True)
 class NumberLiteral:
     value: Fraction
+    # float(value), converted once for the numeric evaluators; None when
+    # value is too large for a float. Not part of ==, hash or repr.
+    fvalue: Optional[float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        try:
+            fvalue: Optional[float] = float(self.value)
+        except OverflowError:
+            fvalue = None
+        object.__setattr__(self, "fvalue", fvalue)
 
 
 @dataclass(frozen=True)

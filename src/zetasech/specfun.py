@@ -5,13 +5,16 @@ double-double arithmetic because the head sum and the pole/tail terms cancel
 catastrophically for negative order; plain binary64 loses seven or more
 digits there. Derivatives with respect to the order s are forward-mode:
 each intermediate travels as a (value, d/ds) double-double pair, so no
-finite differences appear anywhere. The alternating variant switches between
-a convergence-accelerated alternating sum (stable near s = 1, including at
-the point itself) and the double-double zeta difference (stable for
-decidedly non-positive s). S_of compares its value with the direct zeta
-difference; that is a second route only inside the accelerated-sum band
-|s - 1| < 0.6. Outside it both sides read the same _hz_dd values, and the
-comparison re-checks only the 2^s scaling.
+finite differences appear anywhere. The d/ds half is computed only for the
+derivative functions (hurwitz_zeta_ds, eta_ds, S_ds, zeta_prime_at); the
+value functions skip it and get the same value words either way. The
+alternating variant switches between a convergence-accelerated alternating
+sum (stable near s = 1, including at the point itself) and the
+double-double zeta difference (stable for decidedly non-positive s). S_of
+compares its value with the direct zeta difference; that is a second route
+only inside the accelerated-sum band |s - 1| < 0.6. Outside it both sides
+read the same _hz_dd values, and the comparison re-checks only the 2^s
+scaling.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .ddmath import (
     DD,
@@ -90,10 +93,10 @@ def _head_log(k: int, a: float) -> DD:
     return dd_add_d(dd_ln(x[0]), x[1] / x[0])
 
 
-def _pow_dual(lnbase: DD, s: float) -> _DDual:
-    """base^(-s) and its d/ds, for base = exp(lnbase) constant in s."""
+def _pow_dual(lnbase: DD, s: float, ds: bool) -> Tuple[DD, Optional[DD]]:
+    """base^(-s), and its d/ds if ds, for base = exp(lnbase) constant in s."""
     e = dd_exp(dd_mul_d(lnbase, -s))
-    return e, dd_mul(e, (-lnbase[0], -lnbase[1]))
+    return e, dd_mul(e, (-lnbase[0], -lnbase[1])) if ds else None
 
 
 def _ddu_mul(x: _DDual, y: _DDual) -> _DDual:
@@ -113,12 +116,15 @@ def _bern_over_fact() -> Tuple[DD, ...]:
 
 
 @lru_cache(maxsize=8192)
-def _hz_dd(sv: float, a: float) -> Tuple[DD, DD]:
-    """Euler-Maclaurin Hurwitz zeta, value and d/ds, both double-double.
+def _hz_dd(sv: float, a: float, ds: bool) -> Tuple[DD, Optional[DD]]:
+    """Euler-Maclaurin Hurwitz zeta as a double-double, and d/ds if ds.
 
-    The derivative needs no exp or log of its own, so it is always
-    computed, and one cache entry per (s, a) serves both hurwitz_zeta and
-    hurwitz_zeta_ds.
+    The derivative is computed only on request: without ds every d/ds
+    statement is skipped and None stands in its place. The value never
+    reads a derivative, so its words are the same in both modes, and the
+    derivative needs no exp or log of its own. Value and derivative calls
+    at one (s, a) are separate cache entries; callers pass ds positionally,
+    so that each mode has one key.
 
     The head loop and the Bernoulli tail loop are fused: each composed step
     named in their comments (_pow_dual, _ddu_mul, dd_mul, dd_add) is
@@ -137,7 +143,7 @@ def _hz_dd(sv: float, a: float) -> Tuple[DD, DD]:
     n_head = max(0, math.ceil(zmin - a))
     sp = _SPLITTER
 
-    # head: sum over k < n_head of _pow_dual(ln(k + a), s), that is of
+    # head: sum over k < n_head of _pow_dual(ln(k + a), s, ds), that is of
     # v = exp(dd_mul_d(l, -s)) and d = dd_mul(v, -l). dd_exp stays a call
     # through this module's attribute, so wrappers that count it see it.
     ns = -sv
@@ -155,19 +161,6 @@ def _hz_dd(sv: float, a: float) -> Tuple[DD, DD]:
         e += l1 * ns
         x0 = p + e
         v0, v1 = dd_exp((x0, e - (x0 - p)))
-        nl0 = -l0
-        nl1 = -l1
-        t = sp * v0
-        vh = t - (t - v0)
-        vl = v0 - vh
-        t = sp * nl0
-        nlh = t - (t - nl0)
-        nll = nl0 - nlh
-        p = v0 * nl0
-        e = ((vh * nlh - p) + vh * nll + vl * nlh) + vl * nll
-        e += v0 * nl1 + v1 * nl0
-        d0 = p + e
-        d1 = e - (d0 - p)
         # head_v = dd_add(head_v, v)
         s = hv0 + v0
         bb = s - hv0
@@ -181,35 +174,48 @@ def _hz_dd(sv: float, a: float) -> Tuple[DD, DD]:
         se += te
         hv0 = u + se
         hv1 = se - (hv0 - u)
-        # head_d = dd_add(head_d, d)
-        s = hd0 + d0
-        bb = s - hd0
-        se = (hd0 - (s - bb)) + (d0 - bb)
-        t = hd1 + d1
-        bb = t - hd1
-        te = (hd1 - (t - bb)) + (d1 - bb)
-        se += t
-        u = s + se
-        se = se - (u - s)
-        se += te
-        hd0 = u + se
-        hd1 = se - (hd0 - u)
+        if ds:
+            nl0 = -l0
+            nl1 = -l1
+            t = sp * v0
+            vh = t - (t - v0)
+            vl = v0 - vh
+            t = sp * nl0
+            nlh = t - (t - nl0)
+            nll = nl0 - nlh
+            p = v0 * nl0
+            e = ((vh * nlh - p) + vh * nll + vl * nlh) + vl * nll
+            e += v0 * nl1 + v1 * nl0
+            d0 = p + e
+            d1 = e - (d0 - p)
+            # head_d = dd_add(head_d, d)
+            s = hd0 + d0
+            bb = s - hd0
+            se = (hd0 - (s - bb)) + (d0 - bb)
+            t = hd1 + d1
+            bb = t - hd1
+            te = (hd1 - (t - bb)) + (d1 - bb)
+            se += t
+            u = s + se
+            se = se - (u - s)
+            se += te
+            hd0 = u + se
+            hd1 = se - (hd0 - u)
 
     z = _two_sum(float(n_head), a)
-    pw = _pow_dual(_head_log(n_head, a), sv)  # z^(-s)
+    pw, pw_d = _pow_dual(_head_log(n_head, a), sv, ds)  # z^(-s)
 
     # pole term z^(1-s) / (s-1)
-    num_v = dd_mul(z, pw[0])
-    num_d = dd_mul(z, pw[1])
+    num_v = dd_mul(z, pw)
     den = _two_sum(sv, -1.0)
     pole_v = dd_div(num_v, den)
-    pole_d = dd_div(
-        dd_sub(dd_mul(num_d, den), num_v),
-        dd_mul(den, den),
-    )
-
-    half_v = dd_mul_d(pw[0], 0.5)
-    half_d = dd_mul_d(pw[1], 0.5)
+    half_v = dd_mul_d(pw, 0.5)
+    if ds:
+        pole_d = dd_div(
+            dd_sub(dd_mul(dd_mul(z, pw_d), den), num_v),
+            dd_mul(den, den),
+        )
+        half_d = dd_mul_d(pw_d, 0.5)
 
     # Bernoulli tail: sum_j B(2j)/(2j)! * (s)_(2j-1) * z^(-s-2j+1), with
     # c = (s)_(2j-1) and r = z^(-s-2j+1) as (value, d/ds) pairs
@@ -217,7 +223,9 @@ def _hz_dd(sv: float, a: float) -> Tuple[DD, DD]:
     t = sp * w0
     wh = t - (t - w0)
     wl = w0 - wh
-    (rv0, rv1), (rd0, rd1) = dd_div(pw[0], z), dd_div(pw[1], z)  # z^(-s-1)
+    rv0, rv1 = dd_div(pw, z)  # z^(-s-1)
+    if ds:
+        rd0, rd1 = dd_div(pw_d, z)
     cv0, cv1, cd0, cd1 = sv, 0.0, 1.0, 0.0  # (s)_1 and its d/ds
     tv0 = tv1 = td0 = td1 = 0.0
     for j, (b0, b1) in enumerate(_bern_over_fact(), 1):
@@ -233,34 +241,6 @@ def _hz_dd(sv: float, a: float) -> Tuple[DD, DD]:
         e += cv0 * rv1 + cv1 * rv0
         crv0 = p + e
         crv1 = e - (crv0 - p)
-        t = sp * cd0
-        cdh = t - (t - cd0)
-        cdl = cd0 - cdh
-        p = cd0 * rv0
-        e = ((cdh * rvh - p) + cdh * rvl + cdl * rvh) + cdl * rvl
-        e += cd0 * rv1 + cd1 * rv0
-        x0 = p + e
-        x1 = e - (x0 - p)
-        t = sp * rd0
-        rdh = t - (t - rd0)
-        rdl = rd0 - rdh
-        p = cv0 * rd0
-        e = ((cvh * rdh - p) + cvh * rdl + cvl * rdh) + cvl * rdl
-        e += cv0 * rd1 + cv1 * rd0
-        y0 = p + e
-        y1 = e - (y0 - p)
-        s = x0 + y0
-        bb = s - x0
-        se = (x0 - (s - bb)) + (y0 - bb)
-        t = x1 + y1
-        bb = t - x1
-        te = (x1 - (t - bb)) + (y1 - bb)
-        se += t
-        u = s + se
-        se = se - (u - s)
-        se += te
-        crd0 = u + se
-        crd1 = se - (crd0 - u)
         # tail_v += b * crv and tail_d += b * crd (dd_mul, then dd_add)
         t = sp * b0
         bh = t - (t - b0)
@@ -285,26 +265,55 @@ def _hz_dd(sv: float, a: float) -> Tuple[DD, DD]:
         se += te
         tv0 = u + se
         tv1 = se - (tv0 - u)
-        t = sp * crd0
-        crdh = t - (t - crd0)
-        crdl = crd0 - crdh
-        p = b0 * crd0
-        e = ((bh * crdh - p) + bh * crdl + bl * crdh) + bl * crdl
-        e += b0 * crd1 + b1 * crd0
-        x0 = p + e
-        x1 = e - (x0 - p)
-        s = td0 + x0
-        bb = s - td0
-        se = (td0 - (s - bb)) + (x0 - bb)
-        t = td1 + x1
-        bb = t - td1
-        te = (td1 - (t - bb)) + (x1 - bb)
-        se += t
-        u = s + se
-        se = se - (u - s)
-        se += te
-        td0 = u + se
-        td1 = se - (td0 - u)
+        if ds:
+            t = sp * cd0
+            cdh = t - (t - cd0)
+            cdl = cd0 - cdh
+            p = cd0 * rv0
+            e = ((cdh * rvh - p) + cdh * rvl + cdl * rvh) + cdl * rvl
+            e += cd0 * rv1 + cd1 * rv0
+            x0 = p + e
+            x1 = e - (x0 - p)
+            t = sp * rd0
+            rdh = t - (t - rd0)
+            rdl = rd0 - rdh
+            p = cv0 * rd0
+            e = ((cvh * rdh - p) + cvh * rdl + cvl * rdh) + cvl * rdl
+            e += cv0 * rd1 + cv1 * rd0
+            y0 = p + e
+            y1 = e - (y0 - p)
+            s = x0 + y0
+            bb = s - x0
+            se = (x0 - (s - bb)) + (y0 - bb)
+            t = x1 + y1
+            bb = t - x1
+            te = (x1 - (t - bb)) + (y1 - bb)
+            se += t
+            u = s + se
+            se = se - (u - s)
+            se += te
+            crd0 = u + se
+            crd1 = se - (crd0 - u)
+            t = sp * crd0
+            crdh = t - (t - crd0)
+            crdl = crd0 - crdh
+            p = b0 * crd0
+            e = ((bh * crdh - p) + bh * crdl + bl * crdh) + bl * crdl
+            e += b0 * crd1 + b1 * crd0
+            x0 = p + e
+            x1 = e - (x0 - p)
+            s = td0 + x0
+            bb = s - td0
+            se = (td0 - (s - bb)) + (x0 - bb)
+            t = td1 + x1
+            bb = t - td1
+            te = (td1 - (t - bb)) + (x1 - bb)
+            se += t
+            u = s + se
+            se = se - (u - s)
+            se += te
+            td0 = u + se
+            td1 = se - (td0 - u)
         if j == _EM_TAIL_TERMS:
             break
         # g = _ddu_mul(f1, f2) for f1 = (_two_sum(s, 2j - 1), (1, 0)) and
@@ -329,61 +338,63 @@ def _hz_dd(sv: float, a: float) -> Tuple[DD, DD]:
         e += fa0 * fb1 + fa1 * fb0
         gv0 = p + e
         gv1 = e - (gv0 - p)
-        # gd = dd_add(dd_mul((1, 0), fb), dd_mul(fa, (1, 0))); split(1.0) is
-        # (1.0, 0.0), and the products by 1 and 0 stay because they decide
-        # the signs of zero words
-        p = 1.0 * fb0
-        e = ((1.0 * fbh - p) + 1.0 * fbl + 0.0 * fbh) + 0.0 * fbl
-        e += 1.0 * fb1 + 0.0 * fb0
-        x0 = p + e
-        x1 = e - (x0 - p)
-        p = fa0 * 1.0
-        e = ((fah * 1.0 - p) + fah * 0.0 + fal * 1.0) + fal * 0.0
-        e += fa0 * 0.0 + fa1 * 1.0
-        y0 = p + e
-        y1 = e - (y0 - p)
-        s = x0 + y0
-        bb = s - x0
-        se = (x0 - (s - bb)) + (y0 - bb)
-        t = x1 + y1
-        bb = t - x1
-        te = (x1 - (t - bb)) + (y1 - bb)
-        se += t
-        u = s + se
-        se = se - (u - s)
-        se += te
-        gd0 = u + se
-        gd1 = se - (gd0 - u)
-        # c = _ddu_mul(c, g): cd = cd * gv + cv * gd first, as it reads the
-        # old cv, then cv = cv * gv
         t = sp * gv0
         gvh = t - (t - gv0)
         gvl = gv0 - gvh
-        p = cd0 * gv0
-        e = ((cdh * gvh - p) + cdh * gvl + cdl * gvh) + cdl * gvl
-        e += cd0 * gv1 + cd1 * gv0
-        x0 = p + e
-        x1 = e - (x0 - p)
-        t = sp * gd0
-        gdh = t - (t - gd0)
-        gdl = gd0 - gdh
-        p = cv0 * gd0
-        e = ((cvh * gdh - p) + cvh * gdl + cvl * gdh) + cvl * gdl
-        e += cv0 * gd1 + cv1 * gd0
-        y0 = p + e
-        y1 = e - (y0 - p)
-        s = x0 + y0
-        bb = s - x0
-        se = (x0 - (s - bb)) + (y0 - bb)
-        t = x1 + y1
-        bb = t - x1
-        te = (x1 - (t - bb)) + (y1 - bb)
-        se += t
-        u = s + se
-        se = se - (u - s)
-        se += te
-        cd0 = u + se
-        cd1 = se - (cd0 - u)
+        if ds:
+            # gd = dd_add(dd_mul((1, 0), fb), dd_mul(fa, (1, 0))); split(1.0)
+            # is (1.0, 0.0), and the products by 1 and 0 stay because they
+            # decide the signs of zero words
+            p = 1.0 * fb0
+            e = ((1.0 * fbh - p) + 1.0 * fbl + 0.0 * fbh) + 0.0 * fbl
+            e += 1.0 * fb1 + 0.0 * fb0
+            x0 = p + e
+            x1 = e - (x0 - p)
+            p = fa0 * 1.0
+            e = ((fah * 1.0 - p) + fah * 0.0 + fal * 1.0) + fal * 0.0
+            e += fa0 * 0.0 + fa1 * 1.0
+            y0 = p + e
+            y1 = e - (y0 - p)
+            s = x0 + y0
+            bb = s - x0
+            se = (x0 - (s - bb)) + (y0 - bb)
+            t = x1 + y1
+            bb = t - x1
+            te = (x1 - (t - bb)) + (y1 - bb)
+            se += t
+            u = s + se
+            se = se - (u - s)
+            se += te
+            gd0 = u + se
+            gd1 = se - (gd0 - u)
+            # c = _ddu_mul(c, g): cd = cd * gv + cv * gd first, as it reads
+            # the old cv
+            p = cd0 * gv0
+            e = ((cdh * gvh - p) + cdh * gvl + cdl * gvh) + cdl * gvl
+            e += cd0 * gv1 + cd1 * gv0
+            x0 = p + e
+            x1 = e - (x0 - p)
+            t = sp * gd0
+            gdh = t - (t - gd0)
+            gdl = gd0 - gdh
+            p = cv0 * gd0
+            e = ((cvh * gdh - p) + cvh * gdl + cvl * gdh) + cvl * gdl
+            e += cv0 * gd1 + cv1 * gd0
+            y0 = p + e
+            y1 = e - (y0 - p)
+            s = x0 + y0
+            bb = s - x0
+            se = (x0 - (s - bb)) + (y0 - bb)
+            t = x1 + y1
+            bb = t - x1
+            te = (x1 - (t - bb)) + (y1 - bb)
+            se += t
+            u = s + se
+            se = se - (u - s)
+            se += te
+            cd0 = u + se
+            cd1 = se - (cd0 - u)
+        # cv = cv * gv
         p = cv0 * gv0
         e = ((cvh * gvh - p) + cvh * gvl + cvl * gvh) + cvl * gvl
         e += cv0 * gv1 + cv1 * gv0
@@ -395,25 +406,27 @@ def _hz_dd(sv: float, a: float) -> Tuple[DD, DD]:
         e += rv0 * w1 + rv1 * w0
         rv0 = p + e
         rv1 = e - (rv0 - p)
-        p = rd0 * w0
-        e = ((rdh * wh - p) + rdh * wl + rdl * wh) + rdl * wl
-        e += rd0 * w1 + rd1 * w0
-        rd0 = p + e
-        rd1 = e - (rd0 - p)
+        if ds:
+            p = rd0 * w0
+            e = ((rdh * wh - p) + rdh * wl + rdl * wh) + rdl * wl
+            e += rd0 * w1 + rd1 * w0
+            rd0 = p + e
+            rd1 = e - (rd0 - p)
 
     val = dd_add(dd_add((hv0, hv1), pole_v), dd_add(half_v, (tv0, tv1)))
-    der = dd_add(dd_add((hd0, hd1), pole_d), dd_add(half_d, (td0, td1)))
-    return val, der
+    if not ds:
+        return val, None
+    return val, dd_add(dd_add((hd0, hd1), pole_d), dd_add(half_d, (td0, td1)))
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
     """zeta(s, a) = sum over k >= 0 of (k+a)^(-s), continued in s."""
-    return to_float(_hz_dd(float(s), float(a))[0])
+    return to_float(_hz_dd(float(s), float(a), False)[0])
 
 
 def hurwitz_zeta_ds(s: float, a: float) -> float:
     """d/ds zeta(s, a)."""
-    return to_float(_hz_dd(float(s), float(a))[1])
+    return to_float(_hz_dd(float(s), float(a), True)[1])
 
 
 # ----------------------------------------------------------------------
@@ -443,45 +456,51 @@ def _eta_cvz(sv: float, a: float) -> Tuple[float, float]:
     return acc_v / d, acc_d / d
 
 
-def _eta_parts(sv: float, a: float) -> Tuple[float, float]:
-    # value and d/ds of eta
+def _eta_parts(sv: float, a: float, ds: bool) -> Tuple[float, Optional[float]]:
+    # value of eta, and d/ds if ds; the accelerated sum always gives both
     if a <= 0.0:
         raise SpecfunError("eta needs a > 0")
     if abs(sv - 1.0) < _ETA_BAND:
         return _eta_cvz(sv, a)
     # eta(s,a) = 2^(-s) * (zeta(s, a/2) - zeta(s, (a+1)/2))
-    pv, pd = _hz_dd(sv, 0.5 * a)
-    qv, qd = _hz_dd(sv, 0.5 * (a + 1.0))
-    diff: _DDual = (dd_sub(pv, qv), dd_sub(pd, qd))
-    out = _ddu_mul(_pow_dual(_LN2_DD, sv), diff)
+    pv, pd = _hz_dd(sv, 0.5 * a, ds)
+    qv, qd = _hz_dd(sv, 0.5 * (a + 1.0), ds)
+    pw = _pow_dual(_LN2_DD, sv, ds)
+    diff = dd_sub(pv, qv)
+    if not ds:
+        return to_float(dd_mul(pw[0], diff)), None
+    out = _ddu_mul(pw, (diff, dd_sub(pd, qd)))
     return to_float(out[0]), to_float(out[1])
 
 
 def eta(s: float, a: float) -> float:
     """Alternating Hurwitz function sum over k >= 0 of (-1)^k (k+a)^(-s)."""
-    return _eta_parts(float(s), float(a))[0]
+    return _eta_parts(float(s), float(a), False)[0]
 
 
 def eta_ds(s: float, a: float) -> float:
     """d/ds eta(s, a)."""
-    return _eta_parts(float(s), float(a))[1]
+    return _eta_parts(float(s), float(a), True)[1]
 
 
-def _S_parts(sv: float, a: float) -> Tuple[float, float]:
-    # value and d/ds of S_of, with the cross-check on the value
-    ev, ed = _eta_parts(sv, 2.0 * a)
+def _S_parts(sv: float, a: float, ds: bool) -> Tuple[float, Optional[float]]:
+    # value of S_of, and d/ds if ds, with the cross-check on the value; it
+    # reads the _hz_dd entries of the same mode, which eta has just filled
+    # outside its accelerated-sum band
+    ev, ed = _eta_parts(sv, 2.0 * a, ds)
     pw = math.exp(sv * math.log(2.0))
     val = pw * ev
-    der = pw * (math.log(2.0) * ev + ed)
     if abs(sv - 1.0) > 1e-6:
-        other = to_float(dd_sub(_hz_dd(sv, a)[0], _hz_dd(sv, a + 0.5)[0]))
+        other = to_float(dd_sub(_hz_dd(sv, a, ds)[0], _hz_dd(sv, a + 0.5, ds)[0]))
         scale = max(abs(val), abs(other))
         tol = 1e-9 + 3e-16 / abs(sv - 1.0)
         if scale > 0.0 and abs(val - other) > tol * scale:
             raise SpecfunError(
                 f"S cross-check failed at s={sv}, a={a}: {val} vs {other}"
             )
-    return val, der
+    if not ds:
+        return val, None
+    return val, pw * (math.log(2.0) * ev + ed)
 
 
 def S_of(s: float, a: float) -> float:
@@ -493,12 +512,12 @@ def S_of(s: float, a: float) -> float:
     |s - 1| < 0.6, where eta sums the series itself, is that an independent
     route; elsewhere eta is built from the same two zeta values.
     """
-    return _S_parts(float(s), float(a))[0]
+    return _S_parts(float(s), float(a), False)[0]
 
 
 def S_ds(s: float, a: float) -> float:
     """d/ds of S_of."""
-    return _S_parts(float(s), float(a))[1]
+    return _S_parts(float(s), float(a), True)[1]
 
 
 # ----------------------------------------------------------------------
@@ -557,7 +576,7 @@ def log_gamma(x: float) -> float:
 def dirichlet_beta(s: float) -> float:
     """Dirichlet beta, as 2^(-s) eta(s, 1/2); entire in s."""
     sv = float(s)
-    ev, _ = _eta_parts(sv, 0.5)
+    ev, _ = _eta_parts(sv, 0.5, False)
     return math.exp(-sv * math.log(2.0)) * ev
 
 

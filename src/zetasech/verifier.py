@@ -298,7 +298,7 @@ def _case(row: Mapping[str, object]) -> CaseResult:
     return replace(
         res,
         kind=Kind(res.kind),
-        params=tuple((k, _parse_value(v, 0)) for k, v in res.params.items()),
+        params=tuple((k, _parse_value(v)) for k, v in res.params.items()),
         status=Status(res.status),
         ms=float(res.ms),
     )

@@ -153,6 +153,14 @@ def test_non_finite_param_is_input_error(capsys):
     assert "bad grid value '1e999'" in err
 
 
+@pytest.mark.parametrize("pair", ["x=1/0", "x=abc"])
+def test_bad_param_value_names_the_flag(capsys, pair):
+    code, out, err = run_cli(capsys, "eval", "x", "--param", pair)
+    assert code == 2
+    assert out == ""
+    assert err == f"zetasech: error: bad --param {pair!r}: bad grid value {pair[2:]!r}\n"
+
+
 def test_run_tol_override_flag(capsys):
     code, _, _ = run_cli(capsys, "run", "--id", "SinId", "--tol", "TIGHT=1e-2")
     assert code == 0

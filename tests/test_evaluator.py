@@ -20,7 +20,16 @@ from zetasech.evaluator import (
     evaluate_exact,
     evaluate_numeric,
 )
-from zetasech.exprlang import Integral, Sum, parse_expression
+from zetasech.exprlang import (
+    BinaryOp,
+    BoundVarRef,
+    Call,
+    Integral,
+    NumberLiteral,
+    Sum,
+    UnaryNeg,
+    parse_expression,
+)
 from zetasech.registry import function_table
 from zetasech.verifier import config_for
 
@@ -86,6 +95,53 @@ def test_integer_power_of_negative_base_is_fine():
 def test_division_by_zero_is_an_error():
     with pytest.raises((EvalError, ZeroDivisionError)):
         num("1/(2 - 2)")
+
+
+@pytest.mark.parametrize("src, value", [("1/10^(-200)", 1e200), ("2*(10^200*10^200)", math.inf)])
+def test_zero_operand_budgets_add_nothing(src, value):
+    # |v/rv| or |lv| overflows; inf * 0 must not turn the budget NaN
+    res = num(src)
+    assert (res.value, res.err_budget) == (value, 0.0)
+
+
+def test_budget_propagates_past_an_overflowing_quotient():
+    integral = num("integral[v]{ exp(-pi*v) }")
+    res = num("integral[v]{ exp(-pi*v) }/10^(-200)")
+    assert res.err_budget == integral.err_budget / 10.0 ** -200
+
+
+def test_literals_past_the_float_range_are_numeric_errors():
+    big = "1" + "0" * 400
+    with pytest.raises(EvalError, match="number literal too large for a float"):
+        num(f"{big} - {big}")
+    with pytest.raises(EvalError, match="number literal too large for a float"):
+        num(f"integral[v]{{ exp(-v)*{big} }}")
+    assert exact(f"{big}/{big}") == 1
+
+
+def _nested_sum_tree(depth, body):
+    # built by hand: the parser refuses more than 16 nested sums
+    zero = NumberLiteral(F(0))
+    for i in reversed(range(depth)):
+        body = Sum(f"k{i}", zero, zero, body)
+    return body
+
+
+_BINOM = Call("binom", (NumberLiteral(F(2)), NumberLiteral(F(1))))
+
+
+@pytest.mark.parametrize("depth, body", [(40, NumberLiteral(F(1))), (20, _BINOM)])
+def test_compilers_refuse_trees_nested_past_cpython_blocks(depth, body):
+    # 20 nested loops compile on CPython 3.10 to 3.13; the guarded call's
+    # try and handler take them past the limit (19 loops already do before
+    # 3.13)
+    assert evaluate_exact(_nested_sum_tree(20, NumberLiteral(F(1))), {}) == 1
+    tree = _nested_sum_tree(depth, body)
+    with pytest.raises(ExactEvalError, match="^expression nested too deeply to evaluate$"):
+        evaluate_exact(tree, {})
+    integrand = BinaryOp("*", Call("exp", (UnaryNeg(BoundVarRef("v")),)), tree)
+    with pytest.raises(EvalError, match="^expression nested too deeply to evaluate$"):
+        evaluate_numeric(Integral("v", integrand), {})
 
 
 def test_sum_evaluates_inclusively():

@@ -85,6 +85,15 @@ def test_decimal_literals_are_exact():
     assert parse_expression("2.375") == NumberLiteral(Fraction(19, 8))
 
 
+def test_literal_float_is_converted_once_and_not_compared():
+    lit = parse_expression("2.375")
+    assert lit.fvalue == float(Fraction(19, 8))
+    twin = NumberLiteral(Fraction(19, 8))
+    assert lit == twin and hash(lit) == hash(twin) == hash((Fraction(19, 8),))
+    assert repr(lit) == "NumberLiteral(value=Fraction(19, 8))"
+    assert NumberLiteral(Fraction(10**400)).fvalue is None
+
+
 def test_constants_and_params_are_distinct():
     assert parse_expression("pi") == ConstantRef("pi")
     assert parse_expression("s") == ParamRef("s")

@@ -214,6 +214,9 @@ VERDICT_BRANCHES = [
                  id="non-finite"),
     pytest.param("integral[v]{exp(-pi*v)}", "1/pi", "NUMERIC", "TIGHT", {}, 20,
                  Status.FAIL, "quadrature did not converge", (), id="unconverged"),
+    # v/rv overflows; a NaN budget would FAIL this true identity
+    pytest.param("10^200", "1/10^(-200)", "NUMERIC", "TIGHT", {}, DEFAULT_EVAL_CAP,
+                 Status.PASS, "", (), id="pass-overflowing-quotient"),
     pytest.param("1/3 - 1/4", "1/12", "EXACT", "EXACT", {}, DEFAULT_EVAL_CAP,
                  Status.PASS, "", (), id="exact-pass"),
     pytest.param("1/3", "1/4", "EXACT", "EXACT", {}, DEFAULT_EVAL_CAP,
