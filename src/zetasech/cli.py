@@ -10,6 +10,7 @@ stdout, so identical flags give identical output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -23,7 +24,7 @@ from .catalog import (
     format_catalog,
     parse_catalog,
 )
-from .evaluator import EvalConfig, evaluate_exact, evaluate_numeric
+from .evaluator import EvalConfig, NumericResult, evaluate_exact, evaluate_numeric
 from .exprlang import parse_expression
 from .quadrature import DEFAULT_EVAL_CAP
 from .verifier import (
@@ -202,8 +203,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         quad_decay=args.decay, quad_p_max=args.p_max, eval_cap=args.eval_cap
     )
     result = evaluate_numeric(node, params, cfg)  # type: ignore[arg-type]
+    return _print_numeric(result, show_evals=False)
+
+
+def _print_numeric(result: NumericResult, show_evals: bool) -> int:
+    """Print a numeric result for eval and quad; a non-finite value is an
+    input error, not a result."""
+    if not math.isfinite(result.value):
+        return _fail(f"the value is not finite: {result.value!r}", EXIT_USAGE)
     print(repr(result.value))
     print(f"err_budget = {result.err_budget!r}")
+    if show_evals:
+        print(f"quad_evals = {result.quad_evals}")
     if not result.converged:
         print("warning: quadrature did not converge", file=sys.stderr)
     return EXIT_OK
@@ -221,12 +232,7 @@ def _cmd_quad(args: argparse.Namespace) -> int:
         eval_cap=args.eval_cap,
     )
     result = evaluate_numeric(node, params, cfg)  # type: ignore[arg-type]
-    print(repr(result.value))
-    print(f"err_budget = {result.err_budget!r}")
-    print(f"quad_evals = {result.quad_evals}")
-    if not result.converged:
-        print("warning: quadrature did not converge", file=sys.stderr)
-    return EXIT_OK
+    return _print_numeric(result, show_evals=True)
 
 
 def _cmd_export_catalog(args: argparse.Namespace) -> int:

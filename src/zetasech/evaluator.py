@@ -9,6 +9,11 @@ handles the rest of an expression once per evaluation. Both read a number
 literal's float from the node (NumberLiteral.fvalue, converted once when
 the node is built), not from its Fraction.
 
+The parts of an integral body that read only parameters run once per
+integral, before quadrature starts, and not at every sample (_Codegen
+says which parts). Their failures therefore raise before the first sample,
+and before the quadrature settings are checked; the message is the walk's.
+
 The exact path compiles each expression once per set of integer-valued
 parameters into straight-line Python over ints and Fractions
 (_compile_exact); there is no exact tree walk. It refuses anything that is
@@ -18,7 +23,8 @@ computation.
 Both compilers emit each sum as a for loop inline in the one generated
 function, nested in the loop of its enclosing sum. The parser's cap of 16
 nested sums is what keeps that within CPython's 20 nested blocks per code
-object.
+object. Generated sources hold only generated names, so each distinct text
+is compiled once and its code object run in each tree's namespace.
 """
 from __future__ import annotations
 
@@ -27,7 +33,8 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
+from types import CodeType
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
 from .exprlang import (
     BinaryOp,
@@ -319,26 +326,82 @@ class _Emitter:
         """exec source; the resulting namespace. A tree that skipped the
         parser's cap can nest more blocks than CPython compiles."""
         try:
-            code = compile("\n".join(source), "<expression>", "exec")
+            code = _compiled("\n".join(source))
         except SyntaxError:
             raise self.error("expression nested too deeply to evaluate") from None
         exec(code, self.namespace)
         return self.namespace
 
 
+@lru_cache(maxsize=256)
+def _compiled(source: str) -> CodeType:
+    """source compiled once: the text holds only generated names, so trees
+    of one shape share a code object and differ in their namespaces."""
+    return compile(source, "<expression>", "exec")
+
+
+def _fixed_subtrees(node: Node, var: str, out: Set[int]) -> bool:
+    """Whether node reads no var and holds no Sum or Integral; adds the id
+    of each such subtree, node included, to out. Sum bodies are not
+    searched: they run in a loop."""
+    if isinstance(node, Sum):
+        _fixed_subtrees(node.lo, var, out)
+        _fixed_subtrees(node.hi, var, out)
+        return False
+    if isinstance(node, Integral):
+        return False
+    if isinstance(node, (ParamRef, BoundVarRef)):
+        fixed = node.name != var
+    elif isinstance(node, UnaryNeg):
+        fixed = _fixed_subtrees(node.operand, var, out)
+    elif isinstance(node, BinaryOp):
+        left = _fixed_subtrees(node.left, var, out)
+        fixed = _fixed_subtrees(node.right, var, out) and left
+    elif isinstance(node, Call):
+        # a list, not a generator: every argument is searched
+        fixed = all([_fixed_subtrees(arg, var, out) for arg in node.args])
+    else:
+        fixed = True
+    if fixed:
+        out.add(id(node))
+    return fixed
+
+
+# the indent of f's top level; make's own lines sit at _BODY
+_SAMPLE = _BODY * 2
+
+
 class _Codegen(_Emitter):
     """Python source for one integral body, computing only its value.
 
+    The body is split between make, which runs once per integral, and f,
+    which runs at every sample. A subtree goes to make when it is at f's
+    top level (not inside a sum loop), reads no local (the integration
+    variable or a sum index) and holds no Sum or Integral: parameter reads
+    with their unbound-name tests, arithmetic on parameters, and calls on
+    them with their guards. Each part keeps the walk's operation order.
+
     A compiled sample equals _eval_num's value bit for bit, and each
-    failure raises the EvalError message _eval_num raises.
+    failure raises the EvalError message _eval_num raises. A failing step
+    in make raises before the first sample; the walk raises the same
+    message at the first sample, unless a step that reads the variable
+    and comes before it in the walk fails there first.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, node: Integral) -> None:
         super().__init__(EvalError)
         self.namespace.update(isfinite=math.isfinite, near_int=_near_int, integrate=_integrate)
+        self.setup: List[str] = []
+        self.fixed: Set[int] = set()
+        _fixed_subtrees(node.body, node.var, self.fixed)
 
     def emit(self, node: Node, scope: Dict[str, str], indent: str) -> str:
         """Emit the lines computing node; return the name holding its value."""
+        if indent == _SAMPLE and id(node) in self.fixed:
+            sample, self.lines = self.lines, self.setup
+            name = self.emit(node, scope, _BODY)
+            self.lines = sample
+            return name
         if isinstance(node, NumberLiteral):
             if node.fvalue is None:
                 self.fail(indent, _HUGE_LITERAL)
@@ -403,17 +466,19 @@ def _compile_integral(node: Integral) -> _Make:
 
     Compiled once per distinct node, on first evaluation, so the function
     table is read after any wrapping of its entries. make reads each
-    parameter from env once; f then evaluates the body at one abscissa.
+    parameter from env once and computes the body's parameter-only
+    subtrees (see _Codegen); f then evaluates the rest at one abscissa.
     """
-    gen = _Codegen()
-    result = gen.emit(node.body, {node.var: "x"}, _BODY * 2)
+    gen = _Codegen(node)
+    result = gen.emit(node.body, {node.var: "x"}, _SAMPLE)
     namespace = gen.build([
         "def make(env, cfg, usage):",
         *(f"{_BODY}{local} = env.get({gen.const(name)}, MISSING)"
           for name, local in gen.params.items()),
+        *gen.setup,
         f"{_BODY}def f(x):",
         *gen.lines,
-        f"{_BODY * 2}return {result}",
+        f"{_SAMPLE}return {result}",
         f"{_BODY}return f",
     ])
     return namespace["make"]  # type: ignore[return-value]

@@ -5,6 +5,12 @@ envelope exp(-rate*v) * (1+v)^p bounds the tail below the tolerance, then
 refines the finite piece [0, V] with the tanh-sinh node ladder. Node tables
 are fixed, summation order is fixed, and there is no randomness, so repeated
 runs produce bit-identical results.
+
+tanh_sinh calls the integrand directly, with no wrapper per sample: the
+center node first, then each pair's b - d before its a + d. Each value is
+tested right after its call, and the first non-finite one raises
+QuadratureError before any other node is sampled. Evaluations are counted
+from the node tables, not per call.
 """
 from __future__ import annotations
 
@@ -72,6 +78,38 @@ def _nodes_for_level(level: int) -> List[_NodeRow]:
     return rows
 
 
+def _not_finite(x: float) -> QuadratureError:
+    return QuadratureError(f"integrand not finite at x={x!r}")
+
+
+def _add_pairs(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    half: float,
+    rows: List[_NodeRow],
+    total: float,
+) -> float:
+    """total plus w * (f(b - d) + f(a + d)) for each row, in row order.
+
+    f is called directly, b - d before a + d, and each value is tested
+    right after its call, so a + d is never sampled after a non-finite
+    f(b - d)."""
+    isfinite = math.isfinite
+    for dm, w in rows:
+        d = half * dm
+        x = b - d
+        upper = f(x)
+        if not isfinite(upper):
+            raise _not_finite(x)
+        x = a + d
+        lower = f(x)
+        if not isfinite(lower):
+            raise _not_finite(x)
+        total += w * (upper + lower)
+    return total
+
+
 def tanh_sinh(
     f: Callable[[float], float],
     a: float,
@@ -89,21 +127,14 @@ def tanh_sinh(
         raise QuadratureError("tanh_sinh needs b > a")
     half = 0.5 * (b - a)
     mid = a + half
-    evals = 0
-
-    def sample(x: float) -> float:
-        nonlocal evals
-        evals += 1
-        v = f(x)
-        if not math.isfinite(v):
-            raise QuadratureError(f"integrand not finite at x={x!r}")
-        return v
 
     # level 0: the center node plus the integer-t pairs
-    total = 0.5 * math.pi * sample(mid)
-    for dm, w in _nodes_for_level(0):
-        d = half * dm
-        total += w * (sample(b - d) + sample(a + d))
+    center = f(mid)
+    if not math.isfinite(center):
+        raise _not_finite(mid)
+    rows = _nodes_for_level(0)
+    total = _add_pairs(f, a, b, half, rows, 0.5 * math.pi * center)
+    evals = 1 + 2 * len(rows)
     h = 1.0
     previous = total * h * half
 
@@ -114,10 +145,8 @@ def tanh_sinh(
         rows = _nodes_for_level(level)
         if evals + 2 * len(rows) > eval_cap:
             break
-        inner = 0.0
-        for dm, w in rows:
-            d = half * dm
-            inner += w * (sample(b - d) + sample(a + d))
+        inner = _add_pairs(f, a, b, half, rows, 0.0)
+        evals += 2 * len(rows)
         h *= 0.5
         estimate = 0.5 * previous + inner * h * half
         err = abs(estimate - previous)

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple, Union
 
 from .catalog import (
     GridValue,
@@ -36,7 +36,7 @@ from .evaluator import (
     evaluate_exact,
     evaluate_numeric,
 )
-from .exprlang import SourceError
+from .exprlang import Node, SourceError
 from .quadrature import DEFAULT_EVAL_CAP, QuadratureError
 from .specfun import SpecfunError
 
@@ -185,6 +185,39 @@ def judge(
     return Status.FAIL, diff, allowed, message
 
 
+_Side = Union[Fraction, NumericResult]
+# (side source, parameter point, EvalConfig or None for exact) -> side
+_Memo = Dict[Tuple[str, Hashable, Optional[EvalConfig]], _Side]
+
+
+def _point(params: Mapping[str, GridValue]) -> Hashable:
+    """params as part of a memo key. 0.0 == -0.0, but a side may tell
+    them apart, so a zero also keys by its text."""
+    return tuple((k, v, str(v)) if v == 0 else (k, v) for k, v in params.items())
+
+
+def _side(
+    memo: _Memo,
+    src: str,
+    node: Callable[[], Node],
+    params: Mapping[str, GridValue],
+    point: Hashable,
+    cfg: Optional[EvalConfig],
+) -> _Side:
+    """One side evaluated, or taken from memo when it was evaluated at the
+    same point with the same settings. The source text keys the side, as
+    it parses to one node. A side that raises is not stored."""
+    key = (src, point, cfg)
+    side = memo.get(key)
+    if side is None:
+        if cfg is None:
+            side = evaluate_exact(node(), {k: Fraction(v) for k, v in params.items()})
+        else:
+            side = evaluate_numeric(node(), params, cfg)
+        memo[key] = side
+    return side
+
+
 def verify_case(
     record: IdentityRecord,
     params: Mapping[str, GridValue],
@@ -192,17 +225,26 @@ def verify_case(
     tol_override: Optional[float] = None,
 ) -> CaseResult:
     """Evaluate both sides of one record at one parameter point."""
+    return _verify(record, params, eval_cap, tol_override, {})
+
+
+def _verify(
+    record: IdentityRecord,
+    params: Mapping[str, GridValue],
+    eval_cap: int,
+    tol_override: Optional[float],
+    memo: _Memo,
+) -> CaseResult:
+    """verify_case, reusing the sides stored in memo and storing new ones."""
     start = time.perf_counter()
     try:
-        if record.kind is Kind.EXACT:
-            exact_params = {k: Fraction(v) for k, v in params.items()}
-            left = evaluate_exact(record.lhs(), exact_params)
-            right = evaluate_exact(record.rhs(), exact_params)
+        point = _point(params)
+        cfg = None if record.kind is Kind.EXACT else config_for(record, eval_cap=eval_cap)
+        left = _side(memo, record.lhs_src, record.lhs, params, point, cfg)
+        right = _side(memo, record.rhs_src, record.rhs, params, point, cfg)
+        if cfg is None:
             lhs, rhs, budget, evals = float(left), float(right), 0.0, 0
         else:
-            cfg = config_for(record, eval_cap=eval_cap)
-            left = evaluate_numeric(record.lhs(), params, cfg)
-            right = evaluate_numeric(record.rhs(), params, cfg)
             lhs, rhs = left.value, right.value
             budget = left.err_budget + right.err_budget
             evals = left.quad_evals + right.quad_evals
@@ -237,15 +279,18 @@ def run_suite(
     """Verify every case of every record, in deterministic catalog order.
 
     tol_overrides maps tolerance class names to replacement relative
-    tolerances for NUMERIC records of that class.
+    tolerances for NUMERIC records of that class. A side that several
+    cases share at one point with the same settings (a negative control
+    and its positive record, two closed forms checked against one
+    integral) is evaluated once per run; each case still reports the
+    side's full quad_evals.
     """
     recs = builtin_identities() if records is None else tuple(records)
     overrides = dict(tol_overrides or {})
+    memo: _Memo = {}
     start = time.perf_counter()
     results = tuple(
-        verify_case(
-            rec, params, eval_cap, tol_override=overrides.get(rec.tol_class.value)
-        )
+        _verify(rec, params, eval_cap, overrides.get(rec.tol_class.value), memo)
         for rec in recs
         for params in rec.case_params()
     )

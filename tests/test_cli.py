@@ -153,6 +153,22 @@ def test_non_finite_param_is_input_error(capsys):
     assert "bad grid value '1e999'" in err
 
 
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (("eval", "2*(10^200*10^200)"), "inf"),
+        (("eval", "10^200*10^200 - 10^200*10^200"), "nan"),
+        (("quad", "10^308*exp(-v)*(1+v)"), "inf"),
+    ],
+)
+def test_non_finite_value_is_input_error(capsys, argv, shown):
+    # each sample and step is finite, only the result is not
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"zetasech: error: the value is not finite: {shown}\n"
+
+
 @pytest.mark.parametrize("pair", ["x=1/0", "x=abc"])
 def test_bad_param_value_names_the_flag(capsys, pair):
     code, out, err = run_cli(capsys, "eval", "x", "--param", pair)

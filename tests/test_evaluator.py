@@ -297,6 +297,54 @@ def test_compiled_sums_read_outer_locals_and_parameters():
         assert f(x) == _eval_num(node.body, walk, cfg, _QuadUsage())[0]
 
 
+def test_parameter_only_call_runs_once_per_integral(monkeypatch):
+    calls = []
+    spec = function_table()["cosh"]
+
+    def cosh(x):
+        calls.append(x)
+        return spec.numeric(x)
+
+    monkeypatch.setitem(function_table(), "cosh", dataclasses.replace(spec, numeric=cosh))
+    # an integrand no other test compiles, so it is built with the wrapper
+    node = parse_expression("integral[v]{exp(-v) * cosh(a/8 + 1/64)}")
+    res = evaluate_numeric(node, {"a": 2.0})
+    assert calls == [0.265625]
+    assert res.quad_evals > 1
+
+
+def test_parameter_in_an_empty_sum_is_never_read():
+    res = num("integral[v]{exp(-v) + sum[k=1,0]{b*v}}")
+    assert res.value == num("integral[v]{exp(-v)}").value
+
+
+def test_parameter_only_failure_is_raised_before_sampling():
+    # ln reads v and fails at every sample before the walk reaches 1/a; the
+    # compiled integrand computes 1/a in make, before the first sample
+    node = parse_expression("integral[v]{ln(0*v) + 1/a}")
+    cfg = EvalConfig()
+    with pytest.raises(EvalError) as info:
+        _eval_num(node.body, {"a": 0.0, "v": 0.5}, cfg, _QuadUsage())
+    assert str(info.value) == "ln failed: math domain error"
+    with pytest.raises(EvalError) as info:
+        _compile_integral(node)({"a": 0.0}, cfg, _QuadUsage())
+    assert str(info.value) == "division by zero"
+    with pytest.raises(EvalError) as info:
+        evaluate_numeric(node, {"a": 0.0}, cfg)
+    assert str(info.value) == "division by zero"
+
+
+def test_parameter_only_failure_comes_before_the_settings_check():
+    node = parse_expression("integral[v]{exp(-v)*(1/a)}")
+    cfg = EvalConfig(quad_decay=0.0)
+    with pytest.raises(EvalError) as info:
+        evaluate_numeric(node, {"a": 0.0}, cfg)
+    assert str(info.value) == "division by zero"
+    with pytest.raises(EvalError) as info:
+        evaluate_numeric(node, {"a": 1.0}, cfg)
+    assert str(info.value) == "quadrature failed: algebraic envelope needs p_max < -1"
+
+
 def test_exact_arithmetic():
     assert exact("3*(1 + 2)^2 - 4/8") == F(53, 2)
     assert exact("(1/3 + 1/6)^2") == F(1, 4)

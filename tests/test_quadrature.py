@@ -57,6 +57,39 @@ def test_result_is_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize(
+    "f, a, b, eval_cap, want",
+    [
+        (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, DEFAULT_EVAL_CAP,
+         ("0x1.0000000000000p+1", "0x1.c000000000000p-49", 63, True)),
+        (lambda x: math.exp(-x) * math.sin(5.0 * x), 0.0, 4.0, DEFAULT_EVAL_CAP,
+         ("0x1.8595d7a6c97e7p-3", "0x1.8595d7a6c97e7p-53", 249, True)),
+        (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, DEFAULT_EVAL_CAP,
+         ("0x1.921fb54442d18p-1", "0x1.921fb54442d18p-51", 125, True)),
+        (lambda x: math.cos(3.0 * x), -1.0, 2.0, 40,
+         ("-0x1.799bd978309fap-5", "0x1.14a65d0adb194p-6", 31, False)),
+    ],
+)
+def test_results_are_pinned(f, a, b, eval_cap, want):
+    res = tanh_sinh(f, a, b, eval_cap=eval_cap)
+    got = (res.value.hex(), res.abs_error_estimate.hex(), res.evaluations, res.converged)
+    assert got == want
+
+
+def test_first_non_finite_sample_stops_the_rule():
+    # the center, then the first pair's b - d; its a + d is never sampled
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.inf if x > 0.9 else 1.0
+
+    with pytest.raises(QuadratureError) as info:
+        tanh_sinh(f, 0.0, 1.0)
+    assert str(info.value) == "integrand not finite at x=0.9756839820363734"
+    assert calls == [0.5, 0.9756839820363734]
+
+
 def test_exponential_envelope():
     res = integrate_decaying(lambda v: math.exp(-v), rate=1.0)
     check(res, 1.0, rel=1e-11)

@@ -1,10 +1,12 @@
 """Verification semantics: statuses, determinism, and report formats."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
 
+from zetasech import evaluator, verifier
 from zetasech.catalog import builtin_identities, get_identity, parse_catalog
 from zetasech.quadrature import DEFAULT_EVAL_CAP
 from zetasech.verifier import (
@@ -184,8 +186,14 @@ def test_markdown_shape():
     assert "| identity |" in text
 
 
-def test_full_builtin_suite_is_green():
-    suite = run_suite(builtin_identities())
+@pytest.fixture(scope="module")
+def builtin_suite():
+    """The builtin catalog, verified once for this module."""
+    return run_suite(builtin_identities())
+
+
+def test_full_builtin_suite_is_green(builtin_suite):
+    suite = builtin_suite
     assert suite.ok
     counts = suite.counts()
     assert counts["EXPECTED_FAIL_CONFIRMED"] == 4
@@ -196,6 +204,61 @@ def test_full_builtin_suite_is_green():
     assert to_json(back, include_ms=False) == to_json(suite, include_ms=False)
     assert to_csv(back) == to_csv(suite)
     assert to_markdown(back) == to_markdown(suite)
+
+
+@pytest.mark.parametrize(
+    "render, digest",
+    [
+        (lambda suite: to_json(suite, include_ms=False),
+         "437e1895e49c58b2c1db5175308f72df0c7d605575fb9ad03d3c44f3529391d5"),
+        (to_csv, "39fb2a22182e7a5344491ae3e2413a80ac3a4dec4680800797e3d03e4e68e804"),
+        (to_markdown, "e87ae02b9f7bc1a6e5505d8d8d2156ca8795e4dbdee87d06367f50ffe9e6cc13"),
+    ],
+    ids=["json", "csv", "md"],
+)
+def test_builtin_reports_are_pinned(builtin_suite, render, digest):
+    # the same on CPython 3.10 to 3.13; a change that moves a number must
+    # explain it and pin the new digest
+    assert hashlib.sha256(render(builtin_suite).encode("utf-8")).hexdigest() == digest
+
+
+def test_a_run_integrates_a_shared_side_once_per_point(monkeypatch):
+    # Theorem4 and Theorem4S check one integral against two closed forms
+    records = [get_identity("Theorem4"), get_identity("Theorem4S")]
+    calls = []
+    integrate = evaluator.integrate_decaying
+
+    def counted(f, *args, **kwargs):
+        calls.append(f)
+        return integrate(f, *args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "integrate_decaying", counted)
+    suite = run_suite(records)
+    assert len(calls) == len(records[0].case_params()) == 60
+    alone = [verify_case(rec, params) for rec in records for params in rec.case_params()]
+    assert len(calls) == 60 + 87
+    assert strip_ms(suite) == [dataclasses.replace(r, ms=0.0) for r in alone]
+
+
+def test_a_run_tells_signed_zeros_apart():
+    rec = probe("Zeros", "a", "0", extra="params = a in {0.0, -0.0}\n")
+    suite = run_suite([rec])
+    assert [repr(r.lhs) for r in suite.results] == ["0.0", "-0.0"]
+
+
+def test_a_side_that_raises_is_evaluated_again(monkeypatch):
+    calls = []
+    evaluate = verifier.evaluate_numeric
+
+    def counted(node, params, cfg):
+        calls.append(params)
+        return evaluate(node, params, cfg)
+
+    monkeypatch.setattr(verifier, "evaluate_numeric", counted)
+    rec = probe("Raises", "1/(a-a)", "0", extra="params = a in {1}\n")
+    suite = run_suite([rec, rec])
+    assert [r.message for r in suite.results] == ["division by zero"] * 2
+    assert calls == [{"a": 1}] * 2
 
 
 # One probe per verdict branch: the record's sides, kind and tolerance class,
