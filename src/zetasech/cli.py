@@ -207,16 +207,20 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _print_numeric(result: NumericResult, show_evals: bool) -> int:
-    """Print a numeric result for eval and quad; a non-finite value is an
-    input error, not a result."""
+    """Print a numeric result for eval and quad; a non-finite value, or one
+    from an integral that did not converge, is an input error, not a
+    result."""
     if not math.isfinite(result.value):
         return _fail(f"the value is not finite: {result.value!r}", EXIT_USAGE)
+    if not result.converged:
+        return _fail(
+            f"quadrature did not converge after {result.quad_evals} evaluations",
+            EXIT_USAGE,
+        )
     print(repr(result.value))
     print(f"err_budget = {result.err_budget!r}")
     if show_evals:
         print(f"quad_evals = {result.quad_evals}")
-    if not result.converged:
-        print("warning: quadrature did not converge", file=sys.stderr)
     return EXIT_OK
 
 

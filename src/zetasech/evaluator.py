@@ -15,16 +15,22 @@ says which parts). Their failures therefore raise before the first sample,
 and before the quadrature settings are checked; the message is the walk's.
 
 The exact path compiles each expression once per set of integer-valued
-parameters into straight-line Python over ints and Fractions
-(_compile_exact); there is no exact tree walk. It refuses anything that is
-not rational-valued, so a successful exact evaluation is a proof-grade
+parameters into straight-line Python over ints and pairs of ints, a
+numerator and a positive denominator in lowest terms (_compile_exact);
+there is no exact tree walk. Pairs are added, multiplied and divided by
+Fraction's own gcd rules, and a Fraction is built only for a registry
+function's argument and for the result. It refuses anything that is not
+rational-valued, so a successful exact evaluation is a proof-grade
 computation.
 
 Both compilers emit each sum as a for loop inline in the one generated
 function, nested in the loop of its enclosing sum. The parser's cap of 16
 nested sums is what keeps that within CPython's 20 nested blocks per code
 object. Generated sources hold only generated names, so each distinct text
-is compiled once and its code object run in each tree's namespace.
+is compiled once and its code object run in each tree's namespace. Neither
+compiler emits a test that cannot fail: a parameter's unbound-name test is
+left out where an earlier test of it runs on every path, and a division by
+a nonzero literal is not tested for zero.
 """
 from __future__ import annotations
 
@@ -33,8 +39,9 @@ import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from types import CodeType
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
 from .exprlang import (
     BinaryOp,
@@ -49,7 +56,7 @@ from .exprlang import (
     UnaryNeg,
 )
 from .quadrature import DEFAULT_EVAL_CAP, QuadratureError, integrate_decaying
-from .registry import _MAX_EXACT_BITS, RegistryError, exact_power, function_table
+from .registry import _MAX_EXACT_BITS, RegistryError, function_table, pair_power
 from .specfun import constants
 
 __all__ = [
@@ -106,12 +113,10 @@ def bind_parameters(params: Mapping[str, float]) -> Dict[str, float]:
 
 def bind_parameters_exact(params: Mapping[str, Fraction]) -> Dict[str, Fraction]:
     """Fraction bindings with the same derived q rule as the float path."""
-    env = {name: Fraction(value) for name, value in params.items()}
-    if "q" in env and "a" in env:
-        warnings.warn("explicit q overrides the derived q = a/4 + 1/4 binding")
-    elif "a" in env:
-        env["q"] = env["a"] / 4 + Fraction(1, 4)
-    return env
+    return {
+        name: Fraction(value) if type(value) is int else Fraction(*value)
+        for name, value in _bind_pairs(params).items()
+    }
 
 
 class _QuadUsage:
@@ -283,6 +288,9 @@ class _Emitter:
             "NUM_ERRORS": _NUM_ERRORS,
         }
         self.params: Dict[str, str] = {}
+        # the parameters whose unbound-name test runs before the current
+        # line on every path to it
+        self.checked: Set[str] = set()
         self.lines: List[str] = []
         self.temps = 0
 
@@ -319,8 +327,18 @@ class _Emitter:
         if local is not None:
             return local
         local = self.params.setdefault(name, f"p{len(self.params)}")
-        self.fail_if(indent, f"{local} is MISSING", f"unbound name {name!r}")
+        if name not in self.checked:
+            self.checked.add(name)
+            self.fail_if(indent, f"{local} is MISSING", f"unbound name {name!r}")
         return local
+
+    def loop_body(self, node: Node, scope: Dict[str, str], indent: str) -> Any:
+        """emit(node, ...) for the body of a loop: the tests it makes may
+        not run, so they spare no test after the loop."""
+        outer, self.checked = self.checked, set(self.checked)
+        result = self.emit(node, scope, indent)  # type: ignore[attr-defined]
+        self.checked = outer
+        return result
 
     def build(self, source: List[str]) -> Dict[str, object]:
         """exec source; the resulting namespace. A tree that skipped the
@@ -380,6 +398,8 @@ class _Codegen(_Emitter):
     variable or a sum index) and holds no Sum or Integral: parameter reads
     with their unbound-name tests, arithmetic on parameters, and calls on
     them with their guards. Each part keeps the walk's operation order.
+    So f's top level reads no parameter itself, and make's unbound-name
+    tests, which run first, spare every later test of the same name.
 
     A compiled sample equals _eval_num's value bit for bit, and each
     failure raises the EvalError message _eval_num raises. A failing step
@@ -422,7 +442,8 @@ class _Codegen(_Emitter):
             if node.op in ("+", "-", "*"):
                 self.line(indent, f"{t} = {lv} {node.op} {rv}")
             elif node.op == "/":
-                self.fail_if(indent, f"{rv} == 0.0", "division by zero")
+                if not (isinstance(node.right, NumberLiteral) and node.right.fvalue):
+                    self.fail_if(indent, f"{rv} == 0.0", "division by zero")
                 self.line(indent, f"{t} = {lv} / {rv}")
             else:
                 self.guarded(indent, f"{t} = {lv} ** {rv}", "power failed: ")
@@ -446,7 +467,7 @@ class _Codegen(_Emitter):
             self.line(indent, f"for {k} in range({lo}, {hi} + 1):")
             inner = indent + _BODY
             self.line(inner, f"{kv} = float({k})")
-            v = self.emit(node.body, {**scope, node.var: kv}, inner)
+            v = self.loop_body(node.body, {**scope, node.var: kv}, inner)
             self.line(inner, f"{total} += {v}")
             return total
         if isinstance(node, Integral):
@@ -499,119 +520,179 @@ def evaluate_numeric(
     return NumericResult(value, err, usage.evals, usage.converged)
 
 
-def _exact_div(x: Union[int, Fraction], y: Union[int, Fraction]) -> Fraction:
-    """x / y for nonzero y, a Fraction also when both are ints."""
-    if type(x) is int and type(y) is int:
-        return Fraction(x, y)
-    return x / y
+def _qadd(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:
+    """na/da + nb/db for pairs in lowest terms with positive denominators,
+    as such a pair. Fraction's own rule (Knuth, TAOCP Vol. 2, 4.5.1): the
+    gcd of the denominators first, then the sum's gcd only against that
+    one, which keeps a long running total with small terms cheap."""
+    g = gcd(da, db)
+    if g == 1:
+        return na * db + da * nb, da * db
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * db
+    return t // g2, s * (db // g2)
 
 
-def _exact_pow(x: Union[int, Fraction], y: Union[int, Fraction]) -> Union[int, Fraction]:
-    """x ** y for an integer y, with exact_power's refusals as ExactEvalError."""
-    if y.denominator != 1:
+def _qmul(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:
+    """na/da * nb/db as _qadd's pairs, cross-cancelling before multiplying."""
+    g1 = gcd(na, db)
+    if g1 > 1:
+        na //= g1
+        db //= g1
+    g2 = gcd(nb, da)
+    if g2 > 1:
+        nb //= g2
+        da //= g2
+    return na * nb, da * db
+
+
+def _qdiv(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:
+    """na/da / (nb/db) as _qadd's pairs, for nonzero nb."""
+    g1 = gcd(na, nb)
+    if g1 > 1:
+        na //= g1
+        nb //= g1
+    g2 = gcd(da, db)
+    if g2 > 1:
+        da //= g2
+        db //= g2
+    n, d = na * db, nb * da
+    return (-n, -d) if d < 0 else (n, d)
+
+
+def _qpow(p: int, q: int, en: int, ed: int) -> Tuple[int, int]:
+    """(p/q) ** (en/ed) as _qadd's pairs, with pair_power's refusals as
+    ExactEvalError."""
+    if ed != 1:
         raise ExactEvalError("exact power needs an integer exponent")
     try:
-        return exact_power(x, y.numerator)
+        return pair_power(p, q, en)
     except RegistryError as exc:
         raise ExactEvalError(str(exc)) from None
 
 
-# the static type of an exact value: int, Fraction, or None for either
-_Type = Optional[type]
+# an exact value in generated code: the local holding an int, or the
+# locals holding a pair's numerator and denominator
+_Exact = Tuple[str, Optional[str]]
+# a - b is add(a, -b)
+_PAIR_HELPERS = {"+": "add", "-": "add", "*": "mul", "/": "div", "^": "power"}
 
 
 class _ExactCodegen(_Emitter):
-    """Python source for one exact expression, over ints where it can.
+    """Python source for one exact expression, over ints and int pairs.
 
-    Integer literals, sum indices and parameters bound to integers are
-    Python ints, and so are + - * of ints; / of two ints builds a Fraction.
-    A / or ^ whose operand types are not both known goes through a helper,
-    because int / int and int ** -n give floats. Exact arithmetic does not
-    depend on the grouping of its steps, so the value is the Fraction a
-    walk of the tree gives; the steps still run in the walk's order, left
-    before right, so the first failure raises the same ExactEvalError. A
-    function with no exact form fails before its arguments are evaluated.
+    Integer literals, sum indices, parameters bound to integers, + - * of
+    ints and the integer-valued functions (the registry's int_valued) are
+    Python ints. Every other value is a pair of int locals, a numerator
+    and a positive denominator coprime to it; the helpers _qadd, _qmul,
+    _qdiv and _qpow compute on pairs, an int entering as its value over 1.
+    A Fraction is built only where a value leaves the generated code: each
+    pair passed to a registry function, whose messages print the
+    argument, and the result. A function's result is split back into a
+    pair unless the function is integer-valued.
+
+    Exact arithmetic does not depend on the grouping of its steps, so the
+    value is the Fraction a walk of the tree gives; the steps still run in
+    the walk's order, left before right, so the first failure raises the
+    same ExactEvalError. A function with no exact form fails before its
+    arguments are evaluated.
     """
 
     def __init__(self, ints: FrozenSet[str]) -> None:
         super().__init__(ExactEvalError)
-        self.namespace.update(Fraction=Fraction, div=_exact_div, power=_exact_pow)
+        self.namespace.update(
+            Fraction=Fraction,
+            NO_PAIR=(_MISSING, _MISSING),
+            add=_qadd,
+            mul=_qmul,
+            div=_qdiv,
+            power=_qpow,
+        )
         self.ints = ints
 
-    def emit(self, node: Node, scope: Dict[str, str], indent: str) -> Tuple[str, _Type]:
-        """Emit the lines computing node; return its name and static type."""
+    def pair(self, indent: str, value: str) -> _Exact:
+        """Two new locals holding the pair value evaluates to."""
+        n, d = self.temp(), self.temp()
+        self.line(indent, f"{n}, {d} = {value}")
+        return n, d
+
+    def emit(self, node: Node, scope: Dict[str, str], indent: str) -> _Exact:
+        """Emit the lines computing node; return the locals holding it."""
         if isinstance(node, NumberLiteral):
-            if node.value.denominator == 1:
-                return self.const(node.value.numerator), int
-            return self.const(node.value), Fraction
+            value = node.value
+            if value.denominator == 1:
+                return self.const(value.numerator), None
+            return self.const(value.numerator), self.const(value.denominator)
         if isinstance(node, ConstantRef):
             self.fail(indent, f"constant {node.name!r} is not rational")
             return "None", None
         if isinstance(node, (ParamRef, BoundVarRef)):
-            is_int = node.name in scope or node.name in self.ints
-            return self.lookup(node.name, scope, indent), int if is_int else Fraction
+            local = self.lookup(node.name, scope, indent)
+            if node.name in scope or node.name in self.ints:
+                return local, None
+            return local, local + "d"
         if isinstance(node, UnaryNeg):
-            v, typ = self.emit(node.operand, scope, indent)
+            n, d = self.emit(node.operand, scope, indent)
             t = self.temp()
-            self.line(indent, f"{t} = -{v}")
-            return t, typ
+            self.line(indent, f"{t} = -{n}")
+            return t, d
         if isinstance(node, BinaryOp):
-            lv, lt = self.emit(node.left, scope, indent)
-            rv, rt = self.emit(node.right, scope, indent)
-            t = self.temp()
-            if node.op == "^":
-                self.line(indent, f"{t} = power({lv}, {rv})")
-                return t, Fraction if lt is Fraction else None
-            if node.op == "/":
-                self.fail_if(indent, f"{rv} == 0", "division by zero")
-                if lt is int and rt is int:
-                    self.line(indent, f"{t} = Fraction({lv}, {rv})")
-                elif Fraction in (lt, rt):
-                    self.line(indent, f"{t} = {lv} / {rv}")
-                else:
-                    self.line(indent, f"{t} = div({lv}, {rv})")
-                return t, Fraction
-            self.line(indent, f"{t} = {lv} {node.op} {rv}")
-            if lt is int and rt is int:
-                return t, int
-            return t, Fraction if Fraction in (lt, rt) else None
+            ln, ld = self.emit(node.left, scope, indent)
+            rn, rd = self.emit(node.right, scope, indent)
+            op = node.op
+            if op in ("+", "-", "*") and ld is None and rd is None:
+                t = self.temp()
+                self.line(indent, f"{t} = {ln} {op} {rn}")
+                return t, None
+            if op == "/" and not (isinstance(node.right, NumberLiteral) and node.right.value):
+                self.fail_if(indent, f"{rn} == 0", "division by zero")
+            sign = "-" if op == "-" else ""
+            return self.pair(indent, f"{_PAIR_HELPERS[op]}({ln}, {ld or 1}, {sign}{rn}, {rd or 1})")
         if isinstance(node, Call):
-            fn = function_table()[node.name].exact
-            if fn is None:
+            spec = function_table()[node.name]
+            if spec.exact is None:
                 self.fail(indent, f"{node.name} has no exact evaluation")
                 return "None", None
-            args = ", ".join(self.emit(arg, scope, indent)[0] for arg in node.args)
+            args = []
+            for arg in node.args:
+                n, d = self.emit(arg, scope, indent)
+                args.append(n if d is None else f"Fraction({n}, {d})")
             t = self.temp()
-            self.guarded(indent, f"{t} = {self.const(fn)}({args})", f"{node.name} failed: ")
-            return t, None
+            call = f"{t} = {self.const(spec.exact)}({', '.join(args)})"
+            self.guarded(indent, call, f"{node.name} failed: ")
+            if spec.int_valued:
+                return t, None
+            return self.pair(indent, f"{t}.numerator, {t}.denominator")
         if isinstance(node, Sum):
-            lo, lt = self.emit(node.lo, scope, indent)
-            hi, ht = self.emit(node.hi, scope, indent)
-            if lt is not int or ht is not int:
-                self.fail_if(
-                    indent,
-                    f"{lo}.denominator != 1 or {hi}.denominator != 1",
-                    "sum bounds must be integers",
-                )
-                lo, hi = f"{lo}.numerator", f"{hi}.numerator"
-            total, k = self.temp(), self.temp()
+            lo, lod = self.emit(node.lo, scope, indent)
+            hi, hid = self.emit(node.hi, scope, indent)
+            fractional = [f"{d} != 1" for d in (lod, hid) if d is not None]
+            if fractional:
+                self.fail_if(indent, " or ".join(fractional), "sum bounds must be integers")
             self.fail_if(indent, f"{hi} - {lo} > {self.const(_SUM_LIMIT)}", "sum range too large")
-            self.line(indent, f"{total} = 0")
+            total, k = self.temp(), self.temp()
+            start = len(self.lines)
+            self.line(indent, "")  # the total's start, set once the body's type is known
             self.line(indent, f"for {k} in range({lo}, {hi} + 1):")
             inner = indent + _BODY
-            v, typ = self.emit(node.body, {**scope, node.var: k}, inner)
-            self.line(inner, f"{total} += {v}")
+            n, d = self.loop_body(node.body, {**scope, node.var: k}, inner)
             # a long sum grows its total past any single operation's cap
             cap = self.const(_MAX_EXACT_BITS)
-            if typ is int:
+            if d is None:
+                self.lines[start] = f"{indent}{total} = 0"
+                self.line(inner, f"{total} += {n}")
                 too_big = f"{total}.bit_length() > {cap}"
+                total_d = None
             else:
-                too_big = (
-                    f"{total}.numerator.bit_length() > {cap}"
-                    f" or {total}.denominator.bit_length() > {cap}"
-                )
+                total_d = self.temp()
+                self.lines[start] = f"{indent}{total}, {total_d} = 0, 1"
+                self.line(inner, f"{total}, {total_d} = add({total}, {total_d}, {n}, {d})")
+                too_big = f"{total}.bit_length() > {cap} or {total_d}.bit_length() > {cap}"
             self.fail_if(inner, too_big, f"sum would exceed {_MAX_EXACT_BITS} bits")
-            return total, int if typ is int else None
+            return total, total_d
         if isinstance(node, Integral):
             self.fail(indent, "integrals have no exact evaluation")
             return "None", None
@@ -641,27 +722,49 @@ def _compile_exact(
 ) -> Callable[[Mapping[str, object]], Fraction]:
     """key's node as a function run(env) -> Fraction of its parameter
     bindings, where the names in ints are bound to Python ints and the
-    rest to Fractions. Compiled once per node and ints, on first
-    evaluation, so the function table is read after any wrapping of its
-    entries."""
+    rest to pairs (see _bind_pairs). Compiled once per node and ints, on
+    first evaluation, so the function table is read after any wrapping of
+    its entries."""
     node = key.node
     gen = _ExactCodegen(ints)
-    result, typ = gen.emit(node, {}, _BODY)
+    n, d = gen.emit(node, {}, _BODY)
     namespace = gen.build([
         "def run(env):",
-        *(f"{_BODY}{local} = env.get({gen.const(name)}, MISSING)"
+        *(f"{_BODY}{local} = env.get({gen.const(name)}, MISSING)" if name in ints
+          else f"{_BODY}{local}, {local}d = env.get({gen.const(name)}, NO_PAIR)"
           for name, local in gen.params.items()),
         *gen.lines,
-        f"{_BODY}return {result if typ is Fraction else f'Fraction({result})'}",
+        f"{_BODY}return Fraction({n if d is None else f'{n}, {d}'})",
     ])
     return namespace["run"]  # type: ignore[return-value]
 
 
+def _bind_pairs(params: Mapping[str, Fraction]) -> Dict[str, Union[int, Tuple[int, int]]]:
+    """Exact bindings with the same derived q rule as the float path: an
+    int for each integer value, else (numerator, denominator) in lowest
+    terms with a positive denominator."""
+    env: Dict[str, Union[int, Tuple[int, int]]] = {}
+    for name, value in params.items():
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        env[name] = _reduced(value.numerator, value.denominator)
+    if "q" in env and "a" in env:
+        warnings.warn("explicit q overrides the derived q = a/4 + 1/4 binding")
+    elif "a" in env:
+        a = env["a"]
+        n, d = (a, 1) if type(a) is int else a
+        env["q"] = _reduced(n + d, 4 * d)
+    return env
+
+
+def _reduced(n: int, d: int) -> Union[int, Tuple[int, int]]:
+    """n/d for d > 0 as an int, or as a pair in lowest terms."""
+    g = gcd(n, d)
+    return n // g if g == d else (n // g, d // g)
+
+
 def evaluate_exact(node: Node, params: Mapping[str, Fraction]) -> Fraction:
-    env: Dict[str, object] = {
-        name: value.numerator if value.denominator == 1 else value
-        for name, value in bind_parameters_exact(params).items()
-    }
+    env = _bind_pairs(params)
     ints = frozenset(name for name, value in env.items() if type(value) is int)
     try:
         return _compile_exact(_Identity(node), ints)(env)

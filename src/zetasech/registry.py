@@ -18,6 +18,7 @@ from . import exact, specfun
 __all__ = [
     "FunctionSpec",
     "exact_power",
+    "pair_power",
     "function_arities",
     "function_table",
     "RegistryError",
@@ -37,9 +38,10 @@ class FunctionSpec:
     name: str
     arity: int
     numeric: Callable[..., float]
-    # returns an int where the value is always an integer (fact, binom,
-    # kron, gammafn, eulernum), so compiled exact code multiplies ints
     exact: Optional[Callable[..., Union[int, Fraction]]] = None
+    # exact returns an int for every argument (fact, binom, kron, gammafn,
+    # eulernum), so compiled exact code keeps the result as an int
+    int_valued: bool = False
 
 
 def _as_index(x: float, what: str) -> int:
@@ -74,14 +76,24 @@ def _comb(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def exact_power(x: Fraction, n: int) -> Fraction:
-    """x**n, refusing 0 to a non-positive power and results over the bit cap."""
-    if x == 0 and n <= 0:
+def pair_power(p: int, q: int, n: int) -> Tuple[int, int]:
+    """(p/q)**n as a pair (numerator, denominator > 0) in lowest terms, for
+    p/q in lowest terms with q > 0; refuses 0 to a non-positive power and
+    results over the bit cap."""
+    if p == 0 and n <= 0:
         raise RegistryError("0 to a non-positive power")
     # a lower bound, |n| * floor(log2 max(|p|, q)), so that 1 and -1 pass
-    width = max(x.numerator.bit_length(), x.denominator.bit_length())
-    _check_bits(abs(n) * (width - 1), "power")
-    return Fraction(x) ** n if n < 0 and isinstance(x, int) else x ** n
+    _check_bits(abs(n) * (max(p.bit_length(), q.bit_length()) - 1), "power")
+    if n >= 0:
+        return p ** n, q ** n
+    if p < 0:
+        p, q = -p, -q
+    return q ** -n, p ** -n
+
+
+def exact_power(x: Union[int, Fraction], n: int) -> Fraction:
+    """x**n by pair_power's rule."""
+    return Fraction(*pair_power(x.numerator, x.denominator, n))
 
 
 # numeric wrappers ------------------------------------------------------
@@ -216,10 +228,10 @@ def function_table() -> Mapping[str, FunctionSpec]:
         FunctionSpec("sqrt", 1, math.sqrt),
         FunctionSpec("abs", 1, abs, _ex_abs),
         FunctionSpec("pow", 2, math.pow, _ex_pow),
-        FunctionSpec("fact", 1, _num_fact, _ex_fact),
-        FunctionSpec("binom", 2, _num_binom, _ex_binom),
-        FunctionSpec("kron", 2, _num_kron, _ex_kron),
-        FunctionSpec("gammafn", 1, math.gamma, _ex_gammafn),
+        FunctionSpec("fact", 1, _num_fact, _ex_fact, int_valued=True),
+        FunctionSpec("binom", 2, _num_binom, _ex_binom, int_valued=True),
+        FunctionSpec("kron", 2, _num_kron, _ex_kron, int_valued=True),
+        FunctionSpec("gammafn", 1, math.gamma, _ex_gammafn, int_valued=True),
         FunctionSpec("loggamma", 1, specfun.log_gamma),
         FunctionSpec("digamma", 1, specfun.digamma),
         FunctionSpec("polygamma", 2, _num_polygamma),
@@ -232,7 +244,7 @@ def function_table() -> Mapping[str, FunctionSpec]:
         FunctionSpec("zetap", 1, specfun.zeta_prime_at),
         FunctionSpec("betadir", 1, specfun.dirichlet_beta),
         FunctionSpec("eulerpoly", 2, _num_eulerpoly, _ex_eulerpoly),
-        FunctionSpec("eulernum", 1, _num_eulernum, _ex_eulernum),
+        FunctionSpec("eulernum", 1, _num_eulernum, _ex_eulernum, int_valued=True),
         FunctionSpec("bernpoly", 2, _num_bernpoly, _ex_bernpoly),
         FunctionSpec("bernnum", 1, _num_bernnum, _ex_bernnum),
         FunctionSpec("laguerre", 3, _num_laguerre),

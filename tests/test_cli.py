@@ -400,9 +400,12 @@ def test_report_rejects_foreign_json(tmp_path, capsys):
 
 
 def test_eval_cap_env_override(capsys):
-    code, out, err = run_cli(capsys, "quad", "exp(-pi*v)", "--eval-cap", "25")
-    assert code == 0
-    assert "not converged" in err or "converge" in err
+    # a non-converged integral is not an answer: nothing goes to stdout
+    for cmd in (("quad", "exp(-pi*v)"), ("eval", "integral[v]{exp(-pi*v)}")):
+        code, out, err = run_cli(capsys, *cmd, "--eval-cap", "25")
+        assert code == 2, cmd
+        assert "zetasech: error: quadrature did not converge after 15 evaluations" in err
+        assert out == ""
 
 
 def test_eval_cap_env_validation(capsys):

@@ -3,10 +3,13 @@
 import dataclasses
 import hashlib
 import math
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zetasech import evaluator
 from zetasech.catalog import builtin_identities
 from zetasech.evaluator import (
     EvalConfig,
@@ -15,6 +18,10 @@ from zetasech.evaluator import (
     _QuadUsage,
     _compile_integral,
     _eval_num,
+    _qadd,
+    _qdiv,
+    _qmul,
+    _qpow,
     bind_parameters,
     bind_parameters_exact,
     evaluate_exact,
@@ -24,8 +31,10 @@ from zetasech.exprlang import (
     BinaryOp,
     BoundVarRef,
     Call,
+    ConstantRef,
     Integral,
     NumberLiteral,
+    ParamRef,
     Sum,
     UnaryNeg,
     parse_expression,
@@ -345,6 +354,44 @@ def test_parameter_only_failure_comes_before_the_settings_check():
     assert str(info.value) == "quadrature failed: algebraic envelope needs p_max < -1"
 
 
+def _sources(monkeypatch):
+    """The generated sources compiled from here on."""
+    seen = []
+    compiled = evaluator._compiled
+
+    def spy(source):
+        seen.append(source)
+        return compiled(source)
+
+    monkeypatch.setattr(evaluator, "_compiled", spy)
+    return seen
+
+
+def test_generated_code_tests_names_and_divisors_only_where_they_can_fail(monkeypatch):
+    # a name is tested once on each path; a nonzero literal divisor is not
+    # tested, a sum index is
+    seen = _sources(monkeypatch)
+    assert exact("x/3 + x*x - sum[k=1,n]{x/k}", x=F(1, 2), n=2) == F(-1, 3)
+    node = parse_expression("integral[v]{exp(-v*b) * (b + sum[k=1,2]{b*v/k}) / 2}")
+    assert evaluate_numeric(node, {"b": 1.0}).converged
+    exact_source, numeric_source = seen
+    assert exact_source.count("is MISSING") == 2
+    assert exact_source.count(" == 0:") == 1
+    # b is read and tested in make, which runs before every sample
+    assert numeric_source.count("is MISSING") == 1
+    assert numeric_source.count(" == 0.0:") == 1
+
+
+def test_a_name_tested_in_a_loop_body_is_tested_again_after_the_loop():
+    with pytest.raises(ExactEvalError, match="^unbound name 'x'$"):
+        exact("sum[k=1,0]{x} + 2*x")
+    with pytest.raises(EvalError, match="^unbound name 'x'$"):
+        num("integral[v]{exp(-v)*(sum[k=1,0]{x*v} + v*x)}")
+    # 2*b runs in make, before f reads b: make must test b itself
+    with pytest.raises(EvalError, match="^unbound name 'b'$"):
+        num("integral[v]{exp(-v)*(v*b + 2*b)}")
+
+
 def test_exact_arithmetic():
     assert exact("3*(1 + 2)^2 - 4/8") == F(53, 2)
     assert exact("(1/3 + 1/6)^2") == F(1, 4)
@@ -486,3 +533,180 @@ def test_integer_valued_exact_functions_return_ints():
     ]:
         got = table[name].exact(*args)
         assert type(got) is int and got == want, name
+    int_valued = {name for name, spec in table.items() if spec.int_valued}
+    assert int_valued == {"fact", "binom", "kron", "gammafn", "eulernum"}
+
+
+def _walk(node, env):
+    """node's exact value by a plain Fraction walk, with the compiled exact
+    code's messages: the reference it is checked against."""
+    if isinstance(node, NumberLiteral):
+        return node.value
+    if isinstance(node, (ParamRef, BoundVarRef)):
+        if node.name not in env:
+            raise ExactEvalError(f"unbound name {node.name!r}")
+        return env[node.name]
+    if isinstance(node, ConstantRef):
+        raise ExactEvalError(f"constant {node.name!r} is not rational")
+    if isinstance(node, UnaryNeg):
+        return -_walk(node.operand, env)
+    if isinstance(node, BinaryOp):
+        x, y = _walk(node.left, env), _walk(node.right, env)
+        if node.op == "/" and y == 0:
+            raise ExactEvalError("division by zero")
+        if node.op != "^":
+            ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+            return ops[node.op](x, y)
+        if y.denominator != 1:
+            raise ExactEvalError("exact power needs an integer exponent")
+        if x == 0 and y <= 0:
+            raise ExactEvalError("0 to a non-positive power")
+        if abs(y) * (max(x.numerator.bit_length(), x.denominator.bit_length()) - 1) > 100_000:
+            raise ExactEvalError("power would exceed 100000 bits")
+        return x ** int(y)
+    if isinstance(node, Call):
+        fn = function_table()[node.name].exact
+        if fn is None:
+            raise ExactEvalError(f"{node.name} has no exact evaluation")
+        args = [_walk(arg, env) for arg in node.args]
+        try:
+            return F(fn(*args))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise ExactEvalError(f"{node.name} failed: {exc}") from None
+    if isinstance(node, Sum):
+        lo, hi = _walk(node.lo, env), _walk(node.hi, env)
+        if lo.denominator != 1 or hi.denominator != 1:
+            raise ExactEvalError("sum bounds must be integers")
+        if hi - lo > 1_000_000:
+            raise ExactEvalError("sum range too large")
+        total = F(0)
+        for k in range(int(lo), int(hi) + 1):
+            total += _walk(node.body, {**env, node.var: F(k)})
+            if max(total.numerator.bit_length(), total.denominator.bit_length()) > 100_000:
+                raise ExactEvalError("sum would exceed 100000 bits")
+        return total
+    raise ExactEvalError("integrals have no exact evaluation")
+
+
+def _walk_env(params):
+    env = {k: F(v) for k, v in params.items()}
+    if "a" in env and "q" not in env:
+        env["q"] = env["a"] / 4 + F(1, 4)
+    return env
+
+
+def _exact_outcome(thunk):
+    try:
+        value = thunk()
+    except ExactEvalError as exc:
+        return f"ExactEvalError: {exc}"
+    assert type(value) is F
+    return repr(value)
+
+
+def test_exact_results_of_a_catalog_run_equal_a_fraction_walk():
+    from zetasech.verifier import Kind
+
+    checked = 0
+    for record in builtin_identities():
+        if record.kind is not Kind.EXACT:
+            continue
+        for params in record.case_params():
+            exact_params = {k: F(v) for k, v in params.items()}
+            for side in (record.lhs(), record.rhs()):
+                assert evaluate_exact(side, exact_params) == _walk(side, _walk_env(params))
+                checked += 1
+    assert checked == 928
+
+
+def _lit(value):
+    return NumberLiteral(F(value))
+
+
+# sum bounds stay small, so that nested sums run few terms
+_BOUNDS = st.one_of(
+    st.integers(-2, 3).map(_lit),
+    st.sampled_from([ParamRef("n"), ParamRef("a"), BoundVarRef("k")]),
+)
+# a refused name or function ends the whole evaluation, so they are rare
+_NAMES = [ParamRef("n"), ParamRef("a"), ParamRef("q")] * 2 + [BoundVarRef("k"), ConstantRef("pi")]
+_LEAVES = st.one_of(
+    st.integers(-3, 5).map(_lit),
+    st.sampled_from([F(1, 2), F(-3, 4), F(7, 3)]).map(_lit),
+    st.sampled_from(_NAMES),
+)
+
+
+def _branches(children):
+    return st.one_of(
+        st.builds(BinaryOp, st.sampled_from("+-*/^"), children, children),
+        st.builds(UnaryNeg, children),
+        st.builds(lambda lo, hi, body: Sum("k", lo, hi, body), _BOUNDS, _BOUNDS, children),
+        st.builds(lambda f, x: Call(f, (x,)), st.sampled_from(["fact"] * 4 + ["digamma"]), children),
+        st.builds(lambda x, y: Call("binom", (x, y)), children, children),
+        # a small order: Euler polynomials of high order take long to build
+        st.builds(
+            lambda n, x: Call("eulerpoly", (n, x)),
+            st.one_of(st.integers(0, 6).map(_lit), st.just(ParamRef("n"))),
+            children,
+        ),
+    )
+
+
+_TREES = st.recursive(_LEAVES, _branches, max_leaves=10)
+_INT_VALUES = st.integers(-2, 4)
+_FRACTION_VALUES = st.builds(F, st.integers(-9, 9), st.integers(2, 6)).filter(
+    lambda x: x.denominator != 1
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES, _INT_VALUES, _FRACTION_VALUES, _INT_VALUES, _FRACTION_VALUES)
+def test_compiled_exact_code_equals_a_fraction_walk(tree, n_int, n_frac, a_int, a_frac):
+    # each parameter bound as an int and as a non-integer Fraction; q is
+    # derived from a
+    for n in (n_int, n_frac):
+        for a in (a_int, a_frac):
+            params = {"n": F(n), "a": F(a)}
+            assert _exact_outcome(lambda: evaluate_exact(tree, params)) == _exact_outcome(
+                lambda: _walk(tree, _walk_env(params))
+            ), (tree, params)
+
+
+_BIG = st.integers(2 ** 2000, 2 ** 6000)
+_RATIONALS = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-40, 40), st.integers(1, 40)),
+    st.builds(lambda n, d, sign: F(sign * n, d), _BIG, _BIG, st.sampled_from([1, -1])),
+    st.builds(lambda n, d: F(n, d), st.integers(-(2 ** 64), 2 ** 64), _BIG),
+)
+
+
+def _as_pair(x):
+    return x.numerator, x.denominator
+
+
+@given(_RATIONALS, _RATIONALS)
+def test_pair_helpers_equal_fraction_arithmetic(x, y):
+    def check(got, want):
+        n, d = got
+        assert d > 0 and math.gcd(n, d) == 1
+        assert (n, d) == _as_pair(want)
+
+    check(_qadd(*_as_pair(x), *_as_pair(y)), x + y)
+    check(_qadd(*_as_pair(x), -y.numerator, y.denominator), x - y)
+    check(_qmul(*_as_pair(x), *_as_pair(y)), x * y)
+    if y:
+        check(_qdiv(*_as_pair(x), *_as_pair(y)), x / y)
+    with pytest.raises(ExactEvalError, match="^exact power needs an integer exponent$"):
+        _qpow(*_as_pair(x), 1, 2)
+    for e in (-3, -1, 0, 1, 2, 17):
+        width = max(x.numerator.bit_length(), x.denominator.bit_length())
+        if x == 0 and e <= 0:
+            with pytest.raises(ExactEvalError, match="^0 to a non-positive power$"):
+                _qpow(*_as_pair(x), e, 1)
+        elif abs(e) * (width - 1) > 100_000:
+            with pytest.raises(ExactEvalError, match="^power would exceed 100000 bits$"):
+                _qpow(*_as_pair(x), e, 1)
+        else:
+            check(_qpow(*_as_pair(x), e, 1), x ** e)
