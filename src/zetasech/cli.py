@@ -25,8 +25,9 @@ from .catalog import (
     parse_catalog,
 )
 from .evaluator import EvalConfig, NumericResult, evaluate_exact, evaluate_numeric
-from .exprlang import parse_expression
+from .exprlang import binder_error, parse_expression
 from .quadrature import DEFAULT_EVAL_CAP
+from .registry import function_arities
 from .verifier import (
     SuiteResult,
     from_json,
@@ -91,6 +92,13 @@ def _tol_override(text: str) -> Tuple[str, float]:
             f"expected {'|'.join(_TOL_CLASSES)}=value, got {text!r}"
         )
     return name, _positive_float(value)
+
+
+def _integration_var(text: str) -> str:
+    error = binder_error(text, is_sum=False, functions=function_arities())
+    if error:
+        raise argparse.ArgumentTypeError(error)
+    return text
 
 
 def _parse_params(pairs: Sequence[str]) -> Dict[str, object]:
@@ -268,7 +276,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_eval_cap(p: argparse.ArgumentParser) -> None:
         p.add_argument("--eval-cap", type=_positive_int, default=DEFAULT_EVAL_CAP,
-                       metavar="N", help="max integrand evaluations per case")
+                       metavar="N", help="max integrand evaluations per expression,"
+                       " shared by its integrals (in run: per side)")
 
     def add_envelope(p: argparse.ArgumentParser) -> None:
         p.add_argument("--decay", type=_nonnegative_float,
@@ -306,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_quad = sub.add_parser("quad", help="integrate an expression over [0, inf)")
     p_quad.add_argument("expr", help="integrand in the variable given by --var")
-    p_quad.add_argument("--var", default="v", metavar="NAME",
+    p_quad.add_argument("--var", type=_integration_var, default="v", metavar="NAME",
                         help="integration variable (default v)")
     p_quad.add_argument("--param", "-p", action="append", metavar="NAME=VALUE")
     add_envelope(p_quad)

@@ -9,28 +9,27 @@ handles the rest of an expression once per evaluation. Both read a number
 literal's float from the node (NumberLiteral.fvalue, converted once when
 the node is built), not from its Fraction.
 
-The parts of an integral body that read only parameters run once per
-integral, before quadrature starts, and not at every sample (_Codegen
-says which parts). Their failures therefore raise before the first sample,
-and before the quadrature settings are checked; the message is the walk's.
+Code is generated only for integral bodies, which quadrature samples
+hundreds of times per integral; every other part of a side, numeric or
+exact, is walked. The parts of an integral body that read only parameters
+run once per integral, before quadrature starts, and not at every sample
+(_Codegen says which parts). Their failures therefore raise before the
+first sample, and before the quadrature settings are checked; the message
+is the walk's. Each sum in a body is a for loop inline in the one
+generated function, nested in the loop of its enclosing sum; the parser's
+cap of 16 nested sums is what keeps that within CPython's 20 nested blocks
+per code object. Generated sources hold only generated names, so each
+distinct text is compiled once and its code object run in each tree's
+namespace. The compiler emits no test that cannot fail: a parameter's
+unbound-name test is left out where an earlier test of it runs on every
+path, and a division by a nonzero literal is not tested for zero.
 
-The exact path compiles each expression once per set of integer-valued
-parameters into straight-line Python over ints and pairs of ints, a
-numerator and a positive denominator in lowest terms (_compile_exact);
-there is no exact tree walk. Pairs are added, multiplied and divided by
-Fraction's own gcd rules, and a Fraction is built only for a registry
-function's argument and for the result. It refuses anything that is not
-rational-valued, so a successful exact evaluation is a proof-grade
-computation.
-
-Both compilers emit each sum as a for loop inline in the one generated
-function, nested in the loop of its enclosing sum. The parser's cap of 16
-nested sums is what keeps that within CPython's 20 nested blocks per code
-object. Generated sources hold only generated names, so each distinct text
-is compiled once and its code object run in each tree's namespace. Neither
-compiler emits a test that cannot fail: a parameter's unbound-name test is
-left out where an earlier test of it runs on every path, and a division by
-a nonzero literal is not tested for zero.
+The exact path walks the tree over Python ints and pairs of ints, a
+numerator and a positive denominator in lowest terms (_eval_exact). Pairs
+are added, multiplied and divided by Fraction's own gcd rules, and a
+Fraction is built only for a registry function's argument and for the
+result. It refuses anything that is not rational-valued, so a successful
+exact evaluation is a proof-grade computation.
 """
 from __future__ import annotations
 
@@ -41,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from types import CodeType
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from .exprlang import (
     BinaryOp,
@@ -65,7 +64,6 @@ __all__ = [
     "ExactEvalError",
     "NumericResult",
     "bind_parameters",
-    "bind_parameters_exact",
     "evaluate_exact",
     "evaluate_numeric",
 ]
@@ -111,14 +109,6 @@ def bind_parameters(params: Mapping[str, float]) -> Dict[str, float]:
     return env
 
 
-def bind_parameters_exact(params: Mapping[str, Fraction]) -> Dict[str, Fraction]:
-    """Fraction bindings with the same derived q rule as the float path."""
-    return {
-        name: Fraction(value) if type(value) is int else Fraction(*value)
-        for name, value in _bind_pairs(params).items()
-    }
-
-
 class _QuadUsage:
     __slots__ = ("evals", "converged")
 
@@ -128,10 +118,11 @@ class _QuadUsage:
 
 
 def _near_int(x: float, what: str) -> int:
-    n = round(x)
-    if abs(x - n) > 1e-9:
-        raise EvalError(f"{what} must be an integer, got {x!r}")
-    return int(n)
+    if math.isfinite(x):
+        n = round(x)
+        if abs(x - n) <= 1e-9:
+            return n
+    raise EvalError(f"{what} must be an integer, got {x!r}")
 
 
 def _eval_num(
@@ -268,31 +259,89 @@ _MISSING = object()
 _BODY = " " * 4
 
 
-class _Emitter:
-    """Python source for one generated function, shared by both compilers.
+@lru_cache(maxsize=256)
+def _compiled(source: str) -> CodeType:
+    """source compiled once: the text holds only generated names, so trees
+    of one shape share a code object and differ in their namespaces."""
+    return compile(source, "<expression>", "exec")
+
+
+def _fixed_subtrees(node: Node, var: str, out: Set[int]) -> bool:
+    """Whether node reads no var and holds no Sum or Integral; adds the id
+    of each such subtree, node included, to out. Sum bodies are not
+    searched: they run in a loop."""
+    if isinstance(node, Sum):
+        _fixed_subtrees(node.lo, var, out)
+        _fixed_subtrees(node.hi, var, out)
+        return False
+    if isinstance(node, Integral):
+        return False
+    if isinstance(node, (ParamRef, BoundVarRef)):
+        fixed = node.name != var
+    elif isinstance(node, UnaryNeg):
+        fixed = _fixed_subtrees(node.operand, var, out)
+    elif isinstance(node, BinaryOp):
+        left = _fixed_subtrees(node.left, var, out)
+        fixed = _fixed_subtrees(node.right, var, out) and left
+    elif isinstance(node, Call):
+        # a list, not a generator: every argument is searched
+        fixed = all([_fixed_subtrees(arg, var, out) for arg in node.args])
+    else:
+        fixed = True
+    if fixed:
+        out.add(id(node))
+    return fixed
+
+
+# the indent of f's top level; make's own lines sit at _BODY
+_SAMPLE = _BODY * 2
+
+
+class _Codegen:
+    """Python source for one integral body, computing only its value.
 
     Every node gets one temporary, computed in the walk's operation order.
     The source holds only generated names: values, callables and every
     string taken from the expression reach it through the exec namespace,
-    where Error is the compiler's exception class. Each Sum is an inline
-    for loop, so the loops of nested sums nest in one code object; CPython
-    allows 20 nested blocks there, and the parser's cap of 16 nested sums
-    leaves room for a loop's guarded call.
+    where Error is EvalError. Each Sum is an inline for loop, so the loops
+    of nested sums nest in one code object; CPython allows 20 nested blocks
+    there, and the parser's cap of 16 nested sums leaves room for a loop's
+    guarded call.
+
+    The body is split between make, which runs once per integral, and f,
+    which runs at every sample. A subtree goes to make when it is at f's
+    top level (not inside a sum loop), reads no local (the integration
+    variable or a sum index) and holds no Sum or Integral: parameter reads
+    with their unbound-name tests, arithmetic on parameters, and calls on
+    them with their guards. Each part keeps the walk's operation order.
+    So f's top level reads no parameter itself, and make's unbound-name
+    tests, which run first, spare every later test of the same name.
+
+    A compiled sample equals _eval_num's value bit for bit, and each
+    failure raises the EvalError message _eval_num raises. A failing step
+    in make raises before the first sample; the walk raises the same
+    message at the first sample, unless a step that reads the variable
+    and comes before it in the walk fails there first.
     """
 
-    def __init__(self, error: type) -> None:
-        self.error = error
+    def __init__(self, node: Integral) -> None:
         self.namespace: Dict[str, object] = {
-            "Error": error,
+            "Error": EvalError,
             "MISSING": _MISSING,
             "NUM_ERRORS": _NUM_ERRORS,
+            "isfinite": math.isfinite,
+            "near_int": _near_int,
+            "integrate": _integrate,
         }
         self.params: Dict[str, str] = {}
         # the parameters whose unbound-name test runs before the current
         # line on every path to it
         self.checked: Set[str] = set()
         self.lines: List[str] = []
+        self.setup: List[str] = []
         self.temps = 0
+        self.fixed: Set[int] = set()
+        _fixed_subtrees(node.body, node.var, self.fixed)
 
     def const(self, value: object) -> str:
         name = f"c{len(self.namespace)}"
@@ -332,11 +381,11 @@ class _Emitter:
             self.fail_if(indent, f"{local} is MISSING", f"unbound name {name!r}")
         return local
 
-    def loop_body(self, node: Node, scope: Dict[str, str], indent: str) -> Any:
+    def loop_body(self, node: Node, scope: Dict[str, str], indent: str) -> str:
         """emit(node, ...) for the body of a loop: the tests it makes may
         not run, so they spare no test after the loop."""
         outer, self.checked = self.checked, set(self.checked)
-        result = self.emit(node, scope, indent)  # type: ignore[attr-defined]
+        result = self.emit(node, scope, indent)
         self.checked = outer
         return result
 
@@ -346,74 +395,9 @@ class _Emitter:
         try:
             code = _compiled("\n".join(source))
         except SyntaxError:
-            raise self.error("expression nested too deeply to evaluate") from None
+            raise EvalError("expression nested too deeply to evaluate") from None
         exec(code, self.namespace)
         return self.namespace
-
-
-@lru_cache(maxsize=256)
-def _compiled(source: str) -> CodeType:
-    """source compiled once: the text holds only generated names, so trees
-    of one shape share a code object and differ in their namespaces."""
-    return compile(source, "<expression>", "exec")
-
-
-def _fixed_subtrees(node: Node, var: str, out: Set[int]) -> bool:
-    """Whether node reads no var and holds no Sum or Integral; adds the id
-    of each such subtree, node included, to out. Sum bodies are not
-    searched: they run in a loop."""
-    if isinstance(node, Sum):
-        _fixed_subtrees(node.lo, var, out)
-        _fixed_subtrees(node.hi, var, out)
-        return False
-    if isinstance(node, Integral):
-        return False
-    if isinstance(node, (ParamRef, BoundVarRef)):
-        fixed = node.name != var
-    elif isinstance(node, UnaryNeg):
-        fixed = _fixed_subtrees(node.operand, var, out)
-    elif isinstance(node, BinaryOp):
-        left = _fixed_subtrees(node.left, var, out)
-        fixed = _fixed_subtrees(node.right, var, out) and left
-    elif isinstance(node, Call):
-        # a list, not a generator: every argument is searched
-        fixed = all([_fixed_subtrees(arg, var, out) for arg in node.args])
-    else:
-        fixed = True
-    if fixed:
-        out.add(id(node))
-    return fixed
-
-
-# the indent of f's top level; make's own lines sit at _BODY
-_SAMPLE = _BODY * 2
-
-
-class _Codegen(_Emitter):
-    """Python source for one integral body, computing only its value.
-
-    The body is split between make, which runs once per integral, and f,
-    which runs at every sample. A subtree goes to make when it is at f's
-    top level (not inside a sum loop), reads no local (the integration
-    variable or a sum index) and holds no Sum or Integral: parameter reads
-    with their unbound-name tests, arithmetic on parameters, and calls on
-    them with their guards. Each part keeps the walk's operation order.
-    So f's top level reads no parameter itself, and make's unbound-name
-    tests, which run first, spare every later test of the same name.
-
-    A compiled sample equals _eval_num's value bit for bit, and each
-    failure raises the EvalError message _eval_num raises. A failing step
-    in make raises before the first sample; the walk raises the same
-    message at the first sample, unless a step that reads the variable
-    and comes before it in the walk fails there first.
-    """
-
-    def __init__(self, node: Integral) -> None:
-        super().__init__(EvalError)
-        self.namespace.update(isfinite=math.isfinite, near_int=_near_int, integrate=_integrate)
-        self.setup: List[str] = []
-        self.fixed: Set[int] = set()
-        _fixed_subtrees(node.body, node.var, self.fixed)
 
     def emit(self, node: Node, scope: Dict[str, str], indent: str) -> str:
         """Emit the lines computing node; return the name holding its value."""
@@ -574,176 +558,130 @@ def _qpow(p: int, q: int, en: int, ed: int) -> Tuple[int, int]:
         raise ExactEvalError(str(exc)) from None
 
 
-# an exact value in generated code: the local holding an int, or the
-# locals holding a pair's numerator and denominator
-_Exact = Tuple[str, Optional[str]]
-# a - b is add(a, -b)
-_PAIR_HELPERS = {"+": "add", "-": "add", "*": "mul", "/": "div", "^": "power"}
+# an exact value: an int, or a pair (numerator, denominator) in lowest
+# terms with a positive denominator
+_Exact = Union[int, Tuple[int, int]]
 
 
-class _ExactCodegen(_Emitter):
-    """Python source for one exact expression, over ints and int pairs.
+def _eval_exact(node: Node, env: Dict[str, _Exact]) -> _Exact:
+    """node's exact value. + - * of two ints stay ints; every other result
+    of arithmetic is a pair from _qadd, _qmul, _qdiv or _qpow, an int
+    entering as its value over 1. A registry function gets a Fraction for
+    each pair argument, since its messages print the argument, and its
+    result stays an int when it is one.
 
-    Integer literals, sum indices, parameters bound to integers, + - * of
-    ints and the integer-valued functions (the registry's int_valued) are
-    Python ints. Every other value is a pair of int locals, a numerator
-    and a positive denominator coprime to it; the helpers _qadd, _qmul,
-    _qdiv and _qpow compute on pairs, an int entering as its value over 1.
-    A Fraction is built only where a value leaves the generated code: each
-    pair passed to a registry function, whose messages print the
-    argument, and the result. A function's result is split back into a
-    pair unless the function is integer-valued.
-
-    Exact arithmetic does not depend on the grouping of its steps, so the
-    value is the Fraction a walk of the tree gives; the steps still run in
-    the walk's order, left before right, so the first failure raises the
-    same ExactEvalError. A function with no exact form fails before its
-    arguments are evaluated.
+    The value is the Fraction a plain Fraction walk gives, and the first
+    failure raises the same ExactEvalError: steps run left before right, a
+    name fails at its first read, and a function with no exact form fails
+    before its arguments are evaluated.
     """
+    # operators and literals are most of the nodes on exact sides
+    if isinstance(node, BinaryOp):
+        x = _eval_exact(node.left, env)
+        y = _eval_exact(node.right, env)
+        op = node.op
+        if type(x) is int:
+            if type(y) is int:
+                if op == "+":
+                    return x + y
+                if op == "-":
+                    return x - y
+                if op == "*":
+                    return x * y
+            xn, xd = x, 1
+        else:
+            xn, xd = x
+        yn, yd = (y, 1) if type(y) is int else y
+        if op == "+":
+            return _qadd(xn, xd, yn, yd)
+        if op == "-":
+            return _qadd(xn, xd, -yn, yd)
+        if op == "*":
+            return _qmul(xn, xd, yn, yd)
+        if op == "/":
+            if yn == 0:
+                raise ExactEvalError("division by zero")
+            return _qdiv(xn, xd, yn, yd)
+        return _qpow(xn, xd, yn, yd)
+    if isinstance(node, NumberLiteral):
+        value = node.value
+        if value.denominator == 1:
+            return value.numerator
+        return value.numerator, value.denominator
+    if isinstance(node, (ParamRef, BoundVarRef)):
+        try:
+            return env[node.name]
+        except KeyError:
+            raise ExactEvalError(f"unbound name {node.name!r}") from None
+    if isinstance(node, Call):
+        fn = function_table()[node.name].exact
+        if fn is None:
+            raise ExactEvalError(f"{node.name} has no exact evaluation")
+        args = []
+        for arg in node.args:
+            v = _eval_exact(arg, env)
+            args.append(v if type(v) is int else Fraction(*v))
+        try:
+            result = fn(*args)
+        except _NUM_ERRORS as exc:
+            raise ExactEvalError(f"{node.name} failed: {exc}") from None
+        return result if type(result) is int else (result.numerator, result.denominator)
+    if isinstance(node, UnaryNeg):
+        v = _eval_exact(node.operand, env)
+        return -v if type(v) is int else (-v[0], v[1])
+    if isinstance(node, Sum):
+        return _sum_exact(node, env)
+    if isinstance(node, ConstantRef):
+        raise ExactEvalError(f"constant {node.name!r} is not rational")
+    if isinstance(node, Integral):
+        raise ExactEvalError("integrals have no exact evaluation")
+    raise TypeError(f"not an expression node: {node!r}")
 
-    def __init__(self, ints: FrozenSet[str]) -> None:
-        super().__init__(ExactEvalError)
-        self.namespace.update(
-            Fraction=Fraction,
-            NO_PAIR=(_MISSING, _MISSING),
-            add=_qadd,
-            mul=_qmul,
-            div=_qdiv,
-            power=_qpow,
-        )
-        self.ints = ints
 
-    def pair(self, indent: str, value: str) -> _Exact:
-        """Two new locals holding the pair value evaluates to."""
-        n, d = self.temp(), self.temp()
-        self.line(indent, f"{n}, {d} = {value}")
-        return n, d
-
-    def emit(self, node: Node, scope: Dict[str, str], indent: str) -> _Exact:
-        """Emit the lines computing node; return the locals holding it."""
-        if isinstance(node, NumberLiteral):
-            value = node.value
-            if value.denominator == 1:
-                return self.const(value.numerator), None
-            return self.const(value.numerator), self.const(value.denominator)
-        if isinstance(node, ConstantRef):
-            self.fail(indent, f"constant {node.name!r} is not rational")
-            return "None", None
-        if isinstance(node, (ParamRef, BoundVarRef)):
-            local = self.lookup(node.name, scope, indent)
-            if node.name in scope or node.name in self.ints:
-                return local, None
-            return local, local + "d"
-        if isinstance(node, UnaryNeg):
-            n, d = self.emit(node.operand, scope, indent)
-            t = self.temp()
-            self.line(indent, f"{t} = -{n}")
-            return t, d
-        if isinstance(node, BinaryOp):
-            ln, ld = self.emit(node.left, scope, indent)
-            rn, rd = self.emit(node.right, scope, indent)
-            op = node.op
-            if op in ("+", "-", "*") and ld is None and rd is None:
-                t = self.temp()
-                self.line(indent, f"{t} = {ln} {op} {rn}")
-                return t, None
-            if op == "/" and not (isinstance(node.right, NumberLiteral) and node.right.value):
-                self.fail_if(indent, f"{rn} == 0", "division by zero")
-            sign = "-" if op == "-" else ""
-            return self.pair(indent, f"{_PAIR_HELPERS[op]}({ln}, {ld or 1}, {sign}{rn}, {rd or 1})")
-        if isinstance(node, Call):
-            spec = function_table()[node.name]
-            if spec.exact is None:
-                self.fail(indent, f"{node.name} has no exact evaluation")
-                return "None", None
-            args = []
-            for arg in node.args:
-                n, d = self.emit(arg, scope, indent)
-                args.append(n if d is None else f"Fraction({n}, {d})")
-            t = self.temp()
-            call = f"{t} = {self.const(spec.exact)}({', '.join(args)})"
-            self.guarded(indent, call, f"{node.name} failed: ")
-            if spec.int_valued:
-                return t, None
-            return self.pair(indent, f"{t}.numerator, {t}.denominator")
-        if isinstance(node, Sum):
-            lo, lod = self.emit(node.lo, scope, indent)
-            hi, hid = self.emit(node.hi, scope, indent)
-            fractional = [f"{d} != 1" for d in (lod, hid) if d is not None]
-            if fractional:
-                self.fail_if(indent, " or ".join(fractional), "sum bounds must be integers")
-            self.fail_if(indent, f"{hi} - {lo} > {self.const(_SUM_LIMIT)}", "sum range too large")
-            total, k = self.temp(), self.temp()
-            start = len(self.lines)
-            self.line(indent, "")  # the total's start, set once the body's type is known
-            self.line(indent, f"for {k} in range({lo}, {hi} + 1):")
-            inner = indent + _BODY
-            n, d = self.loop_body(node.body, {**scope, node.var: k}, inner)
-            # a long sum grows its total past any single operation's cap
-            cap = self.const(_MAX_EXACT_BITS)
-            if d is None:
-                self.lines[start] = f"{indent}{total} = 0"
-                self.line(inner, f"{total} += {n}")
-                too_big = f"{total}.bit_length() > {cap}"
-                total_d = None
+def _sum_exact(node: Sum, env: Dict[str, _Exact]) -> _Exact:
+    """_eval_exact for a Sum, whose index is bound in env while its body
+    runs."""
+    lo = _eval_exact(node.lo, env)
+    hi = _eval_exact(node.hi, env)
+    # a pair is an integer only over 1
+    if type(lo) is not int:
+        lo = lo[0] if lo[1] == 1 else None
+    if type(hi) is not int:
+        hi = hi[0] if hi[1] == 1 else None
+    if lo is None or hi is None:
+        raise ExactEvalError("sum bounds must be integers")
+    if hi - lo > _SUM_LIMIT:
+        raise ExactEvalError("sum range too large")
+    total: _Exact = 0
+    saved = env.get(node.var, _MISSING)
+    try:
+        for k in range(lo, hi + 1):
+            env[node.var] = k
+            v = _eval_exact(node.body, env)
+            if type(total) is int and type(v) is int:
+                total += v
+                bits = total.bit_length()
             else:
-                total_d = self.temp()
-                self.lines[start] = f"{indent}{total}, {total_d} = 0, 1"
-                self.line(inner, f"{total}, {total_d} = add({total}, {total_d}, {n}, {d})")
-                too_big = f"{total}.bit_length() > {cap} or {total_d}.bit_length() > {cap}"
-            self.fail_if(inner, too_big, f"sum would exceed {_MAX_EXACT_BITS} bits")
-            return total, total_d
-        if isinstance(node, Integral):
-            self.fail(indent, "integrals have no exact evaluation")
-            return "None", None
-        raise TypeError(f"not an expression node: {node!r}")
+                tn, td = (total, 1) if type(total) is int else total
+                vn, vd = (v, 1) if type(v) is int else v
+                total = _qadd(tn, td, vn, vd)
+                bits = max(total[0].bit_length(), total[1].bit_length())
+            # a long sum grows its total past any single operation's cap
+            if bits > _MAX_EXACT_BITS:
+                raise ExactEvalError(f"sum would exceed {_MAX_EXACT_BITS} bits")
+    finally:
+        if saved is _MISSING:
+            env.pop(node.var, None)
+        else:
+            env[node.var] = saved
+    return total
 
 
-class _Identity:
-    """A node as a cache key, by identity: a catalog run evaluates the
-    same parsed sides many times, and hashing a frozen tree walks all of
-    it (~6 us a side). The key holds the node, so its id stays unique."""
-
-    __slots__ = ("node",)
-
-    def __init__(self, node: Node) -> None:
-        self.node = node
-
-    def __hash__(self) -> int:
-        return id(self.node)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Identity) and self.node is other.node
-
-
-@lru_cache(maxsize=256)
-def _compile_exact(
-    key: _Identity, ints: FrozenSet[str]
-) -> Callable[[Mapping[str, object]], Fraction]:
-    """key's node as a function run(env) -> Fraction of its parameter
-    bindings, where the names in ints are bound to Python ints and the
-    rest to pairs (see _bind_pairs). Compiled once per node and ints, on
-    first evaluation, so the function table is read after any wrapping of
-    its entries."""
-    node = key.node
-    gen = _ExactCodegen(ints)
-    n, d = gen.emit(node, {}, _BODY)
-    namespace = gen.build([
-        "def run(env):",
-        *(f"{_BODY}{local} = env.get({gen.const(name)}, MISSING)" if name in ints
-          else f"{_BODY}{local}, {local}d = env.get({gen.const(name)}, NO_PAIR)"
-          for name, local in gen.params.items()),
-        *gen.lines,
-        f"{_BODY}return Fraction({n if d is None else f'{n}, {d}'})",
-    ])
-    return namespace["run"]  # type: ignore[return-value]
-
-
-def _bind_pairs(params: Mapping[str, Fraction]) -> Dict[str, Union[int, Tuple[int, int]]]:
+def _bind_pairs(params: Mapping[str, Fraction]) -> Dict[str, _Exact]:
     """Exact bindings with the same derived q rule as the float path: an
     int for each integer value, else (numerator, denominator) in lowest
     terms with a positive denominator."""
-    env: Dict[str, Union[int, Tuple[int, int]]] = {}
+    env: Dict[str, _Exact] = {}
     for name, value in params.items():
         if not isinstance(value, (int, Fraction)):
             value = Fraction(value)
@@ -757,7 +695,7 @@ def _bind_pairs(params: Mapping[str, Fraction]) -> Dict[str, Union[int, Tuple[in
     return env
 
 
-def _reduced(n: int, d: int) -> Union[int, Tuple[int, int]]:
+def _reduced(n: int, d: int) -> _Exact:
     """n/d for d > 0 as an int, or as a pair in lowest terms."""
     g = gcd(n, d)
     return n // g if g == d else (n // g, d // g)
@@ -765,8 +703,8 @@ def _reduced(n: int, d: int) -> Union[int, Tuple[int, int]]:
 
 def evaluate_exact(node: Node, params: Mapping[str, Fraction]) -> Fraction:
     env = _bind_pairs(params)
-    ints = frozenset(name for name, value in env.items() if type(value) is int)
     try:
-        return _compile_exact(_Identity(node), ints)(env)
+        value = _eval_exact(node, env)
     except RecursionError:
         raise ExactEvalError("expression nested too deeply to evaluate") from None
+    return Fraction(value) if type(value) is int else Fraction(*value)

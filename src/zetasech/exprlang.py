@@ -22,6 +22,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "BinaryOp",
+    "binder_error",
     "BoundVarRef",
     "Call",
     "ConstantRef",
@@ -45,9 +46,9 @@ _KEYWORDS = frozenset(["sum", "integral"])
 # seven Python frames per level, so this bound keeps parsing well inside the
 # default recursion limit of 1000.
 _MAX_DEPTH = 100
-# The compilers nest each sum's loop in its enclosing sum's loop, in one
-# function; CPython allows 20 nested blocks there, and a guarded call in the
-# innermost body adds two (its try and its handler).
+# The integrand compiler nests each sum's loop in its enclosing sum's loop,
+# in one function; CPython allows 20 nested blocks there, and a guarded call
+# in the innermost body adds two (its try and its handler).
 _MAX_SUM_DEPTH = 16
 
 
@@ -354,9 +355,9 @@ class _Parser:
         self.expect_op("[")
         var_tok = self.expect_name()
         var = var_tok.text
-        if var in _KEYWORDS or var in CONSTANT_NAMES or var in self.functions:
-            role = "a summation index" if is_sum else "an integration variable"
-            raise SourceError(f"{var!r} cannot be used as {role}", var_tok.line, var_tok.col)
+        error = binder_error(var, is_sum, self.functions)
+        if error:
+            raise SourceError(error, var_tok.line, var_tok.col)
         if is_sum:
             self.expect_op("=")
             lo = self.additive()
@@ -372,6 +373,22 @@ class _Parser:
         self.bound.pop()
         self.expect_op("}")
         return Sum(var, lo, hi, body) if is_sum else Integral(var, body)
+
+
+def binder_error(var: str, is_sum: bool, functions: Mapping[str, int]) -> Optional[str]:
+    """Why var cannot be a sum's index (is_sum) or an integral's variable,
+    or None when it can: it must lex as one name that is not a keyword, a
+    constant or a function."""
+    role = "a summation index" if is_sum else "an integration variable"
+    try:
+        tokens = _lex(var)
+    except SourceError:
+        tokens = []
+    if len(tokens) != 2 or tokens[0].kind != "name" or tokens[0].text != var:
+        return f"{var!r} is not a name, so it cannot be used as {role}"
+    if var in _KEYWORDS or var in CONSTANT_NAMES or var in functions:
+        return f"{var!r} cannot be used as {role}"
+    return None
 
 
 def parse_expression(

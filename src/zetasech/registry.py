@@ -17,7 +17,6 @@ from . import exact, specfun
 
 __all__ = [
     "FunctionSpec",
-    "exact_power",
     "pair_power",
     "function_arities",
     "function_table",
@@ -39,9 +38,6 @@ class FunctionSpec:
     arity: int
     numeric: Callable[..., float]
     exact: Optional[Callable[..., Union[int, Fraction]]] = None
-    # exact returns an int for every argument (fact, binom, kron, gammafn,
-    # eulernum), so compiled exact code keeps the result as an int
-    int_valued: bool = False
 
 
 def _as_index(x: float, what: str) -> int:
@@ -89,11 +85,6 @@ def pair_power(p: int, q: int, n: int) -> Tuple[int, int]:
     if p < 0:
         p, q = -p, -q
     return q ** -n, p ** -n
-
-
-def exact_power(x: Union[int, Fraction], n: int) -> Fraction:
-    """x**n by pair_power's rule."""
-    return Fraction(*pair_power(x.numerator, x.denominator, n))
 
 
 # numeric wrappers ------------------------------------------------------
@@ -172,7 +163,7 @@ def _ex_abs(x: Fraction) -> Fraction:
 
 
 def _ex_pow(x: Fraction, y: Fraction) -> Fraction:
-    return exact_power(x, _exact_int(y, "pow exponent"))
+    return Fraction(*pair_power(x.numerator, x.denominator, _exact_int(y, "pow exponent")))
 
 
 def _ex_eulerpoly(n: Fraction, x: Fraction) -> Fraction:
@@ -228,10 +219,10 @@ def function_table() -> Mapping[str, FunctionSpec]:
         FunctionSpec("sqrt", 1, math.sqrt),
         FunctionSpec("abs", 1, abs, _ex_abs),
         FunctionSpec("pow", 2, math.pow, _ex_pow),
-        FunctionSpec("fact", 1, _num_fact, _ex_fact, int_valued=True),
-        FunctionSpec("binom", 2, _num_binom, _ex_binom, int_valued=True),
-        FunctionSpec("kron", 2, _num_kron, _ex_kron, int_valued=True),
-        FunctionSpec("gammafn", 1, math.gamma, _ex_gammafn, int_valued=True),
+        FunctionSpec("fact", 1, _num_fact, _ex_fact),
+        FunctionSpec("binom", 2, _num_binom, _ex_binom),
+        FunctionSpec("kron", 2, _num_kron, _ex_kron),
+        FunctionSpec("gammafn", 1, math.gamma, _ex_gammafn),
         FunctionSpec("loggamma", 1, specfun.log_gamma),
         FunctionSpec("digamma", 1, specfun.digamma),
         FunctionSpec("polygamma", 2, _num_polygamma),
@@ -244,7 +235,7 @@ def function_table() -> Mapping[str, FunctionSpec]:
         FunctionSpec("zetap", 1, specfun.zeta_prime_at),
         FunctionSpec("betadir", 1, specfun.dirichlet_beta),
         FunctionSpec("eulerpoly", 2, _num_eulerpoly, _ex_eulerpoly),
-        FunctionSpec("eulernum", 1, _num_eulernum, _ex_eulernum, int_valued=True),
+        FunctionSpec("eulernum", 1, _num_eulernum, _ex_eulernum),
         FunctionSpec("bernpoly", 2, _num_bernpoly, _ex_bernpoly),
         FunctionSpec("bernnum", 1, _num_bernnum, _ex_bernnum),
         FunctionSpec("laguerre", 3, _num_laguerre),

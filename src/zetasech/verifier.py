@@ -56,6 +56,9 @@ __all__ = [
 
 # a zero scale would turn the relative test degenerate
 _SCALE_FLOOR = 1e-300
+# an exact residual longer than this is described by its size: by default
+# Python refuses to print an int of more than 4300 digits (~14,300 bits)
+_PRINTED_BITS = 10_000
 
 
 class Status(Enum):
@@ -150,7 +153,13 @@ def judge(
         resid = left - right
         if resid == 0:
             return Status.PASS, 0.0, 0.0, ""
-        return Status.FAIL, abs(float(resid)), 0.0, f"exact residual {resid}"
+        n_bits, d_bits = resid.numerator.bit_length(), resid.denominator.bit_length()
+        if max(n_bits, d_bits) > _PRINTED_BITS:
+            message = (f"exact residual too long to print ({n_bits}-bit numerator,"
+                       f" {d_bits}-bit denominator)")
+        else:
+            message = f"exact residual {resid}"
+        return Status.FAIL, _float_or_none(abs(resid)), 0.0, message
 
     if not (math.isfinite(left.value) and math.isfinite(right.value)):
         return Status.ERROR, None, None, "non-finite value"
@@ -183,6 +192,14 @@ def judge(
         return Status.PASS, diff, allowed, ""
     message = f"residual {diff:.3e} exceeds allowed {allowed:.3e}"
     return Status.FAIL, diff, allowed, message
+
+
+def _float_or_none(x: Fraction) -> Optional[float]:
+    """x as a float, or None (null in reports) when it does not fit one."""
+    try:
+        return float(x)
+    except OverflowError:
+        return None
 
 
 _Side = Union[Fraction, NumericResult]
@@ -242,13 +259,13 @@ def _verify(
         cfg = None if record.kind is Kind.EXACT else config_for(record, eval_cap=eval_cap)
         left = _side(memo, record.lhs_src, record.lhs, params, point, cfg)
         right = _side(memo, record.rhs_src, record.rhs, params, point, cfg)
+        status, residual, allowed, message = judge(record, left, right, tol_override)
         if cfg is None:
-            lhs, rhs, budget, evals = float(left), float(right), 0.0, 0
+            lhs, rhs, budget, evals = _float_or_none(left), _float_or_none(right), 0.0, 0
         else:
             lhs, rhs = left.value, right.value
             budget = left.err_budget + right.err_budget
             evals = left.quad_evals + right.quad_evals
-        status, residual, allowed, message = judge(record, left, right, tol_override)
     except _EVAL_ERRORS as exc:
         lhs = rhs = residual = allowed = None
         budget, evals = 0.0, 0

@@ -146,6 +146,30 @@ def test_catalog_hints_out_of_range_are_input_errors(tmp_path, capsys, text, mes
     assert err == f"zetasech: error: {message}\n"
 
 
+def test_non_finite_sum_bound_is_an_error_row(tmp_path, capsys):
+    # round() raised a bare ValueError (NaN) or OverflowError (inf), which
+    # ended the whole run with no case reported
+    path = tmp_path / "bound.cat"
+    path.write_text(
+        _record(lhs="sum[k=0, 10^308*10 - 10^308*10]{k}", rhs="0")
+        + "\n" + _record(lhs="2 + 2", rhs="4").replace("Probe", "Fine")
+    )
+    code, out, err = run_cli(capsys, "run", "--catalog", str(path), "-v")
+    assert code == 1
+    assert err == ""
+    assert out.splitlines() == [
+        "ERROR Probe  sum upper bound must be an integer, got nan",
+        "PASS Fine residual=0.000e+00 allowed=4.000e-10",
+        "2 cases: 1 PASS, 1 ERROR",
+    ]
+    for expr, shown in [("sum[k=0, 10^308*10]{k}", "inf"),
+                        ("sum[k=0, 10^308*10 - 10^308*10]{k}", "nan")]:
+        code, out, err = run_cli(capsys, "eval", expr)
+        assert code == 2
+        assert out == ""
+        assert err == f"zetasech: error: sum upper bound must be an integer, got {shown}\n"
+
+
 def test_non_finite_param_is_input_error(capsys):
     code, out, err = run_cli(capsys, "eval", "x + 1", "--param", "x=1e999")
     assert code == 2
@@ -245,8 +269,8 @@ def test_oversized_exact_result_is_input_error(expr):
 
 
 def test_deeply_nested_sums_evaluate(capsys):
-    # 16 is the parser's cap; the compilers nest one loop per sum in one
-    # code object, where CPython allows 20 nested blocks
+    # 16 is the parser's cap; the integrand compiler nests one loop per sum
+    # in one code object, where CPython allows 20 nested blocks
     code, out, err = run_cli(capsys, "eval", "--exact", _nested_sums("1"))
     assert code == 0, err
     assert out.strip() == "1"
@@ -278,7 +302,7 @@ def test_capped_sums_leave_room_for_a_guarded_call(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("--exact", "{}"),  # exact compiler
+        ("--exact", "{}"),  # exact walk
         ("{}",),  # numeric closed form
         ("integral[v]{{ {} }}",),  # compiled integrand
     ],
@@ -343,6 +367,23 @@ def test_quad_honors_var_flag(capsys):
     code, out, _ = run_cli(capsys, "quad", "exp(-pi*t)", "--var", "t")
     assert code == 0
     assert abs(float(out.splitlines()[0]) - 1.0 / 3.141592653589793) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "var, problem",
+    [
+        # pasted unchecked, this integrated a different expression
+        ("v]{exp(-v)} + 0*integral[u", "is not a name, so it cannot be used as"),
+        ("x y", "is not a name, so it cannot be used as"),
+        ("", "is not a name, so it cannot be used as"),
+        ("pi", "cannot be used as"),
+    ],
+)
+def test_quad_var_must_be_one_name(capsys, var, problem):
+    code, out, err = run_cli(capsys, "quad", "v", "--var", var)
+    assert code == 2
+    assert out == ""
+    assert f"error: argument --var: {var!r} {problem} an integration variable\n" in err
 
 
 def test_quad_reports_position_on_bad_body(capsys):

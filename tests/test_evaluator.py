@@ -23,7 +23,6 @@ from zetasech.evaluator import (
     _qmul,
     _qpow,
     bind_parameters,
-    bind_parameters_exact,
     evaluate_exact,
     evaluate_numeric,
 )
@@ -78,7 +77,7 @@ def test_unbound_parameter_is_an_error():
 
 def test_derived_q_binding():
     assert bind_parameters({"a": 1.0})["q"] == 0.5
-    assert bind_parameters_exact({"a": F(1)})["q"] == F(1, 2)
+    assert evaluate_exact(ParamRef("q"), {"a": F(1)}) == F(1, 2)
     assert num("q", a=3.0).value == 1.0
 
 
@@ -143,11 +142,9 @@ _BINOM = Call("binom", (NumberLiteral(F(2)), NumberLiteral(F(1))))
 def test_compilers_refuse_trees_nested_past_cpython_blocks(depth, body):
     # 20 nested loops compile on CPython 3.10 to 3.13; the guarded call's
     # try and handler take them past the limit (19 loops already do before
-    # 3.13)
-    assert evaluate_exact(_nested_sum_tree(20, NumberLiteral(F(1))), {}) == 1
+    # 3.13). The exact path walks the tree, so it has no such limit.
     tree = _nested_sum_tree(depth, body)
-    with pytest.raises(ExactEvalError, match="^expression nested too deeply to evaluate$"):
-        evaluate_exact(tree, {})
+    assert evaluate_exact(tree, {}) == _walk(tree, {}) == _walk(body, {})
     integrand = BinaryOp("*", Call("exp", (UnaryNeg(BoundVarRef("v")),)), tree)
     with pytest.raises(EvalError, match="^expression nested too deeply to evaluate$"):
         evaluate_numeric(Integral("v", integrand), {})
@@ -369,14 +366,12 @@ def _sources(monkeypatch):
 
 def test_generated_code_tests_names_and_divisors_only_where_they_can_fail(monkeypatch):
     # a name is tested once on each path; a nonzero literal divisor is not
-    # tested, a sum index is
+    # tested, a sum index is. Exact sides are walked, not compiled.
     seen = _sources(monkeypatch)
     assert exact("x/3 + x*x - sum[k=1,n]{x/k}", x=F(1, 2), n=2) == F(-1, 3)
     node = parse_expression("integral[v]{exp(-v*b) * (b + sum[k=1,2]{b*v/k}) / 2}")
     assert evaluate_numeric(node, {"b": 1.0}).converged
-    exact_source, numeric_source = seen
-    assert exact_source.count("is MISSING") == 2
-    assert exact_source.count(" == 0:") == 1
+    (numeric_source,) = seen
     # b is read and tested in make, which runs before every sample
     assert numeric_source.count("is MISSING") == 1
     assert numeric_source.count(" == 0.0:") == 1
@@ -521,7 +516,7 @@ def test_exact_results_are_fractions_at_integer_values(src, params, want):
 
 
 def test_integer_valued_exact_functions_return_ints():
-    # so that compiled exact code multiplies them as ints, not Fractions
+    # so that the exact walk multiplies them as ints, not Fractions
     table = function_table()
     for name, args, want in [
         ("fact", (F(5),), 120),
@@ -533,13 +528,11 @@ def test_integer_valued_exact_functions_return_ints():
     ]:
         got = table[name].exact(*args)
         assert type(got) is int and got == want, name
-    int_valued = {name for name, spec in table.items() if spec.int_valued}
-    assert int_valued == {"fact", "binom", "kron", "gammafn", "eulernum"}
 
 
 def _walk(node, env):
-    """node's exact value by a plain Fraction walk, with the compiled exact
-    code's messages: the reference it is checked against."""
+    """node's exact value by a plain Fraction walk, with evaluate_exact's
+    messages: the reference it is checked against."""
     if isinstance(node, NumberLiteral):
         return node.value
     if isinstance(node, (ParamRef, BoundVarRef)):

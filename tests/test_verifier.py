@@ -286,6 +286,18 @@ VERDICT_BRANCHES = [
                  Status.FAIL, "exact residual 1/12", (), id="exact-fail"),
     pytest.param("fact(n)", "1", "EXACT", "EXACT", {"n": -1}, DEFAULT_EVAL_CAP,
                  Status.ERROR, "fact failed:", SIDES, id="exact-error"),
+    # past the float range the Fractions are still judged; the float
+    # fields that do not fit are None
+    pytest.param("2^2000", "4^1000", "EXACT", "EXACT", {}, DEFAULT_EVAL_CAP,
+                 Status.PASS, "", ("lhs", "rhs"), id="exact-pass-past-floats"),
+    pytest.param("2^2000 + 1", "4^1000", "EXACT", "EXACT", {}, DEFAULT_EVAL_CAP,
+                 Status.FAIL, "exact residual 1", ("lhs", "rhs"), id="exact-fail-past-floats"),
+    pytest.param("2^2000", "1", "EXACT", "EXACT", {}, DEFAULT_EVAL_CAP,
+                 Status.FAIL, "exact residual ", ("lhs", "residual"),
+                 id="exact-residual-past-floats"),
+    pytest.param("2^20000", "0", "EXACT", "EXACT", {}, DEFAULT_EVAL_CAP, Status.FAIL,
+                 "exact residual too long to print (20001-bit numerator, 1-bit denominator)",
+                 ("lhs", "residual"), id="exact-residual-past-str"),
     pytest.param("1", "2", "NEGATIVE_CONTROL", "MED", {}, DEFAULT_EVAL_CAP,
                  Status.EXPECTED_FAIL_CONFIRMED, "", (), id="control-confirmed"),
     pytest.param("2 + 2", "4", "NEGATIVE_CONTROL", "MED", {}, DEFAULT_EVAL_CAP,
