@@ -86,7 +86,6 @@ class EvalConfig:
     quad_rel_tol: float = 1e-12
     quad_decay: float = math.pi
     quad_vmax: Optional[float] = None
-    quad_scale: float = 1.0
     quad_p_max: int = 8
     eval_cap: int = DEFAULT_EVAL_CAP
 
@@ -242,7 +241,6 @@ def _integrate(
             make(env, cfg, usage),
             rate=cfg.quad_decay,
             rel_tol=cfg.quad_rel_tol,
-            scale=cfg.quad_scale,
             p_max=cfg.quad_p_max,
             vmax=cfg.quad_vmax,
             eval_cap=remaining,

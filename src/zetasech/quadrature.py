@@ -181,38 +181,46 @@ def _algebraic_cutoff(p_max: int, target: float, vmax: Optional[float]) -> float
     return v
 
 
+def _no_cutoff(rate: float, p_max: int) -> QuadratureError:
+    envelope = f"(1+v)^{p_max}" if rate == 0.0 else f"exp(-{rate!r}*v)*(1+v)^{p_max}"
+    return QuadratureError(f"envelope {envelope} has no finite cutoff and tail")
+
+
 def integrate_decaying(
     f: Callable[[float], float],
     rate: float,
     rel_tol: float = 1e-12,
-    scale: float = 1.0,
     p_max: int = 8,
     vmax: Optional[float] = None,
     eval_cap: int = DEFAULT_EVAL_CAP,
 ) -> QuadResult:
-    """Integrate f over [0, inf) given an exponential decay envelope.
+    """Integrate f over [0, inf) given a decay envelope.
 
-    rate is the decay constant r in |f(v)| <~ C exp(-r v) (1+v)^p_max for
-    large v; scale should be a rough magnitude of the expected result so the
-    truncation target is relative rather than absolute.  rate == 0 selects a
-    purely algebraic envelope |f(v)| <~ (1+v)^p_max, which then needs
-    p_max < -1; the reported tail bound is the exact envelope integral.
+    rate is the decay constant r in |f(v)| <= exp(-r v) (1+v)^p_max for
+    large v; the truncation point V is where the envelope's tail falls
+    below rel_tol/100.  rate == 0 selects a purely algebraic envelope
+    |f(v)| <= (1+v)^p_max, which then needs p_max < -1; the reported tail
+    bound is the exact envelope integral.  QuadratureError names the
+    envelope when it has no finite cutoff and tail.
     """
     if not (0.0 <= rate < math.inf):
         raise QuadratureError("integrate_decaying needs a finite nonnegative decay rate")
     if rate == 0.0 and p_max >= -1:
         raise QuadratureError("algebraic envelope needs p_max < -1")
-    if not (0.0 < scale < math.inf):
-        raise QuadratureError("integrate_decaying needs a finite positive scale")
     if vmax is not None and not (0.0 < vmax < math.inf):
         raise QuadratureError("integrate_decaying needs a finite positive vmax")
-    target = 0.01 * rel_tol * scale
-    if rate == 0.0:
-        v_cut = _algebraic_cutoff(p_max, target, vmax)
-        tail = (1.0 + v_cut) ** (p_max + 1) / float(-(p_max + 1))
-    else:
-        v_cut = _pick_cutoff(rate, p_max, target, vmax)
-        tail = math.exp(-rate * v_cut) * (1.0 + v_cut) ** p_max / rate
+    target = 0.01 * rel_tol
+    try:
+        if rate == 0.0:
+            v_cut = _algebraic_cutoff(p_max, target, vmax)
+            tail = (1.0 + v_cut) ** (p_max + 1) / float(-(p_max + 1))
+        else:
+            v_cut = _pick_cutoff(rate, p_max, target, vmax)
+            tail = math.exp(-rate * v_cut) * (1.0 + v_cut) ** p_max / rate
+    except (ArithmeticError, ValueError):
+        raise _no_cutoff(rate, p_max) from None
+    if not (math.isfinite(v_cut) and math.isfinite(tail)):
+        raise _no_cutoff(rate, p_max)
     inner = tanh_sinh(f, 0.0, v_cut, rel_tol=rel_tol, eval_cap=eval_cap)
     return QuadResult(
         inner.value,

@@ -121,7 +121,6 @@ def config_for(record: IdentityRecord, eval_cap: int = DEFAULT_EVAL_CAP) -> Eval
     return EvalConfig(
         quad_decay=record.quad_decay,
         quad_vmax=record.quad_vmax,
-        quad_scale=record.quad_scale,
         quad_p_max=record.quad_p_max,
         eval_cap=eval_cap,
     )

@@ -121,7 +121,7 @@ def _record(kind="NUMERIC", lhs="integral[v]{exp(-v)}", rhs="1", extra=""):
     [
         # a zero-width tail: [0, 1] would PASS the false value 1 - 1/e
         (_record(rhs="0.6321205588285577",
-                 extra="quad = decay=inf vmax=none p_max=8 scale=1.0\n"),
+                 extra="quad = decay=inf vmax=none p_max=8\n"),
          "line 8: bad quad value 'decay=inf'"),
         # a negative floor confirms a control whose sides agree
         (_record(kind="NEGATIVE_CONTROL", lhs="1", extra="floor = -1\n"),
@@ -129,10 +129,14 @@ def _record(kind="NUMERIC", lhs="integral[v]{exp(-v)}", rhs="1", extra=""):
         (_record(extra="quad = decay=1 vmax=-3\n"), "line 8: bad quad value 'vmax=-3'"),
         (_record(extra="quad = decay=1 vmax=nan\n"), "line 8: bad quad value 'vmax=nan'"),
         (_record(extra="quad = decay=-1\n"), "line 8: bad quad value 'decay=-1'"),
-        (_record(extra="quad = scale=0\n"), "line 8: bad quad value 'scale=0'"),
+        (_record(extra="quad = scale=1.0\n"), "line 8: unknown quad key 'scale'"),
         (_record(extra="floor = nan\n"), "line 8: bad floor 'nan'"),
         (_record(lhs="x", rhs="x", extra="params = x in {1.5, 1e999}\n"),
          "line 8: bad grid value '1e999'"),
+        # one line per field, one value set per parameter
+        (_record(extra="quad = decay=1\nquad = p_max=4\n"), "line 9: repeated field 'quad'"),
+        (_record(lhs="x", rhs="x", extra="params = x in {1, 2}; x in {3}\n"),
+         "line 8: repeated parameter 'x'"),
         (_record(lhs=_nested_sums("1", 17)),
          "line 1: record Probe: sums nested more than 16 deep (line 1, column 199)"),
     ],
@@ -390,6 +394,25 @@ def test_quad_reports_position_on_bad_body(capsys):
     code, _, err = run_cli(capsys, "quad", "v*")
     assert code == 2
     assert "column 3" in err
+
+
+def test_overflowing_envelope_is_named(tmp_path, capsys):
+    # V is ~1e6 or ~1e304 here, and the tail's (1+V)^p_max overflows
+    code, out, err = run_cli(capsys, "quad", "exp(-v)", "--p-max", "100000")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "zetasech: error: quadrature failed: envelope"
+        " exp(-3.141592653589793*v)*(1+v)^100000 has no finite cutoff and tail\n"
+    )
+    path = tmp_path / "probe.cat"
+    path.write_text(_record(extra="quad = decay=1e-300\n"))
+    code, out, _ = run_cli(capsys, "run", "--catalog", str(path))
+    assert code == 1
+    assert out.splitlines()[0] == (
+        "ERROR Probe  quadrature failed: envelope exp(-1e-300*v)*(1+v)^8"
+        " has no finite cutoff and tail"
+    )
 
 
 def test_export_then_run_reproduces_builtin(tmp_path, capsys):
