@@ -3,7 +3,9 @@
 Everything here is exact, so that identity checks in the exact evaluation
 path can demand a residual of exactly zero. Numbers are Fractions; each
 polynomial keeps its coefficients as integers over one common denominator
-and runs Horner's rule on integers, building one Fraction per value. The
+and runs Horner's rule on integers. The wrappers below (eta_exact's halving,
+zeta_exact_nonpos's negation, s_diff_exact's difference) stay on those
+integer pairs too, so each call builds and normalises one Fraction. The
 Bernoulli convention is B(1) == -1/2.
 """
 from __future__ import annotations
@@ -48,18 +50,17 @@ def _over_common_denominator(coeffs: Sequence[Fraction]) -> Tuple[int, Tuple[int
     return d, tuple(c.numerator * (d // c.denominator) for c in coeffs)
 
 
-def _horner(poly: Tuple[int, Tuple[int, ...]], x: Fraction) -> Fraction:
-    """The polynomial (D, C) at x = p/q, in integers: after step i the
-    accumulator is q^i times the Horner value over D, so the one Fraction
-    built at the end is the only normalisation."""
+def _horner(poly: Tuple[int, Tuple[int, ...]], p: int, q: int) -> Tuple[int, int]:
+    """The polynomial (D, C) at x = p/q, q > 0, as an unreduced pair
+    (numerator, denominator) of integers: after step i the accumulator is
+    q^i times the Horner value over D, and the denominator is D q^deg."""
     d, coeffs = poly
-    p, q = x.numerator, x.denominator
     acc = coeffs[0]
     qi = 1
     for c in coeffs[1:]:
         qi *= q
         acc = acc * p + c * qi
-    return Fraction(acc, d * qi)
+    return acc, d * qi
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +76,7 @@ def euler_poly(n: int, x: Fraction) -> Fraction:
     """Euler polynomial E_n(x) evaluated exactly."""
     if n < 0:
         raise ValueError("euler_poly needs n >= 0")
-    return _horner(_euler_poly_ints(n), x)
+    return Fraction(*_horner(_euler_poly_ints(n), x.numerator, x.denominator))
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +89,7 @@ def bernoulli_poly(n: int, x: Fraction) -> Fraction:
     """Bernoulli polynomial B_n(x) evaluated exactly."""
     if n < 0:
         raise ValueError("bernoulli_poly needs n >= 0")
-    return _horner(_bernoulli_poly_ints(n), x)
+    return Fraction(*_horner(_bernoulli_poly_ints(n), x.numerator, x.denominator))
 
 
 @lru_cache(maxsize=None)
@@ -106,16 +107,26 @@ def eta_exact(m: int, z: Fraction) -> Fraction:
     """Alternating Hurwitz zeta at non-positive integer order: eta(-m, z)."""
     if m < 0:
         raise ValueError("eta_exact needs m >= 0")
-    return euler_poly(m, z) / 2
+    num, den = _horner(_euler_poly_ints(m), z.numerator, z.denominator)
+    return Fraction(num, 2 * den)
 
 
 def zeta_exact_nonpos(m: int, a: Fraction) -> Fraction:
     """Hurwitz zeta at non-positive integer order: zeta(-m, a)."""
     if m < 0:
         raise ValueError("zeta_exact_nonpos needs m >= 0")
-    return -bernoulli_poly(m + 1, a) / (m + 1)
+    num, den = _horner(_bernoulli_poly_ints(m + 1), a.numerator, a.denominator)
+    return Fraction(-num, den * (m + 1))
 
 
 def s_diff_exact(m: int, q: Fraction) -> Fraction:
     """zeta(-m, q) - zeta(-m, q + 1/2), exactly."""
-    return zeta_exact_nonpos(m, q) - zeta_exact_nonpos(m, q + _HALF)
+    if m < 0:
+        raise ValueError("s_diff_exact needs m >= 0")
+    # (B(q + 1/2) - B(q)) / (m + 1) with B = B_(m+1); q + 1/2 = (2p + r)/(2r),
+    # whose denominator is 2^(m+1) times that of q
+    p, r = q.numerator, q.denominator
+    poly = _bernoulli_poly_ints(m + 1)
+    n1, d1 = _horner(poly, p, r)
+    n2, d2 = _horner(poly, 2 * p + r, 2 * r)
+    return Fraction(n2 - n1 * (d2 // d1), d2 * (m + 1))

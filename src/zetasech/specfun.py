@@ -3,11 +3,15 @@
 The Hurwitz zeta evaluator runs Euler-Maclaurin summation in compensated
 double-double arithmetic because the head sum and the pole/tail terms cancel
 catastrophically for negative order; plain binary64 loses seven or more
-digits there. Derivatives with respect to the order s are forward-mode:
-each intermediate travels as a (value, d/ds) double-double pair, so no
-finite differences appear anywhere. The d/ds half is computed only for the
-derivative functions (hurwitz_zeta_ds, eta_ds, S_ds, zeta_prime_at); the
-value functions skip it and get the same value words either way. The
+digits there. It splits the order as s = s0 + round(s): the powers
+(k+a)^(-s0) cost one exp each and are cached in rows that every order
+s0 + m at the same a reads, and (k+a)^(-m) is double-double powering, whose
+error, unlike that of exp(-s ln(k+a)), does not grow with |s|. Derivatives
+with respect to the order s are forward-mode: each intermediate travels as
+a (value, d/ds) double-double pair, so no finite differences appear
+anywhere. The d/ds half is computed only for the derivative functions
+(hurwitz_zeta_ds, eta_ds, S_ds, zeta_prime_at); the value functions skip it
+and get the same value words either way. The
 alternating variant switches between a convergence-accelerated alternating
 sum (stable near s = 1, including at the point itself) and the
 double-double zeta difference (stable for decidedly non-positive s). S_of
@@ -19,10 +23,11 @@ scaling.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .ddmath import (
     DD,
@@ -79,18 +84,53 @@ _LN2_DD = dd_ln(2.0)
 _EM_TAIL_TERMS = 15
 # Below this order the head terms (k+a)^(-s) cancel past double-double
 # precision. Against mpmath at 600 seeded points of each unit band of s,
-# a in [0.05, 8], away from the zeros of zeta(s, .) and its d/ds, the worst
-# relative error is 6.7e-13 for s in (-12, -11] and 1.9e-11 for s in
-# (-13, -12]; it reaches 41 at s = -23.7.
+# a in [0.05, 8], value and d/ds, skipping points with a zero of zeta(s, .)
+# or of its d/ds within 1e-3 in a, the worst relative error is 1.7e-16 for
+# s in (-10, -9], 2.9e-15 in (-11, -10], 6.7e-14 in (-12, -11] and 1.4e-12
+# in (-13, -12]; it reaches 63 in (-24, -23].
 _HZ_MIN_ORDER = -12.0
 
 
-@lru_cache(maxsize=256)
 def _head_log(k: int, a: float) -> DD:
-    # ln(k + a) in double-double, shared by every order s that sums over
-    # the same a; the low word enters to first order
+    # ln(k + a) in double-double; the low word of k + a enters to first order
     x = _two_sum(float(k), a)
     return dd_add_d(dd_ln(x[0]), x[1] / x[0])
+
+
+# A row holds one double-double per head term k = 0 .. n - 1, as an array
+# of hi words and one of lo words (16 bytes a term). A row is a function of
+# its key alone, so a hit returns the words a rebuild would give.
+_Row = Tuple[array, array]
+
+
+def _row(terms: Iterable[DD]) -> _Row:
+    # appended one term at a time: unzipping all pairs first left offgrid's
+    # peak RSS 0.1 MB higher
+    hi, lo = array("d"), array("d")
+    for t0, t1 in terms:
+        hi.append(t0)
+        lo.append(t1)
+    return hi, lo
+
+
+@lru_cache(maxsize=512)
+def _log_row(a: float, n: int) -> _Row:
+    # ln(k + a), shared by every order summed over the same a; an offgrid
+    # pass uses fewer than 300 rows, so each log is computed once
+    return _row(_head_log(k, a) for k in range(n))
+
+
+@lru_cache(maxsize=64)
+def _frac_row(a: float, s0: float, n: int) -> _Row:
+    # (k + a)^(-s0), shared by the orders s0 + m at the same a; dd_exp is a
+    # call through this module's attribute, so wrappers that count it see it
+    return _row(dd_exp(dd_mul_d(l, -s0)) for l in zip(*_log_row(a, n)))
+
+
+@lru_cache(maxsize=64)
+def _recip_row(a: float, n: int) -> _Row:
+    # 1 / (k + a), the base of (k + a)^(-m) for m > 0
+    return _row(dd_div((1.0, 0.0), _two_sum(float(k), a)) for k in range(n))
 
 
 def _pow_dual(lnbase: DD, s: float, ds: bool) -> Tuple[DD, Optional[DD]]:
@@ -119,19 +159,29 @@ def _bern_over_fact() -> Tuple[DD, ...]:
 def _hz_dd(sv: float, a: float, ds: bool) -> Tuple[DD, Optional[DD]]:
     """Euler-Maclaurin Hurwitz zeta as a double-double, and d/ds if ds.
 
+    The order splits exactly as s = s0 + m, m = round(s), and every power
+    (k+a)^(-s) is (k+a)^(-s0) * (k+a)^(-m). The first factor is one dd_exp
+    per term, kept in a row shared by all orders s0 + m at the same a, and
+    exactly 1 at integer s; the second is binary powering of k + a, or of
+    1/(k+a) when m > 0. Orders that differ by integers, as in the catalog's
+    sums over zeta(s - j, a), so pay the exps once. The powers are
+    double-double products: exp(-s ln(k+a)) would carry the log's error
+    times |s|, which below s = -9 survives the head's cancellation.
+
     The derivative is computed only on request: without ds every d/ds
     statement is skipped and None stands in its place. The value never
-    reads a derivative, so its words are the same in both modes, and the
-    derivative needs no exp or log of its own. Value and derivative calls
-    at one (s, a) are separate cache entries; callers pass ds positionally,
-    so that each mode has one key.
+    reads a derivative, so its words are the same in both modes. The d/ds
+    term is v * -ln(k+a), with logs read from the same cached row that
+    built the s0 factors, so a derivative after its value computes no exp
+    or log. Value and derivative calls at one (s, a) are separate cache
+    entries; callers pass ds positionally, so that each mode has one key.
 
     The head loop and the Bernoulli tail loop are fused: each composed step
-    named in their comments (_pow_dual, _ddu_mul, dd_mul, dd_add) is
-    expanded in place into the same float operations in the same order, so
-    every (hi, lo) word is bit-identical to the composed form;
-    tests/test_specfun.py pins those words. Splits a step would repeat are
-    done once. The one-off pole, z^-2 and r setup stays composed.
+    named in their comments (dd_mul, dd_add, _ddu_mul) is expanded in place
+    into the same float operations in the same order, so every (hi, lo)
+    word is bit-identical to the composed form; tests/test_specfun.py pins
+    those words. Splits a step would repeat are done once. The rows, and
+    the one-off pole, z^-2 and r setup, stay composed.
     """
     if a <= 0.0:
         raise SpecfunError("hurwitz zeta needs a > 0")
@@ -143,24 +193,73 @@ def _hz_dd(sv: float, a: float, ds: bool) -> Tuple[DD, Optional[DD]]:
     n_head = max(0, math.ceil(zmin - a))
     sp = _SPLITTER
 
-    # head: sum over k < n_head of _pow_dual(ln(k + a), s, ds), that is of
-    # v = exp(dd_mul_d(l, -s)) and d = dd_mul(v, -l). dd_exp stays a call
-    # through this module's attribute, so wrappers that count it see it.
-    ns = -sv
-    t = sp * ns
-    nsh = t - (t - ns)
-    nsl = ns - nsh
+    # head: sum over k < n_head of v = (k+a)^(-s) and, if ds, d = v * -l
+    # with l = ln(k+a); the term at k = n_head is z^(-s). Composed, with
+    # f = frac_row[k] and x = _two_sum(k, a):
+    #     b = recip_row[k] if m > 0 else x
+    #     v = b, then for each bit of |m| after the leading one:
+    #         v = dd_mul(v, v), then v = dd_mul(v, b) if the bit is 1
+    #     v = dd_mul(v, f) if s0 != 0
+    # with v = f when m == 0, and v = (1, 0) when s == 0.
+    m = round(sv)
+    s0 = sv - m
+    bits = bin(abs(m))[3:] if m else None
+    n = n_head + 1
+    frow = _frac_row(a, s0, n) if s0 != 0.0 else None
+    brow = _recip_row(a, n) if m > 0 else None
+    lrow = _log_row(a, n) if ds else None
     hv0 = hv1 = hd0 = hd1 = 0.0
-    for k in range(n_head):
-        l0, l1 = _head_log(k, a)
-        t = sp * l0
-        lh = t - (t - l0)
-        ll = l0 - lh
-        p = l0 * ns
-        e = ((lh * nsh - p) + lh * nsl + ll * nsh) + ll * nsl
-        e += l1 * ns
-        x0 = p + e
-        v0, v1 = dd_exp((x0, e - (x0 - p)))
+    for k in range(n):
+        if bits is None:
+            v0, v1 = (frow[0][k], frow[1][k]) if frow is not None else (1.0, 0.0)
+        else:
+            if brow is not None:
+                b0 = brow[0][k]
+                b1 = brow[1][k]
+            else:
+                fk = float(k)
+                b0 = fk + a
+                bb = b0 - fk
+                b1 = (fk - (b0 - bb)) + (a - bb)
+            t = sp * b0
+            bh = t - (t - b0)
+            bl = b0 - bh
+            v0 = b0
+            v1 = b1
+            for bit in bits:
+                t = sp * v0
+                vh = t - (t - v0)
+                vl = v0 - vh
+                p = v0 * v0
+                e = ((vh * vh - p) + vh * vl + vl * vh) + vl * vl
+                e += v0 * v1 + v1 * v0
+                v0 = p + e
+                v1 = e - (v0 - p)
+                if bit == "1":
+                    t = sp * v0
+                    vh = t - (t - v0)
+                    vl = v0 - vh
+                    p = v0 * b0
+                    e = ((vh * bh - p) + vh * bl + vl * bh) + vl * bl
+                    e += v0 * b1 + v1 * b0
+                    v0 = p + e
+                    v1 = e - (v0 - p)
+            if frow is not None:
+                f0 = frow[0][k]
+                f1 = frow[1][k]
+                t = sp * v0
+                vh = t - (t - v0)
+                vl = v0 - vh
+                t = sp * f0
+                fh = t - (t - f0)
+                fl = f0 - fh
+                p = v0 * f0
+                e = ((vh * fh - p) + vh * fl + vl * fh) + vl * fl
+                e += v0 * f1 + v1 * f0
+                v0 = p + e
+                v1 = e - (v0 - p)
+        if k == n_head:
+            break
         # head_v = dd_add(head_v, v)
         s = hv0 + v0
         bb = s - hv0
@@ -175,8 +274,9 @@ def _hz_dd(sv: float, a: float, ds: bool) -> Tuple[DD, Optional[DD]]:
         hv0 = u + se
         hv1 = se - (hv0 - u)
         if ds:
-            nl0 = -l0
-            nl1 = -l1
+            # d = dd_mul(v, -l); head_d = dd_add(head_d, d)
+            nl0 = -lrow[0][k]
+            nl1 = -lrow[1][k]
             t = sp * v0
             vh = t - (t - v0)
             vl = v0 - vh
@@ -188,7 +288,6 @@ def _hz_dd(sv: float, a: float, ds: bool) -> Tuple[DD, Optional[DD]]:
             e += v0 * nl1 + v1 * nl0
             d0 = p + e
             d1 = e - (d0 - p)
-            # head_d = dd_add(head_d, d)
             s = hd0 + d0
             bb = s - hd0
             se = (hd0 - (s - bb)) + (d0 - bb)
@@ -203,7 +302,9 @@ def _hz_dd(sv: float, a: float, ds: bool) -> Tuple[DD, Optional[DD]]:
             hd1 = se - (hd0 - u)
 
     z = _two_sum(float(n_head), a)
-    pw, pw_d = _pow_dual(_head_log(n_head, a), sv, ds)  # z^(-s)
+    pw = (v0, v1)  # z^(-s)
+    if ds:
+        pw_d = dd_mul(pw, (-lrow[0][n_head], -lrow[1][n_head]))
 
     # pole term z^(1-s) / (s-1)
     num_v = dd_mul(z, pw)
