@@ -5,16 +5,17 @@ significant digits. Only the operations needed by the zeta machinery are
 provided; everything stays deterministic binary64 pairs.
 
 The helpers (_two_sum, _split, _two_prod, dd_add, dd_mul, ...) are the
-readable rule, and the cold paths call them, among them the cached rows of
-head logs, powers and reciprocals that specfun._hz_dd reads. The hot
-kernels are fused: dd_exp here, and the head loop (its binary powering
-included) and the Bernoulli-tail loop of specfun._hz_dd, expand the
-helpers in place (Hida, Li & Bailey's QD library does the same) so that no
-per-operation call or tuple remains. A fused kernel runs the same float
-operations in the same order as its composed form, so every word it
-returns is bit-identical; only a split that would be repeated is done once.
-tests/test_ddmath.py compares dd_exp with the composed rule, and
-tests/test_specfun.py pins the engine's words.
+readable rule, and the cold paths call them: the cached rows of head logs,
+powers and reciprocals that specfun._hz_dd reads, and its derivative mode.
+The hot kernels are fused: dd_exp here, and the value loops of
+specfun._hz_dd (the head, its binary powering included, and the Bernoulli
+tail) expand the helpers in place (Hida, Li & Bailey's QD library does the
+same) so that no per-operation call or tuple remains. A fused kernel runs
+the same float operations in the same order as its composed form, so every
+word it returns is bit-identical; only a split that would be repeated is
+done once. tests/test_ddmath.py compares dd_exp with the composed rule, and
+tests/test_specfun.py pins the engine's words and compares its fused values
+with its composed derivative mode.
 """
 from __future__ import annotations
 
