@@ -7,7 +7,14 @@ whose re-parse reproduces the AST node for node.
 
 Sums nest at most 16 deep, counting only sums inside another sum's body
 (_MAX_SUM_DEPTH); a 17th is a SourceError at its `sum` token. Other
-constructs nest at most 100 deep (_MAX_DEPTH).
+constructs nest at most 100 deep (_MAX_DEPTH). A number literal has at most
+4300 digits (_MAX_LITERAL_DIGITS).
+
+One compiled pattern (_TOKEN) lexes the source into a list of plain
+(kind, text, offset) tuples: kind is "number", "name", "end" or, for an
+operator, the operator itself, and offset indexes the source. The 1-based
+(line, column) of a token is worked out from its offset only when a
+SourceError is raised.
 
 Syntax sketch:
 
@@ -16,9 +23,11 @@ Syntax sketch:
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "BinaryOp",
@@ -143,71 +152,76 @@ Node = Union[
 # ----------------------------------------------------------------------
 # lexer
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number", "name", "op", "end"
-    text: str
-    line: int
-    col: int
+# One alternative per token kind, tried in order, the most frequent first.
+# Whitespace and comments match no group. `dot` is always an error, and
+# `other` is one unless _is_name admits it as a name that starts with a
+# non-ASCII letter. Number digits are \d, the decimal digits int() reads.
+_TOKEN = re.compile(
+    r"""
+      (?P<op>[-+*/^(),=\[\]{}])
+    | (?P<name>[A-Za-z_]\w*)
+    | [ \t\r\n]+ | \#[^\n]*
+    | (?P<dot>\d+\.(?!\d))
+    | (?P<number>\d+(?:\.\d+)?|\.\d+)
+    | (?P<other>[^\W\d\x00-\x7f]\w*|.)
+    """,
+    re.VERBOSE,
+)
+_WORD = re.compile(r"\w+")
+# CPython refuses int() of more than 4300 digits by default since 3.10.7 and
+# 3.11, and earlier 3.10 releases do not; a fixed cap makes them all agree.
+_MAX_LITERAL_DIGITS = 4300
+
+_Token = Tuple[str, str, int]  # (kind, text, offset)
 
 
-_OP_CHARS = frozenset("+-*/^(),=[]{}")
+def _is_name(text: str) -> bool:
+    """Whether text is one name: a letter or _, then letters, digits or _."""
+    return (text[:1] == "_" or text[:1].isalpha()) and _WORD.fullmatch(text) is not None
+
+
+def _position(src: str, offset: int) -> Tuple[int, int]:
+    """The 1-based (line, column) of offset in src."""
+    return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
 
 
 def _lex(src: str) -> List[_Token]:
     tokens: List[_Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
-                if src[j] == ".":
-                    seen_dot = True
-                j += 1
-            text = src[i:j]
-            if text.endswith("."):
-                raise SourceError("number cannot end with a dot", line, start_col)
-            tokens.append(_Token("number", text, line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("name", src[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch in _OP_CHARS:
-            tokens.append(_Token("op", ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise SourceError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(_Token("end", "", line, col))
+    append = tokens.append
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind == "op":
+            text = m[0]
+            append((text, text, m.start()))
+        elif kind == "name":
+            append((kind, m[0], m.start()))
+        elif kind == "number":
+            text = m[0]
+            if len(text) - ("." in text) > _MAX_LITERAL_DIGITS:
+                raise SourceError(
+                    f"number has more than {_MAX_LITERAL_DIGITS} digits",
+                    *_position(src, m.start()),
+                )
+            append((kind, text, m.start()))
+        elif kind == "dot":
+            raise SourceError("number cannot end with a dot", *_position(src, m.start()))
+        elif kind == "other":
+            text = m[0]
+            if not _is_name(text):
+                raise SourceError(
+                    f"unexpected character {text[0]!r}", *_position(src, m.start())
+                )
+            append(("name", text, m.start()))
+    # input that ends in a comment ends where the comment starts
+    last_line = src.rfind("\n") + 1
+    comment = src.find("#", last_line)
+    append(("end", "", len(src) if comment < 0 else comment))
     return tokens
 
 
+# a catalog repeats a few dozen literal texts; a Fraction is immutable, so
+# nodes may share one
+@lru_cache(maxsize=1024)
 def _number_value(text: str) -> Fraction:
     if "." in text:
         whole, frac = text.split(".")
@@ -216,128 +230,118 @@ def _number_value(text: str) -> Fraction:
     return Fraction(int(text))
 
 
+def _shown(tok: _Token) -> str:
+    return tok[1] if tok[0] != "end" else "end of input"
+
+
 # ----------------------------------------------------------------------
 # parser
 
 class _Parser:
-    def __init__(self, tokens: List[_Token], functions: Mapping[str, int]) -> None:
-        self.tokens = tokens
+    """Recursive descent over the token list; self.tokens[self.pos] is the
+    next token, and the list always ends with an "end" token."""
+
+    def __init__(self, src: str, functions: Mapping[str, int]) -> None:
+        self.src = src
+        self.tokens = _lex(src)
         self.pos = 0
         self.functions = functions
         self.bound: List[str] = []
         self.depth = 0
         self.sums = 0  # sums whose body is being parsed
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, tok: _Token) -> SourceError:
+        return SourceError(message, *_position(self.src, tok[2]))
 
-    def advance(self) -> _Token:
+    def expect(self, kind: str) -> _Token:
+        """Consume the next token if it is an operator or a name (kind
+        "name"); raise otherwise."""
         tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            wanted = "a name" if kind == "name" else repr(kind)
+            raise self.error(f"expected {wanted}, found {_shown(tok)!r}", tok)
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != op:
-            shown = tok.text if tok.kind != "end" else "end of input"
-            raise SourceError(f"expected {op!r}, found {shown!r}", tok.line, tok.col)
-        return self.advance()
-
-    def expect_name(self) -> _Token:
-        tok = self.peek()
-        if tok.kind != "name":
-            shown = tok.text if tok.kind != "end" else "end of input"
-            raise SourceError(f"expected a name, found {shown!r}", tok.line, tok.col)
-        return self.advance()
-
-    def at_op(self, *ops: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "op" and tok.text in ops
-
     def parse(self) -> Node:
         node = self.additive()
-        tok = self.peek()
-        if tok.kind != "end":
-            raise SourceError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
+        tok = self.tokens[self.pos]
+        if tok[0] != "end":
+            raise self.error(f"unexpected trailing {tok[1]!r}", tok)
         return node
 
     def additive(self) -> Node:
         node = self.multiplicative()
-        while self.at_op("+", "-"):
-            op = self.advance().text
+        tokens = self.tokens
+        while (op := tokens[self.pos][0]) == "+" or op == "-":
+            self.pos += 1
             node = BinaryOp(op, node, self.multiplicative())
         return node
 
     def multiplicative(self) -> Node:
         node = self.unary()
-        while self.at_op("*", "/"):
-            op = self.advance().text
+        tokens = self.tokens
+        while (op := tokens[self.pos][0]) == "*" or op == "/":
+            self.pos += 1
             node = BinaryOp(op, node, self.unary())
         return node
 
     def unary(self) -> Node:
+        """A negation, or a primary with an optional right-associative ^."""
+        tokens = self.tokens
         self.depth += 1
         if self.depth > _MAX_DEPTH:
-            tok = self.peek()
-            raise SourceError(
-                f"expression nested more than {_MAX_DEPTH} levels deep", tok.line, tok.col
+            raise self.error(
+                f"expression nested more than {_MAX_DEPTH} levels deep", tokens[self.pos]
             )
-        if self.at_op("-"):
-            self.advance()
+        if tokens[self.pos][0] == "-":
+            self.pos += 1
             node: Node = UnaryNeg(self.unary())
         else:
-            node = self.power()
+            node = self.primary()
+            if tokens[self.pos][0] == "^":
+                self.pos += 1
+                node = BinaryOp("^", node, self.unary())
         self.depth -= 1
         return node
 
-    def power(self) -> Node:
-        node = self.primary()
-        if self.at_op("^"):
-            self.advance()
-            return BinaryOp("^", node, self.unary())
-        return node
-
     def primary(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return NumberLiteral(_number_value(tok.text))
-        if tok.kind == "name":
+        tok = self.tokens[self.pos]
+        kind = tok[0]
+        if kind == "number":
+            self.pos += 1
+            return NumberLiteral(_number_value(tok[1]))
+        if kind == "name":
             return self.name_form()
-        if self.at_op("("):
-            self.advance()
+        if kind == "(":
+            self.pos += 1
             node = self.additive()
-            self.expect_op(")")
+            self.expect(")")
             return node
-        shown = tok.text if tok.kind != "end" else "end of input"
-        raise SourceError(f"expected an expression, found {shown!r}", tok.line, tok.col)
+        raise self.error(f"expected an expression, found {_shown(tok)!r}", tok)
 
     def name_form(self) -> Node:
-        tok = self.advance()
-        name = tok.text
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        self.pos += 1
+        name = tok[1]
         if name in _KEYWORDS:
             return self.binder_form(tok)
-        if self.at_op("("):
+        if tokens[self.pos][0] == "(":
             if name not in self.functions:
-                raise SourceError(f"unknown function {name!r}", tok.line, tok.col)
-            self.advance()
+                raise self.error(f"unknown function {name!r}", tok)
+            self.pos += 1
             args: List[Node] = [self.additive()]
-            while self.at_op(","):
-                self.advance()
+            while tokens[self.pos][0] == ",":
+                self.pos += 1
                 args.append(self.additive())
-            self.expect_op(")")
+            self.expect(")")
             want = self.functions[name]
             if len(args) != want:
-                raise SourceError(
-                    f"{name} expects {want} argument(s), got {len(args)}",
-                    tok.line,
-                    tok.col,
-                )
+                raise self.error(f"{name} expects {want} argument(s), got {len(args)}", tok)
             return Call(name, tuple(args))
         if name in self.functions:
-            raise SourceError(
-                f"function {name!r} needs an argument list", tok.line, tok.col
-            )
+            raise self.error(f"function {name!r} needs an argument list", tok)
         if name in CONSTANT_NAMES:
             return ConstantRef(name)
         if name in self.bound:
@@ -347,44 +351,38 @@ class _Parser:
     def binder_form(self, keyword: _Token) -> Node:
         """sum[var = lo, hi]{ body } or integral[var]{ body }, after the
         keyword; var is bound in the body alone."""
-        is_sum = keyword.text == "sum"
+        is_sum = keyword[1] == "sum"
         if is_sum and self.sums == _MAX_SUM_DEPTH:
-            raise SourceError(
-                f"sums nested more than {_MAX_SUM_DEPTH} deep", keyword.line, keyword.col
-            )
-        self.expect_op("[")
-        var_tok = self.expect_name()
-        var = var_tok.text
+            raise self.error(f"sums nested more than {_MAX_SUM_DEPTH} deep", keyword)
+        self.expect("[")
+        var_tok = self.expect("name")
+        var = var_tok[1]
         error = binder_error(var, is_sum, self.functions)
         if error:
-            raise SourceError(error, var_tok.line, var_tok.col)
+            raise self.error(error, var_tok)
         if is_sum:
-            self.expect_op("=")
+            self.expect("=")
             lo = self.additive()
-            self.expect_op(",")
+            self.expect(",")
             hi = self.additive()
-        self.expect_op("]")
-        self.expect_op("{")
+        self.expect("]")
+        self.expect("{")
         # a parse error ends the parse, so the binder needs no unwinding
         self.bound.append(var)
         self.sums += is_sum
         body = self.additive()
         self.sums -= is_sum
         self.bound.pop()
-        self.expect_op("}")
+        self.expect("}")
         return Sum(var, lo, hi, body) if is_sum else Integral(var, body)
 
 
 def binder_error(var: str, is_sum: bool, functions: Mapping[str, int]) -> Optional[str]:
     """Why var cannot be a sum's index (is_sum) or an integral's variable,
-    or None when it can: it must lex as one name that is not a keyword, a
+    or None when it can: it must be one name that is not a keyword, a
     constant or a function."""
     role = "a summation index" if is_sum else "an integration variable"
-    try:
-        tokens = _lex(var)
-    except SourceError:
-        tokens = []
-    if len(tokens) != 2 or tokens[0].kind != "name" or tokens[0].text != var:
+    if not _is_name(var):
         return f"{var!r} is not a name, so it cannot be used as {role}"
     if var in _KEYWORDS or var in CONSTANT_NAMES or var in functions:
         return f"{var!r} cannot be used as {role}"
@@ -399,7 +397,7 @@ def parse_expression(
         from .registry import function_arities
 
         functions = function_arities()
-    return _Parser(_lex(src), functions).parse()
+    return _Parser(src, functions).parse()
 
 
 # ----------------------------------------------------------------------

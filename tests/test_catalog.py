@@ -1,10 +1,14 @@
 """Catalog integrity: manifest, validation, and the export file format."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import zetasech
 from zetasech.catalog import (
     CatalogError,
     Kind,
@@ -194,3 +198,38 @@ def test_validation_ties_exact_kind_to_exact_tolerance():
 def test_validation_rejects_unparsable_source():
     with pytest.raises(CatalogError):
         parse_catalog(_probe_text(lhs="sin("))
+
+
+def test_overlong_literal_names_the_record_line():
+    with pytest.raises(CatalogError) as info:
+        parse_catalog("\n" + _probe_text(lhs="n + " + "1" * 4301))
+    assert str(info.value) == (
+        "line 2: record Probe: number has more than 4300 digits (line 1, column 5)"
+    )
+
+
+# Each of these costs milliseconds to import, which every `zetasech` command
+# would pay before any work.
+_HEAVY_MODULES = {
+    "argparse",
+    "importlib.metadata",
+    "importlib.resources",
+    "pathlib",
+    "subprocess",
+    "tempfile",
+    "zipfile",
+}
+
+
+def test_catalog_build_loads_no_heavy_modules():
+    src_dir = os.path.dirname(os.path.dirname(zetasech.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src_dir!r}); import zetasech; "
+        "zetasech.builtin_identities(); print(*sorted(sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    loaded = set(out.split())
+    assert "zetasech.exprlang" in loaded
+    assert not loaded & _HEAVY_MODULES

@@ -174,6 +174,13 @@ def test_non_finite_sum_bound_is_an_error_row(tmp_path, capsys):
         assert err == f"zetasech: error: sum upper bound must be an integer, got {shown}\n"
 
 
+def test_eval_overlong_literal_is_positioned_input_error(capsys):
+    code, out, err = run_cli(capsys, "eval", "1 + " + "1" * 5000)
+    assert code == 2
+    assert out == ""
+    assert err == "zetasech: error: number has more than 4300 digits (line 1, column 5)\n"
+
+
 def test_non_finite_param_is_input_error(capsys):
     code, out, err = run_cli(capsys, "eval", "x + 1", "--param", "x=1e999")
     assert code == 2
