@@ -32,11 +32,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exprlang import Node, SourceError, parse_expression
 
@@ -88,8 +87,7 @@ def _parse(src: str) -> Node:
     return parse_expression(src)
 
 
-@dataclass(frozen=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     id: str
     group: str
     paper_anchor: str
@@ -273,6 +271,9 @@ def parse_catalog(text: str) -> Tuple[IdentityRecord, ...]:
     records: List[IdentityRecord] = []
     seen: set = set()
     current: Optional[Dict[str, object]] = None
+    # the file line of each expression field and the 0-based index in that
+    # line where its value starts, for positioning parse errors
+    starts: Dict[str, Tuple[int, int]] = {}
 
     def flush() -> None:
         if current is None:
@@ -291,11 +292,15 @@ def parse_catalog(text: str) -> Tuple[IdentityRecord, ...]:
             raise CatalogError(f"line {lineno}: {exc}") from None
         where = f"line {lineno}: record {rid}"
         lhs, rhs = str(current["lhs"]), str(current["rhs"])
-        try:
-            _parse(lhs)
-            _parse(rhs)
-        except SourceError as exc:
-            raise CatalogError(f"{where}: {exc}") from None
+        for side, src in (("lhs", lhs), ("rhs", rhs)):
+            try:
+                _parse(src)
+            except SourceError as exc:
+                # a field is one line, so the error is on line 1 of src
+                line, start = starts[side]
+                raise CatalogError(
+                    f"line {line}, column {start + exc.col}: record {rid}: {exc.message}"
+                ) from None
         if (kind is Kind.EXACT) != (tol is TolClass.EXACT):
             raise CatalogError(f"{where}: EXACT kind and EXACT tolerance go together")
         grid: Grid = current.get("params", ())  # type: ignore[assignment]
@@ -355,5 +360,7 @@ def parse_catalog(text: str) -> Tuple[IdentityRecord, ...]:
                 raise CatalogError(f"line {lineno}: bad floor {value!r}") from None
         else:
             current[key] = value
+            if key in ("lhs", "rhs"):
+                starts[key] = (lineno, raw.index(value, raw.index("=") + 1))
     flush()
     return tuple(records)

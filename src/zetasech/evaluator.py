@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from types import CodeType
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
 
 from .exprlang import (
     BinaryOp,
@@ -81,8 +80,7 @@ class ExactEvalError(ValueError):
     """The expression has no exact rational evaluation."""
 
 
-@dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(NamedTuple):
     quad_rel_tol: float = 1e-12
     quad_decay: float = math.pi
     quad_vmax: Optional[float] = None
@@ -90,8 +88,7 @@ class EvalConfig:
     eval_cap: int = DEFAULT_EVAL_CAP
 
 
-@dataclass(frozen=True)
-class NumericResult:
+class NumericResult(NamedTuple):
     value: float
     err_budget: float
     quad_evals: int

@@ -24,10 +24,10 @@ Syntax sketch:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
-from typing import List, Mapping, Optional, Tuple, Union
+from operator import attrgetter
+from typing import Callable, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "BinaryOp",
@@ -74,66 +74,124 @@ class SourceError(ValueError):
 # ----------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
-class NumberLiteral:
-    value: Fraction
-    # float(value), converted once for the numeric evaluators; None when
-    # value is too large for a float. Not part of ==, hash or repr.
-    fvalue: Optional[float] = field(init=False, repr=False, compare=False)
+_set = object.__setattr__
 
-    def __post_init__(self) -> None:
+
+class _Node:
+    """Base of the node classes: immutable slotted records that compare,
+    hash and print by their fields (_fields, by default __slots__), as
+    frozen dataclasses do. Nodes of different classes are never equal, so
+    ParamRef("a") != BoundVarRef("a"). A class's __init__ takes its fields
+    in order and stores them with _set."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...]
+    _key: Callable[["_Node"], object]
+
+    def __init_subclass__(cls) -> None:
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+        key = cls._key = attrgetter(*cls._fields)
+        # a node hashes as the tuple of its field values; the integrand
+        # compiler's cache hashes a whole tree per evaluation, and a closure
+        # per class costs less than a shared method that looks up the key
+        if len(cls._fields) == 1:
+            cls.__hash__ = lambda self: hash((key(self),))  # type: ignore[method-assign]
+        else:
+            cls.__hash__ = lambda self: hash(key(self))  # type: ignore[method-assign]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class NumberLiteral(_Node):
+    __slots__ = ("value", "fvalue")
+    # fvalue is float(value), converted once for the numeric evaluators;
+    # None when value is too large for a float. Not part of ==, hash or repr.
+    _fields = ("value",)
+
+    def __init__(self, value: Fraction) -> None:
+        _set(self, "value", value)
         try:
-            fvalue: Optional[float] = float(self.value)
+            fvalue: Optional[float] = value.numerator / value.denominator
         except OverflowError:
             fvalue = None
-        object.__setattr__(self, "fvalue", fvalue)
+        _set(self, "fvalue", fvalue)
 
 
-@dataclass(frozen=True)
-class ConstantRef:
-    name: str
+class ConstantRef(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class ParamRef:
-    name: str
+class ParamRef(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class BoundVarRef:
-    name: str
+class BoundVarRef(_Node):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class UnaryNeg:
-    operand: "Node"
+class UnaryNeg(_Node):
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: "Node") -> None:
+        _set(self, "operand", operand)
 
 
-@dataclass(frozen=True)
-class BinaryOp:
-    op: str
-    left: "Node"
-    right: "Node"
+class BinaryOp(_Node):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Node", right: "Node") -> None:
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    args: Tuple["Node", ...]
+class Call(_Node):
+    __slots__ = ("name", "args")
+
+    def __init__(self, name: str, args: Tuple["Node", ...]) -> None:
+        _set(self, "name", name)
+        _set(self, "args", args)
 
 
-@dataclass(frozen=True)
-class Sum:
-    var: str
-    lo: "Node"
-    hi: "Node"
-    body: "Node"
+class Sum(_Node):
+    __slots__ = ("var", "lo", "hi", "body")
+
+    def __init__(self, var: str, lo: "Node", hi: "Node", body: "Node") -> None:
+        _set(self, "var", var)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "body", body)
 
 
-@dataclass(frozen=True)
-class Integral:
-    var: str
-    body: "Node"
+class Integral(_Node):
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: "Node") -> None:
+        _set(self, "var", var)
+        _set(self, "body", body)
 
 
 Node = Union[
@@ -219,6 +277,21 @@ def _lex(src: str) -> List[_Token]:
     return tokens
 
 
+# int() refuses a string of more digits than sys.get_int_max_str_digits(),
+# which may be set as low as 640; converting at most that many digits at a
+# time makes every literal under _MAX_LITERAL_DIGITS readable
+_INT_CHUNK = 640
+
+
+def _digits_int(digits: str) -> int:
+    """The value of a run of decimal digits; 0 when there are none."""
+    value = 0
+    for start in range(0, len(digits), _INT_CHUNK):
+        chunk = digits[start:start + _INT_CHUNK]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 # a catalog repeats a few dozen literal texts; a Fraction is immutable, so
 # nodes may share one
 @lru_cache(maxsize=1024)
@@ -226,8 +299,8 @@ def _number_value(text: str) -> Fraction:
     if "." in text:
         whole, frac = text.split(".")
         scale = 10 ** len(frac)
-        return Fraction(int(whole or "0") * scale + int(frac), scale)
-    return Fraction(int(text))
+        return Fraction(_digits_int(whole) * scale + _digits_int(frac), scale)
+    return Fraction(_digits_int(text))
 
 
 def _shown(tok: _Token) -> str:

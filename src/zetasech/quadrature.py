@@ -15,8 +15,7 @@ from the node tables, not per call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "DEFAULT_EVAL_CAP",
@@ -39,8 +38,7 @@ class QuadratureError(ValueError):
     """Raised when an integrand cannot be handled (non-finite samples)."""
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     abs_error_estimate: float
     evaluations: int

@@ -8,10 +8,9 @@ with zero residual instead of a tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
 from . import exact, specfun
 
@@ -32,8 +31,7 @@ class RegistryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
+class FunctionSpec(NamedTuple):
     name: str
     arity: int
     numeric: Callable[..., float]

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 from .ddmath import (
     DD,
@@ -737,8 +736,7 @@ def loggamma_q4(w: float) -> float:
 # ----------------------------------------------------------------------
 # named constants, each produced by the machinery above
 
-@dataclass(frozen=True)
-class ConstantTable:
+class ConstantTable(NamedTuple):
     pi: float
     ln2: float
     euler_gamma: float

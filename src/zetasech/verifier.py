@@ -14,10 +14,9 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Hashable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .catalog import (
     GridValue,
@@ -74,8 +73,7 @@ class Status(Enum):
         return self not in (Status.FAIL, Status.ERROR, Status.EXPECTED_FAIL_VIOLATED)
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     identity: str
     group: str
     kind: Kind
@@ -95,8 +93,7 @@ class CaseResult:
         return ", ".join(f"{k}={_format_value(v)}" for k, v in self.params)
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     results: Tuple[CaseResult, ...]
     elapsed_ms: float
 
@@ -340,7 +337,7 @@ _COLUMNS = (
 
 def _row(res: CaseResult, include_ms: bool = True) -> Dict[str, object]:
     """A case as a JSON report row."""
-    row = dict(zip(_COLUMNS, (getattr(res, f.name) for f in fields(res))))
+    row = dict(zip(_COLUMNS, res))
     row.update(
         kind=res.kind.value,
         params={k: _format_value(v) for k, v in res.params},
@@ -356,8 +353,7 @@ def _case(row: Mapping[str, object]) -> CaseResult:
     """Inverse of _row; a row without timing reads back with ms 0."""
     cells = {"ms": 0.0, "message": "", **row}
     res = CaseResult(*(cells[name] for name in _COLUMNS))
-    return replace(
-        res,
+    return res._replace(
         kind=Kind(res.kind),
         params=tuple((k, _parse_value(v)) for k, v in res.params.items()),
         status=Status(res.status),

@@ -204,19 +204,25 @@ def test_overlong_literal_names_the_record_line():
     with pytest.raises(CatalogError) as info:
         parse_catalog("\n" + _probe_text(lhs="n + " + "1" * 4301))
     assert str(info.value) == (
-        "line 2: record Probe: number has more than 4300 digits (line 1, column 5)"
+        "line 7, column 11: record Probe: number has more than 4300 digits"
     )
 
 
 # Each of these costs milliseconds to import, which every `zetasech` command
-# would pay before any work.
+# would pay before any work; dataclasses brings in inspect, ast, dis and
+# tokenize.
 _HEAVY_MODULES = {
     "argparse",
+    "ast",
+    "dataclasses",
+    "dis",
     "importlib.metadata",
     "importlib.resources",
+    "inspect",
     "pathlib",
     "subprocess",
     "tempfile",
+    "tokenize",
     "zipfile",
 }
 

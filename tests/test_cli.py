@@ -138,7 +138,7 @@ def _record(kind="NUMERIC", lhs="integral[v]{exp(-v)}", rhs="1", extra=""):
         (_record(lhs="x", rhs="x", extra="params = x in {1, 2}; x in {3}\n"),
          "line 8: repeated parameter 'x'"),
         (_record(lhs=_nested_sums("1", 17)),
-         "line 1: record Probe: sums nested more than 16 deep (line 1, column 199)"),
+         "line 6, column 205: record Probe: sums nested more than 16 deep"),
     ],
 )
 def test_catalog_hints_out_of_range_are_input_errors(tmp_path, capsys, text, message):
@@ -179,6 +179,22 @@ def test_eval_overlong_literal_is_positioned_input_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "zetasech: error: number has more than 4300 digits (line 1, column 5)\n"
+
+
+def test_long_literal_reads_under_the_lowest_digit_limit():
+    # 640 is the lowest digit limit CPython accepts; a literal under the
+    # 4300-digit cap must read whatever the limit is
+    src = os.path.dirname(os.path.dirname(zetasech.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    ones = "1" * 1000
+    proc = subprocess.run(
+        [sys.executable, "-m", "zetasech.cli", "eval", "--exact", f"{ones}/{ones}"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONINTMAXSTRDIGITS": "640"},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
 
 
 def test_non_finite_param_is_input_error(capsys):

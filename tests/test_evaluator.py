@@ -1,6 +1,5 @@
 """Numeric and exact evaluation of parsed expressions."""
 
-import dataclasses
 import hashlib
 import math
 import operator
@@ -257,11 +256,11 @@ def _integrals(node, env, cfg):
         hi = _eval_num(node.hi, env, cfg, _QuadUsage())[0]
         for k in range(round(lo), round(hi) + 1):
             yield from _integrals(node.body, {**env, node.var: float(k)}, cfg)
-    elif dataclasses.is_dataclass(node):
-        for field in dataclasses.fields(node):
-            value = getattr(node, field.name)
+    else:
+        for name in node._fields:
+            value = getattr(node, name)
             for child in value if isinstance(value, tuple) else (value,):
-                if dataclasses.is_dataclass(child):
+                if hasattr(child, "_fields"):
                     yield from _integrals(child, env, cfg)
 
 
@@ -311,7 +310,7 @@ def test_parameter_only_call_runs_once_per_integral(monkeypatch):
         calls.append(x)
         return spec.numeric(x)
 
-    monkeypatch.setitem(function_table(), "cosh", dataclasses.replace(spec, numeric=cosh))
+    monkeypatch.setitem(function_table(), "cosh", spec._replace(numeric=cosh))
     # an integrand no other test compiles, so it is built with the wrapper
     node = parse_expression("integral[v]{exp(-v) * cosh(a/8 + 1/64)}")
     res = evaluate_numeric(node, {"a": 2.0})
@@ -594,7 +593,8 @@ def _exact_outcome(thunk):
     except ExactEvalError as exc:
         return f"ExactEvalError: {exc}"
     assert type(value) is F
-    return repr(value)
+    # not repr(value): a result may have more digits than str() may print
+    return value
 
 
 def test_exact_results_of_a_catalog_run_equal_a_fraction_walk():

@@ -106,6 +106,30 @@ def test_constants_and_params_are_distinct():
     assert parse_expression("s") == ParamRef("s")
 
 
+def test_nodes_compare_hash_and_freeze_like_values():
+    # equal fields make equal nodes only within one class
+    assert ParamRef("a") != BoundVarRef("a") and not ParamRef("a") == BoundVarRef("a")
+    assert ConstantRef("pi") != ParamRef("pi")
+    src = "sum[k = 0, n]{ binom(n, k) * integral[v]{ v^k / cosh(pi*v) } } - -a"
+    first, second = parse_expression(src), parse_expression(src)
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert hash(first) == hash((first.op, first.left, first.right))
+    assert hash(ParamRef("a")) == hash(("a",))
+    with pytest.raises(AttributeError):
+        first.op = "+"
+    with pytest.raises(AttributeError):
+        del first.left
+    with pytest.raises(AttributeError):
+        ParamRef("a").other = 1
+    for make in (lambda: ParamRef(), lambda: ParamRef("a", "b"), lambda: BinaryOp("+", first)):
+        with pytest.raises(TypeError):
+            make()
+    third = NumberLiteral(Fraction(1, 3))
+    assert third.fvalue == float(Fraction(1, 3))
+    with pytest.raises(AttributeError):
+        third.fvalue = 0.0
+
+
 def test_call_node_shape():
     tree = parse_expression("hzeta(s, a)")
     assert tree == Call("hzeta", (ParamRef("s"), ParamRef("a")))
