@@ -278,8 +278,9 @@ def _lex(src: str) -> List[_Token]:
 
 
 # int() refuses a string of more digits than sys.get_int_max_str_digits(),
-# which may be set as low as 640; converting at most that many digits at a
-# time makes every literal under _MAX_LITERAL_DIGITS readable
+# which may be set as low as 640, and str() an int of more; converting at
+# most that many digits at a time makes every literal under
+# _MAX_LITERAL_DIGITS readable and printable
 _INT_CHUNK = 640
 
 
@@ -290,6 +291,17 @@ def _digits_int(digits: str) -> int:
         chunk = digits[start:start + _INT_CHUNK]
         value = value * 10 ** len(chunk) + int(chunk)
     return value
+
+
+def _int_digits(value: int) -> str:
+    """The decimal text of an int, the reverse of _digits_int."""
+    base = 10 ** _INT_CHUNK
+    chunks = []
+    while value >= base:
+        value, low = divmod(value, base)
+        chunks.append(str(low).rjust(_INT_CHUNK, "0"))
+    chunks.append(str(value))
+    return "".join(reversed(chunks))
 
 
 # a catalog repeats a few dozen literal texts; a Fraction is immutable, so
@@ -491,7 +503,7 @@ def _format_fraction(value: Fraction) -> str:
     num = value.numerator
     den = value.denominator
     if den == 1:
-        return str(num)
+        return _int_digits(num)
     k = 0
     scaled = den
     while scaled % 2 == 0:
@@ -505,7 +517,7 @@ def _format_fraction(value: Fraction) -> str:
         raise ValueError(f"literal {value} has no finite decimal form")
     digits = max(k, j)
     shifted = num * 10 ** digits // den
-    text = str(shifted).rjust(digits + 1, "0")
+    text = _int_digits(shifted).rjust(digits + 1, "0")
     return f"{text[:-digits]}.{text[-digits:]}"
 
 

@@ -82,9 +82,9 @@ _EM_TAIL_TERMS = 15
 # Below this order the head terms (k+a)^(-s) cancel past double-double
 # precision. Against mpmath at 600 seeded points of each unit band of s,
 # a in [0.05, 8], value and d/ds, skipping points with a zero of zeta(s, .)
-# or of its d/ds within 1e-3 in a, the worst relative error is 1.7e-16 for
-# s in (-10, -9], 2.9e-15 in (-11, -10], 6.7e-14 in (-12, -11] and 1.4e-12
-# in (-13, -12]; it reaches 63 in (-24, -23].
+# or of its d/ds within 1e-3 in a, the worst relative error is 1.1e-16 for
+# s in (-10, -9], 2.2e-16 in (-11, -10], 1.3e-14 in (-12, -11] and 1.2e-12
+# in (-13, -12]; it reaches 1.7e2 in (-24, -23].
 _HZ_MIN_ORDER = -12.0
 
 

@@ -210,7 +210,9 @@ def test_overlong_literal_names_the_record_line():
 
 # Each of these costs milliseconds to import, which every `zetasech` command
 # would pay before any work; dataclasses brings in inspect, ast, dis and
-# tokenize.
+# tokenize. mpmath is a test dependency only. decimal cannot be listed,
+# because fractions imports it; test_ddmath builds ddmath's tables with it
+# blocked instead.
 _HEAVY_MODULES = {
     "argparse",
     "ast",
@@ -219,6 +221,7 @@ _HEAVY_MODULES = {
     "importlib.metadata",
     "importlib.resources",
     "inspect",
+    "mpmath",
     "pathlib",
     "subprocess",
     "tempfile",

@@ -2,15 +2,26 @@
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
+from zetasech import ddmath
 from zetasech.ddmath import (
-    _INV_FACT,
+    _C4,
+    _C5,
+    _C6,
+    _C7,
+    _EXP_J1,
+    _EXP_J2,
+    _INV6,
     _LN2,
+    _quick_two_sum,
+    _two_prod,
     DD,
     dd_add,
     dd_add_d,
@@ -24,7 +35,14 @@ from zetasech.ddmath import (
     to_float,
 )
 
-mp.mp.dps = 40
+
+@pytest.fixture(autouse=True, scope="module")
+def _mp_digits():
+    # mpmath's precision is global, and test_specfun sets it to 30 digits
+    # on import; these bounds need 40
+    with mp.workdps(40):
+        yield
+
 
 # keep magnitudes where double products neither overflow nor go subnormal
 finite = st.floats(min_value=-1e80, max_value=1e80, allow_nan=False).filter(
@@ -91,11 +109,26 @@ def test_from_fraction_is_faithful():
     assert to_float(dd_from_fraction(f)) == 1.0 / 3.0
 
 
+def mp_value(x: DD) -> mp.mpf:
+    return mp.mpf(x[0]) + mp.mpf(x[1])
+
+
+# Each bound below is at least twice the worst relative error measured over
+# 10**5 seeded draws (for the double-double inputs, over the test's own).
+
+
+@given(st.floats(min_value=-0.5, max_value=0.5, allow_nan=False))
+def test_exp_near_zero_matches_mpmath(x):
+    # m = 0: the table steps and the Taylor sum alone (worst 4.9e-32)
+    want = mp.exp(mp.mpf(x))
+    assert abs(mp_value(dd_exp((x, 0.0))) - want) <= want * mp.mpf("1e-31")
+
+
 @given(st.floats(min_value=-40.0, max_value=40.0, allow_nan=False))
 def test_exp_matches_mpmath(x):
-    got = as_fraction(dd_exp(dd_from_fraction(Fraction(x))))
+    # r = x - m ln 2 costs up to ~2**-106 |x| (worst 5.1e-31)
     want = mp.exp(mp.mpf(x))
-    assert abs(mp.mpf(got.numerator) / got.denominator - want) < abs(want) * mp.mpf("1e-28")
+    assert abs(mp_value(dd_exp((x, 0.0))) - want) <= want * mp.mpf("1.2e-30")
 
 
 def test_exp_of_double_double_matches_mpmath():
@@ -106,19 +139,16 @@ def test_exp_of_double_double_matches_mpmath():
         hi = rng.uniform(-60.0, 60.0)
         x = dd_from_fraction(Fraction(hi) * (1 + Fraction(rng.uniform(-1.0, 1.0)) / 2**60))
         assert x[1] != 0.0
-        got = as_fraction(dd_exp(x))
-        want = mp.exp(mp.mpf(x[0]) + mp.mpf(x[1]))
-        worst = max(worst, abs(mp.mpf(got.numerator) / got.denominator - want) / want)
-    assert worst <= mp.mpf("4e-30"), worst
+        want = mp.exp(mp_value(x))
+        worst = max(worst, abs(mp_value(dd_exp(x)) - want) / want)
+    assert worst <= mp.mpf("1e-30"), worst
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
 def test_ln_matches_mpmath(x):
-    got = as_fraction(dd_ln(x))
+    # worst 4.5e-32 (1 + |ln x|)
     want = mp.log(mp.mpf(x))
-    assert abs(mp.mpf(got.numerator) / got.denominator - want) < mp.mpf("1e-28") * (
-        1 + abs(want)
-    )
+    assert abs(mp_value(dd_ln(x)) - want) <= mp.mpf("1e-31") * (1 + abs(want))
 
 
 @given(st.floats(min_value=1e-6, max_value=1e6, allow_nan=False))
@@ -137,6 +167,18 @@ def test_exp_extremes():
         raise AssertionError("expected OverflowError for exp(800)")
 
 
+def reduce_exp_arg(x: DD):
+    # dd_exp's argument reduction: x = m ln 2 + j1/64 + j2/8192 + r0 + r1,
+    # the two table steps exact on the high word
+    m = round((x[0] + x[1]) / _LN2[0])
+    r0, r1 = dd_sub(x, dd_mul_d(_LN2, float(m)))
+    j1 = round(r0 * 64.0)
+    r0 -= j1 / 64.0
+    j2 = round(r0 * 8192.0)
+    r0 -= j2 / 8192.0
+    return m, j1, j2, r0, r1
+
+
 def composed_exp(x: DD) -> DD:
     # dd_exp as the composition of the double-double helpers; dd_exp runs
     # the same float operations in the same order with the helpers inlined
@@ -144,15 +186,18 @@ def composed_exp(x: DD) -> DD:
         return 0.0, 0.0
     if x[0] > 709.0:
         raise OverflowError("dd_exp overflow")
-    m = round(x[0] / _LN2[0])
-    r = dd_sub(x, dd_mul_d(_LN2, float(m)))
-    r = dd_mul_d(r, 1.0 / 32.0)
-    p = _INV_FACT[-1]
-    for c in _INV_FACT[-2::-1]:
-        p = dd_add(dd_mul(p, r), c)
-    total = dd_add_d(dd_mul(p, r), 1.0)
-    for _ in range(5):
-        total = dd_mul(total, total)
+    m, j1, j2, r0, r1 = reduce_exp_arg(x)
+    f = r0 * (_C4 + r0 * (_C5 + r0 * (_C6 + r0 * _C7)))
+    p, e = _two_prod(_INV6[0], r0)
+    e += (_INV6[1] + f) * r0
+    s, t = _quick_two_sum(0.5, p)
+    w = dd_mul(_two_prod(r0, r0), (s, t + e))
+    s, t = _quick_two_sum(r0, w[0])
+    em1 = _quick_two_sum(s, t + w[1] + (r1 + r1 * s))
+    u = dd_mul(_EXP_J1[j1 + 23], _EXP_J2[j2 + 64])
+    v = dd_mul(u, em1)
+    s, t = _quick_two_sum(u[0], v[0])
+    total = _quick_two_sum(s, t + (u[1] + v[1]))
     return math.ldexp(total[0], m), math.ldexp(total[1], m)
 
 
@@ -168,6 +213,78 @@ def test_exp_is_the_composed_rule_word_for_word():
         assert [w.hex() for w in dd_exp(x)] == [w.hex() for w in composed_exp(x)], x
     with pytest.raises(OverflowError):
         dd_exp((709.0 + 2**-40, 0.0))
+
+
+def test_exp_tables_hold_exp_to_a_double_double():
+    assert (len(_EXP_J1), len(_EXP_J2)) == (47, 129)
+    with mp.workdps(50):
+        for den, table in ((64, _EXP_J1), (8192, _EXP_J2)):
+            jmax = len(table) // 2
+            for i, (hi, lo) in enumerate(table):
+                want = mp.exp(mp.mpf(i - jmax) / den)
+                assert abs(lo) <= math.ulp(hi) / 2, (den, i)
+                assert abs(mp_value((hi, lo)) - want) <= want * mp.mpf(2) ** -106, (den, i)
+
+
+def test_reduction_edges_stay_inside_the_tables():
+    # x at m ln 2 +- ln 2 / 2, where m flips and |j1| = 22; at r0 = +-21.5/64,
+    # where j1 flips and |j2| = 64; at r0 = +-0.5/64; and just inside the
+    # -745 and 709 guards. Each as a double-double, so the low word counts.
+    xs = [(-745.0, 0.0), (math.nextafter(-745.0, 0.0), 0.0), (709.0, 0.0),
+          (math.nextafter(709.0, 0.0), 0.0), (709.0, math.ulp(709.0) * 0.49),
+          (0.0, -1.0), (2.0, 0.75), (-30.0, 3.5)]  # low words past ulp/2 too
+    with mp.workdps(50):
+        ln2 = mp.log(2)
+        for m in (-1074, -1022, -300, -1, 0, 1, 45, 1022):
+            for off in (ln2 / 2, mp.mpf(21.5) / 64, mp.mpf(0.5) / 64):
+                for sign in (1, -1):
+                    c = m * ln2 + sign * off
+                    for ulps in (-1, 0, 1):
+                        hi = float(c)
+                        hi = hi + ulps * math.ulp(hi)
+                        xs.append((hi, float(c - hi) if ulps == 0 else 0.0))
+        seen = set()
+        for x in xs:
+            if not -745.0 <= x[0] <= 709.0:
+                continue
+            m, j1, j2, r0, r1 = reduce_exp_arg(x)
+            assert abs(j1) <= 22 and abs(j2) <= 64 and abs(r0) <= 2**-14, x
+            seen.update((abs(j1), abs(j2)))
+            hi, lo = dd_exp(x)
+            want = mp.exp(mp_value(x))
+            assert math.isfinite(hi) and math.isfinite(lo) and hi > 0.0, x
+            if hi >= 2.0**-968:  # the low word is a normal float too
+                # r = x - m ln 2 costs up to ~2**-106 |x| (worst measured
+                # 2.7e-32 max(1, |x|) over 2 * 10**4 draws in [-744, 709])
+                bound = mp.mpf("1e-31") + mp.mpf("6e-32") * abs(x[0])
+                assert abs(mp_value((hi, lo)) - want) <= want * bound, x
+            elif hi >= 2.0**-1022:
+                assert abs(mp_value((hi, lo)) - want) <= 2.0**-1074, x
+            else:  # the high word rounds once more as a subnormal
+                assert abs(hi - want) <= 2.0**-1074, x
+            if hi >= 2.0**-1022 and want != hi:
+                # the low word, or the zero it underflowed to, has the
+                # sign of what the high word leaves
+                assert math.copysign(1.0, lo) == mp.sign(want - hi), x
+    assert {22, 64} <= seen
+
+
+def test_tables_build_from_integers_alone():
+    # ddmath runs with fractions, decimal and mpmath unimportable. decimal
+    # cannot go into test_catalog's heavy-module list: fractions imports it.
+    code = (
+        "import importlib.util, sys\n"
+        "for name in ('fractions', 'decimal', 'mpmath'):\n"
+        "    sys.modules[name] = None\n"
+        f"spec = importlib.util.spec_from_file_location('ddmath', {ddmath.__file__!r})\n"
+        "mod = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(mod)\n"
+        "print(mod._EXP_J1 == {_EXP_J1!r} and mod._EXP_J2 == {_EXP_J2!r})\n"
+    ).replace("{_EXP_J1!r}", repr(_EXP_J1)).replace("{_EXP_J2!r}", repr(_EXP_J2))
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "True\n"
 
 
 def test_ln_rejects_nonpositive():

@@ -1,11 +1,15 @@
 """Grammar, precedence, and diagnostics for the expression language."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import zetasech
 from zetasech.catalog import builtin_identities
 from zetasech.exprlang import (
     BinaryOp,
@@ -186,6 +190,29 @@ def test_sums_in_bounds_do_not_count_toward_the_cap():
 def test_format_parse_round_trip(src):
     tree = parse_expression(src)
     assert parse_expression(format_expression(tree)) == tree
+
+
+def test_long_literal_formats_under_the_lowest_digit_limit():
+    # 640 is the lowest digit limit CPython accepts; str() refuses a longer
+    # int under it, so a literal under the 4300-digit cap must still format
+    src_dir = os.path.dirname(os.path.dirname(zetasech.__file__))
+    path = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    code = (
+        "from zetasech.exprlang import format_expression, parse_expression\n"
+        "for src in ('1' * 1000, '1' + '0' * 1280, '7' * 1281 + '.' + '0' * 639 + '5'):\n"
+        "    tree = parse_expression(src)\n"
+        "    text = format_expression(tree)\n"
+        "    assert text == src and parse_expression(text) == tree, src[:20]\n"
+        "print('ok')"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONINTMAXSTRDIGITS": "640"},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 @pytest.mark.parametrize("src,line,col", MALFORMED)
