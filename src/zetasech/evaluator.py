@@ -14,15 +14,19 @@ hundreds of times per integral; every other part of a side, numeric or
 exact, is walked. The parts of an integral body that read only parameters
 run once per integral, before quadrature starts, and not at every sample
 (_Codegen says which parts). Their failures therefore raise before the
-first sample, and before the quadrature settings are checked; the message
-is the walk's. Each sum in a body is a for loop inline in the one
-generated function, nested in the loop of its enclosing sum; the parser's
-cap of 16 nested sums is what keeps that within CPython's 20 nested blocks
-per code object. Generated sources hold only generated names, so each
-distinct text is compiled once and its code object run in each tree's
-namespace. The compiler emits no test that cannot fail: a parameter's
-unbound-name test is left out where an earlier test of it runs on every
-path, and a division by a nonzero literal is not tested for zero.
+first sample, and before the quadrature settings are checked. Each sum in
+a body is a for loop inline in the one generated function, nested in the
+loop of its enclosing sum. Generated sources hold only generated names, so
+each distinct text is compiled once and its code object run in each tree's
+namespace.
+
+The generated code tests nothing step by step. It runs straight through
+inside one try, with one finiteness test over the results of its calls and
+powers, and on any failure hands the sample to the AST walk, which gives
+the same value or raises its own message. Every error message therefore
+comes from _eval_num alone. The generated per-sample function nests that
+try and one loop per sum; the parser's cap of 16 nested sums keeps it
+within CPython's 20 nested blocks per code object.
 
 The exact path walks the tree over Python ints and pairs of ints, a
 numerator and a positive denominator in lowest terms (_eval_exact). Pairs
@@ -121,6 +125,15 @@ def _near_int(x: float, what: str) -> int:
     raise EvalError(f"{what} must be an integer, got {x!r}")
 
 
+def _sum_range(lov: float, hiv: float) -> Iterator[float]:
+    """The index values, as floats, of a sum with bounds lov and hiv."""
+    lo = _near_int(lov, "sum lower bound")
+    hi = _near_int(hiv, "sum upper bound")
+    if hi - lo > _SUM_LIMIT:
+        raise EvalError("sum range too large")
+    return map(float, range(lo, hi + 1))
+
+
 def _eval_num(
     node: Node,
     env: Dict[str, float],
@@ -194,17 +207,14 @@ def _eval_num(
     if isinstance(node, Sum):
         lov, _ = _eval_num(node.lo, env, cfg, usage)
         hiv, _ = _eval_num(node.hi, env, cfg, usage)
-        lo = _near_int(lov, "sum lower bound")
-        hi = _near_int(hiv, "sum upper bound")
-        if hi - lo > _SUM_LIMIT:
-            raise EvalError("sum range too large")
+        indices = _sum_range(lov, hiv)
         total = 0.0
         total_err = 0.0
         saved = env.get(node.var)
         had = node.var in env
         try:
-            for k in range(lo, hi + 1):
-                env[node.var] = float(k)
+            for k in indices:
+                env[node.var] = k
                 v, e = _eval_num(node.body, env, cfg, usage)
                 total += v
                 total_err += e
@@ -252,6 +262,10 @@ def _integrate(
 
 _MISSING = object()
 _BODY = " " * 4
+# what a generated fast path catches: float arithmetic's ZeroDivisionError
+# and OverflowError, the ValueErrors of registry functions, sum bounds and
+# nested integrals (EvalError), and the TypeError a complex value meets
+_FAILS = (ArithmeticError, ValueError, TypeError)
 
 
 @lru_cache(maxsize=256)
@@ -288,52 +302,92 @@ def _fixed_subtrees(node: Node, var: str, out: Set[int]) -> bool:
     return fixed
 
 
-# the indent of f's top level; make's own lines sit at _BODY
-_SAMPLE = _BODY * 2
+def _walk_integrand(
+    node: Integral,
+    hoisted: Tuple[Node, ...],
+    env: Dict[str, float],
+    cfg: EvalConfig,
+    usage: _QuadUsage,
+) -> Callable[[float], float]:
+    """make's slow path, for an unbound parameter or a failing hoisted
+    subtree: the hoisted subtrees are walked in order, so the first failure
+    raises the walk's message before the first sample; if none fails, the
+    walk itself is the integrand."""
+    for sub in hoisted:
+        _eval_num(sub, env, cfg, usage)
+    body, var = node.body, node.var
+    return lambda x: _eval_num(body, {**env, var: x}, cfg, usage)[0]
+
+
+def _product(names: List[str]) -> str:
+    """names multiplied left to right. From a first factor of 0.0, every
+    partial product is exactly 0.0 or -0.0 while the factors are finite
+    floats, so large finite values never fail the test; an infinite or
+    NaN factor makes it NaN, a complex one complex, and None (a literal
+    past the float range) raises TypeError."""
+    return " * ".join(names)
+
+
+def _fast_path(lines: List[str], checks: List[str], result: str) -> List[str]:
+    """lines, then return result if every name in checks holds a finite
+    value, all inside one try; a failure falls through past the try."""
+    ret = f"return {result}"
+    if checks:
+        lines = [*lines, f"if isfinite({_product(['0.0', *checks])}):"]
+        ret = _BODY + ret
+    return ["try:", *(_BODY + line for line in [*lines, ret]), "except FAILS:", _BODY + "pass"]
 
 
 class _Codegen:
     """Python source for one integral body, computing only its value.
 
-    Every node gets one temporary, computed in the walk's operation order.
-    The source holds only generated names: values, callables and every
-    string taken from the expression reach it through the exec namespace,
-    where Error is EvalError. Each Sum is an inline for loop, so the loops
-    of nested sums nest in one code object; CPython allows 20 nested blocks
-    there, and the parser's cap of 16 nested sums leaves room for a loop's
-    guarded call.
+    Every node gets one temporary, computed in the walk's operation order,
+    so a value is the walk's bit for bit. The source holds only generated
+    names; values, callables and strings reach it through the exec
+    namespace.
 
     The body is split between make, which runs once per integral, and f,
-    which runs at every sample. A subtree goes to make when it is at f's
-    top level (not inside a sum loop), reads no local (the integration
-    variable or a sum index) and holds no Sum or Integral: parameter reads
-    with their unbound-name tests, arithmetic on parameters, and calls on
-    them with their guards. Each part keeps the walk's operation order.
-    So f's top level reads no parameter itself, and make's unbound-name
-    tests, which run first, spare every later test of the same name.
+    which runs at every sample. A subtree is hoisted to make when it is at
+    f's top level (not inside a sum loop), reads no local (the integration
+    variable or a sum index) and holds no Sum or Integral.
 
-    A compiled sample equals _eval_num's value bit for bit, and each
-    failure raises the EvalError message _eval_num raises. A failing step
-    in make raises before the first sample; the walk raises the same
-    message at the first sample, unless a step that reads the variable
-    and comes before it in the walk fails there first.
+    Neither part tests a step: each runs straight through inside one try.
+    Division by zero and the errors of functions and sum bounds raise on
+    their own; one finiteness test over every call and power result
+    (checks) catches an infinite or NaN result, a complex power and a
+    literal past the float range (None). Inside a sum loop each pass
+    multiplies its results into the running check ok. On a failure the
+    walk takes over (_walk_integrand in make, _eval_num at f's sample) and
+    gives the same value or raises its own message. f restores usage.evals
+    before the walk when it holds a nested integral, so only the walk's
+    integrals count.
+
+    f nests one try and one loop per sum; the parser's cap of 16 nested
+    sums keeps that within CPython's 20 nested blocks per code object.
     """
 
     def __init__(self, node: Integral) -> None:
         self.namespace: Dict[str, object] = {
-            "Error": EvalError,
+            "FAILS": _FAILS,
             "MISSING": _MISSING,
-            "NUM_ERRORS": _NUM_ERRORS,
             "isfinite": math.isfinite,
-            "near_int": _near_int,
+            "srange": _sum_range,
             "integrate": _integrate,
+            "walk": _eval_num,
+            "walk_integrand": _walk_integrand,
         }
         self.params: Dict[str, str] = {}
-        # the parameters whose unbound-name test runs before the current
-        # line on every path to it
-        self.checked: Set[str] = set()
-        self.lines: List[str] = []
+        self.sample: List[str] = []
         self.setup: List[str] = []
+        self.lines = self.sample
+        # the call and power results, and literals past the float range,
+        # that the current block's finiteness test covers
+        self.sample_checks: List[str] = []
+        self.setup_checks: List[str] = []
+        self.checks = self.sample_checks
+        self.hoisted: List[Node] = []
+        self.running = False
+        self.nested = False
         self.temps = 0
         self.fixed: Set[int] = set()
         _fixed_subtrees(node.body, node.var, self.fixed)
@@ -350,65 +404,27 @@ class _Codegen:
     def line(self, indent: str, text: str) -> None:
         self.lines.append(indent + text)
 
-    def fail(self, indent: str, message: str) -> None:
-        self.line(indent, f"raise Error({self.const(message)})")
-
-    def fail_if(self, indent: str, test: str, message: str) -> None:
-        self.line(indent, f"if {test}:")
-        self.fail(indent + "    ", message)
-
-    def guarded(self, indent: str, stmt: str, prefix: str) -> None:
-        self.line(indent, "try:")
-        self.line(indent, "    " + stmt)
-        self.line(indent, "except NUM_ERRORS as exc:")
-        self.line(indent, f"    raise Error({self.const(prefix)} + str(exc)) from None")
-
-    def lookup(self, name: str, scope: Dict[str, str], indent: str) -> str:
-        """The local holding a bound variable or parameter. scope maps each
-        bound variable in reach to its local; any other name is a parameter,
-        read once per call of the generated code."""
-        local = scope.get(name)
-        if local is not None:
-            return local
-        local = self.params.setdefault(name, f"p{len(self.params)}")
-        if name not in self.checked:
-            self.checked.add(name)
-            self.fail_if(indent, f"{local} is MISSING", f"unbound name {name!r}")
-        return local
-
-    def loop_body(self, node: Node, scope: Dict[str, str], indent: str) -> str:
-        """emit(node, ...) for the body of a loop: the tests it makes may
-        not run, so they spare no test after the loop."""
-        outer, self.checked = self.checked, set(self.checked)
-        result = self.emit(node, scope, indent)
-        self.checked = outer
-        return result
-
-    def build(self, source: List[str]) -> Dict[str, object]:
-        """exec source; the resulting namespace. A tree that skipped the
-        parser's cap can nest more blocks than CPython compiles."""
-        try:
-            code = _compiled("\n".join(source))
-        except SyntaxError:
-            raise EvalError("expression nested too deeply to evaluate") from None
-        exec(code, self.namespace)
-        return self.namespace
-
     def emit(self, node: Node, scope: Dict[str, str], indent: str) -> str:
-        """Emit the lines computing node; return the name holding its value."""
-        if indent == _SAMPLE and id(node) in self.fixed:
-            sample, self.lines = self.lines, self.setup
-            name = self.emit(node, scope, _BODY)
-            self.lines = sample
+        """Emit the lines computing node, indented relative to their
+        block; return the name holding its value."""
+        if not indent and self.lines is self.sample and id(node) in self.fixed:
+            self.hoisted.append(node)
+            self.lines, self.checks = self.setup, self.setup_checks
+            name = self.emit(node, scope, indent)
+            self.lines, self.checks = self.sample, self.sample_checks
             return name
         if isinstance(node, NumberLiteral):
+            name = self.const(node.fvalue)
             if node.fvalue is None:
-                self.fail(indent, _HUGE_LITERAL)
-            return self.const(node.fvalue)
+                self.checks.append(name)
+            return name
         if isinstance(node, ConstantRef):
             return self.const(getattr(constants(), node.name))
         if isinstance(node, (ParamRef, BoundVarRef)):
-            return self.lookup(node.name, scope, indent)
+            # scope maps each bound variable in reach to its local; any
+            # other name is a parameter, read by make
+            local = scope.get(node.name)
+            return local or self.params.setdefault(node.name, f"p{len(self.params)}")
         if isinstance(node, UnaryNeg):
             v = self.emit(node.operand, scope, indent)
             t = self.temp()
@@ -418,35 +434,31 @@ class _Codegen:
             lv = self.emit(node.left, scope, indent)
             rv = self.emit(node.right, scope, indent)
             t = self.temp()
-            if node.op in ("+", "-", "*"):
-                self.line(indent, f"{t} = {lv} {node.op} {rv}")
-            elif node.op == "/":
-                if not (isinstance(node.right, NumberLiteral) and node.right.fvalue):
-                    self.fail_if(indent, f"{rv} == 0.0", "division by zero")
-                self.line(indent, f"{t} = {lv} / {rv}")
-            else:
-                self.guarded(indent, f"{t} = {lv} ** {rv}", "power failed: ")
-                self.fail_if(indent, f"isinstance({t}, complex)", "power produced a complex value")
+            op = "**" if node.op == "^" else node.op
+            self.line(indent, f"{t} = {lv} {op} {rv}")
+            if op == "**":
+                self.checks.append(t)
             return t
         if isinstance(node, Call):
             args = ", ".join(self.emit(arg, scope, indent) for arg in node.args)
             fn = self.const(function_table()[node.name].numeric)
             t = self.temp()
-            self.guarded(indent, f"{t} = {fn}({args})", f"{node.name} failed: ")
-            self.fail_if(indent, f"not isfinite({t})", f"{node.name} returned a non-finite value")
+            self.line(indent, f"{t} = {fn}({args})")
+            self.checks.append(t)
             return t
         if isinstance(node, Sum):
             lov = self.emit(node.lo, scope, indent)
             hiv = self.emit(node.hi, scope, indent)
-            lo, hi, total, k, kv = (self.temp() for _ in range(5))
-            self.line(indent, f"{lo} = near_int({lov}, {self.const('sum lower bound')})")
-            self.line(indent, f"{hi} = near_int({hiv}, {self.const('sum upper bound')})")
-            self.fail_if(indent, f"{hi} - {lo} > {self.const(_SUM_LIMIT)}", "sum range too large")
+            total, kv = self.temp(), self.temp()
             self.line(indent, f"{total} = 0.0")
-            self.line(indent, f"for {k} in range({lo}, {hi} + 1):")
+            self.line(indent, f"for {kv} in srange({lov}, {hiv}):")
             inner = indent + _BODY
-            self.line(inner, f"{kv} = float({k})")
-            v = self.loop_body(node.body, {**scope, node.var: kv}, inner)
+            outer, self.checks = self.checks, []
+            v = self.emit(node.body, {**scope, node.var: kv}, inner)
+            if self.checks:
+                self.line(inner, f"ok = {_product(['ok', *self.checks])}")
+                self.running = True
+            self.checks = outer
             self.line(inner, f"{total} += {v}")
             return total
         if isinstance(node, Integral):
@@ -456,6 +468,7 @@ class _Codegen:
             for name, local in scope.items():
                 self.line(indent, f"{bound}[{self.const(name)}] = {local}")
             self.line(indent, f"{t} = integrate({make}, {bound}, cfg, usage)[0]")
+            self.nested = True
             return t
         raise TypeError(f"not an expression node: {node!r}")
 
@@ -466,22 +479,46 @@ def _compile_integral(node: Integral) -> _Make:
 
     Compiled once per distinct node, on first evaluation, so the function
     table is read after any wrapping of its entries. make reads each
-    parameter from env once and computes the body's parameter-only
-    subtrees (see _Codegen); f then evaluates the rest at one abscissa.
+    parameter from env once; if one is missing, or a hoisted subtree (see
+    _Codegen) fails, it returns the walk as f, after raising the first
+    hoisted failure. f evaluates the rest of the body at one abscissa on
+    the fast path and falls back to the walk at that abscissa.
     """
     gen = _Codegen(node)
-    result = gen.emit(node.body, {node.var: "x"}, _SAMPLE)
-    namespace = gen.build([
+    result = gen.emit(node.body, {node.var: "x"}, "")
+    if gen.running:
+        gen.sample.insert(0, "ok = 0.0")
+        gen.sample_checks.append("ok")
+    sample_env = f"{{**env, {gen.const(node.var)}: x}}"
+    walk = f"return walk({gen.const(node.body)}, {sample_env}, cfg, usage)[0]"
+    save, restore = (["n = usage.evals"], ["usage.evals = n"]) if gen.nested else ([], [])
+    sample = [*save, *_fast_path(gen.sample, gen.sample_checks, result), *restore, walk]
+    ready = ["return f"]
+    if gen.setup or gen.setup_checks:
+        ready = _fast_path(gen.setup, gen.setup_checks, "f")
+    if gen.params:
+        bound = " and ".join(f"{local} is not MISSING" for local in gen.params.values())
+        ready = [f"if {bound}:", *(_BODY + line for line in ready)]
+    make = [f"{local} = env.get({gen.const(name)}, MISSING)" for name, local in gen.params.items()]
+    make += ready
+    # a make that does more than return f can fall back to the walk
+    if make != ["return f"]:
+        hoisted = gen.const(tuple(gen.hoisted))
+        make.append(f"return walk_integrand({gen.const(node)}, {hoisted}, env, cfg, usage)")
+    source = [
         "def make(env, cfg, usage):",
-        *(f"{_BODY}{local} = env.get({gen.const(name)}, MISSING)"
-          for name, local in gen.params.items()),
-        *gen.setup,
         f"{_BODY}def f(x):",
-        *gen.lines,
-        f"{_SAMPLE}return {result}",
-        f"{_BODY}return f",
-    ])
-    return namespace["make"]  # type: ignore[return-value]
+        *(_BODY * 2 + line for line in sample),
+        *(_BODY + line for line in make),
+    ]
+    try:
+        code = _compiled("\n".join(source))
+    except SyntaxError:
+        # a tree that skipped the parser's cap can nest more blocks than
+        # CPython compiles
+        raise EvalError("expression nested too deeply to evaluate") from None
+    exec(code, gen.namespace)
+    return gen.namespace["make"]  # type: ignore[return-value]
 
 
 def evaluate_numeric(

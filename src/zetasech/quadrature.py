@@ -119,20 +119,25 @@ def tanh_sinh(
 
     The error estimate is the difference between the last two refinement
     levels, floored at a few ulps of the result; it is a heuristic, not a
-    bound, and callers should fold it into their own error budgets.
+    bound, and callers should fold it into their own error budgets. An
+    eval_cap below the first level's 7 evaluations raises QuadratureError
+    before any sample.
     """
     if not (b > a):
         raise QuadratureError("tanh_sinh needs b > a")
+    # level 0: the center node plus the integer-t pairs
+    rows = _nodes_for_level(0)
+    evals = 1 + 2 * len(rows)
+    if eval_cap < evals:
+        raise QuadratureError(
+            f"eval cap {eval_cap} is below the {evals} evaluations of the first level"
+        )
     half = 0.5 * (b - a)
     mid = a + half
-
-    # level 0: the center node plus the integer-t pairs
     center = f(mid)
     if not math.isfinite(center):
         raise _not_finite(mid)
-    rows = _nodes_for_level(0)
     total = _add_pairs(f, a, b, half, rows, 0.5 * math.pi * center)
-    evals = 1 + 2 * len(rows)
     h = 1.0
     previous = total * h * half
 

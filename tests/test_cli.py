@@ -495,6 +495,21 @@ def test_eval_cap_env_override(capsys):
         assert out == ""
 
 
+def test_eval_cap_below_the_first_level_is_input_error(capsys):
+    # the first level takes 7 evaluations; a nested integral left fewer
+    # than 7 by the cap is refused the same way
+    below = "eval cap {} is below the 7 evaluations of the first level"
+    for cmd, cap, left in (
+        (("quad", "exp(-pi*v)"), "3", 3),
+        (("eval", "integral[v]{exp(-pi*v)}"), "6", 6),
+        (("eval", "integral[v]{integral[w]{exp(-v-w)}}"), "10", 3),
+    ):
+        code, out, err = run_cli(capsys, *cmd, "--eval-cap", cap)
+        assert code == 2, cmd
+        assert err == f"zetasech: error: quadrature failed: {below.format(left)}\n"
+        assert out == ""
+
+
 def test_eval_cap_env_validation(capsys):
     for cmd in (("run", "--id", "Theorem4"), ("eval", "1 + 1"), ("quad", "exp(-pi*v)")):
         for cap in ("banana", "-3", "0"):

@@ -6,7 +6,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zetasech import evaluator
 from zetasech.catalog import builtin_identities
@@ -37,6 +37,7 @@ from zetasech.exprlang import (
     UnaryNeg,
     parse_expression,
 )
+from zetasech.quadrature import DEFAULT_EVAL_CAP
 from zetasech.registry import function_table
 from zetasech.verifier import config_for
 
@@ -139,9 +140,9 @@ _BINOM = Call("binom", (NumberLiteral(F(2)), NumberLiteral(F(1))))
 
 @pytest.mark.parametrize("depth, body", [(40, NumberLiteral(F(1))), (20, _BINOM)])
 def test_compilers_refuse_trees_nested_past_cpython_blocks(depth, body):
-    # 20 nested loops compile on CPython 3.10 to 3.13; the guarded call's
-    # try and handler take them past the limit (19 loops already do before
-    # 3.13). The exact path walks the tree, so it has no such limit.
+    # 20 nested loops compile on CPython 3.10 to 3.13; the one try around
+    # the sample's code takes them past the limit of 20 nested blocks. The
+    # exact path walks the tree, so it has no such limit.
     tree = _nested_sum_tree(depth, body)
     assert evaluate_exact(tree, {}) == _walk(tree, {}) == _walk(body, {})
     integrand = BinaryOp("*", Call("exp", (UnaryNeg(BoundVarRef("v")),)), tree)
@@ -363,17 +364,47 @@ def _sources(monkeypatch):
     return seen
 
 
-def test_generated_code_tests_names_and_divisors_only_where_they_can_fail(monkeypatch):
-    # a name is tested once on each path; a nonzero literal divisor is not
-    # tested, a sum index is. Exact sides are walked, not compiled.
+def test_sample_code_is_one_try_and_one_finiteness_test(monkeypatch):
+    # the per-sample function f runs straight through: no raise and no
+    # per-step test; on a failure the walk reports it. Exact sides are
+    # walked, not compiled.
     seen = _sources(monkeypatch)
     assert exact("x/3 + x*x - sum[k=1,n]{x/k}", x=F(1, 2), n=2) == F(-1, 3)
-    node = parse_expression("integral[v]{exp(-v*b) * (b + sum[k=1,2]{b*v/k}) / 2}")
-    assert evaluate_numeric(node, {"b": 1.0}).converged
-    (numeric_source,) = seen
-    # b is read and tested in make, which runs before every sample
-    assert numeric_source.count("is MISSING") == 1
-    assert numeric_source.count(" == 0.0:") == 1
+    node = parse_expression(
+        "integral[v]{exp(-v*b) * (b + sum[k=1,2]{ln(b*v + k)/k}) / 2^(a/3)}"
+    )
+    assert evaluate_numeric(node, {"a": 1.0, "b": 1.0}).converged
+    (source,) = seen
+    lines = source.splitlines()
+    start = lines.index("    def f(x):")
+    end = next(i for i in range(start + 1, len(lines)) if not lines[i].startswith(" " * 8))
+    sample = "\n".join(lines[start:end])
+    assert "raise" not in source
+    assert sample.count("try:") == 1
+    assert sample.count("isfinite(") == 1
+    assert "MISSING" not in sample
+    # make reads and tests each parameter once
+    assert source.count("is not MISSING") == 2
+
+
+@pytest.mark.parametrize("x", [700.0, 709.7])
+def test_large_finite_call_results_stay_on_the_fast_path(monkeypatch, x):
+    # a finiteness test that summed the results would overflow here
+    calls = []
+    walk = evaluator._eval_num
+
+    def spy(*args):
+        calls.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(evaluator, "_eval_num", spy)
+    # a body no other test compiles, so its code is built with the spy
+    node = parse_expression("integral[v]{sum[k=1,2]{cosh(v)} - cosh(v) + v^2/4}")
+    cfg = EvalConfig()
+    got = _compile_integral(node)({}, cfg, _QuadUsage())(x)
+    assert calls == []
+    want = walk(node.body, {"v": x}, cfg, _QuadUsage())[0]
+    assert math.isfinite(got) and got == want
 
 
 def test_a_name_tested_in_a_loop_body_is_tested_again_after_the_loop():
@@ -664,6 +695,101 @@ def test_compiled_exact_code_equals_a_fraction_walk(tree, n_int, n_frac, a_int, 
             assert _exact_outcome(lambda: evaluate_exact(tree, params)) == _exact_outcome(
                 lambda: _walk(tree, _walk_env(params))
             ), (tree, params)
+
+
+def _wild(x):
+    # a registry function that returns what no real one does
+    if x > 2.0:
+        return math.inf
+    if x < -2.0:
+        return math.nan
+    if 0.5 < x < 1.0:
+        return complex(x, 1.0)
+    return x
+
+
+def _sample_outcome(thunk, usage):
+    """A sample's value or failure, and the evaluations it counted."""
+    try:
+        outcome = repr(thunk())
+    except (EvalError, TypeError) as exc:
+        # the walk lets the TypeError of a complex function result through
+        outcome = f"{type(exc).__name__}: {exc}"
+    return outcome, usage.evals
+
+
+_V = BoundVarRef("v")
+_INTEGRAND_LEAVES = st.one_of(
+    st.integers(-2, 3).map(_lit),
+    st.sampled_from([F(1, 2), F(-3, 2), F(10 ** 400)]).map(_lit),
+    # b is never bound; k is bound only inside a sum
+    st.sampled_from([_V] * 4 + [ParamRef("a"), ParamRef("n"), ParamRef("b"), BoundVarRef("k")]),
+)
+_INTEGRAND_BOUNDS = st.one_of(
+    st.integers(-1, 2).map(_lit),
+    st.sampled_from([ParamRef("n"), ParamRef("b"), BoundVarRef("k")]),
+)
+
+
+def _inner_integral(body):
+    # exp(-w) makes it decay; body may read v, the outer variable
+    return Integral("w", BinaryOp("*", Call("exp", (UnaryNeg(BoundVarRef("w")),)), body))
+
+
+def _integrand_branches(children):
+    return st.one_of(
+        st.builds(BinaryOp, st.sampled_from("+-*/^"), children, children),
+        st.builds(UnaryNeg, children),
+        st.builds(
+            lambda lo, hi, body: Sum("k", lo, hi, body),
+            _INTEGRAND_BOUNDS, _INTEGRAND_BOUNDS, children,
+        ),
+        st.builds(
+            lambda name, x: Call(name, (x,)),
+            st.sampled_from(["ln", "exp", "fact", "gammafn", "cosh", "wild"]),
+            children,
+        ),
+        st.builds(_inner_integral, children),
+    )
+
+
+_INTEGRAND_BODIES = st.recursive(_INTEGRAND_LEAVES, _integrand_branches, max_leaves=8)
+# a nested integral, then a step that fails at every abscissa
+_INTEGRAL_THEN_FAILURE = BinaryOp(
+    "+", _inner_integral(_V), Call("ln", (BinaryOp("*", _lit(0), _V),))
+)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    _INTEGRAND_BODIES,
+    st.sampled_from([-1.5, 0.0, 0.75, 3.0]),
+    st.sampled_from([-1.0, 0.0, 2.0]),
+    st.sampled_from([300, DEFAULT_EVAL_CAP]),
+)
+@example(_INTEGRAL_THEN_FAILURE, 1.0, 2.0, DEFAULT_EVAL_CAP)
+@example(BinaryOp("+", _INTEGRAL_THEN_FAILURE, _inner_integral(_V)), 1.0, 2.0, 300)
+def test_compiled_samples_equal_the_walk(body, a, n, cap):
+    # value or message, and quadrature evaluations, at each abscissa; make,
+    # which may raise before sampling, fails only where the walk fails at
+    # every abscissa
+    node = Integral("v", body)
+    env = bind_parameters({"a": a, "n": n})
+    cfg = EvalConfig(eval_cap=cap)
+    with pytest.MonkeyPatch.context() as patch:
+        wild = function_table()["cosh"]._replace(name="wild", numeric=_wild)
+        patch.setitem(function_table(), "wild", wild)
+        for x in (0.0, 1e-300, -1.0, 700.0):
+            walk, usage = _QuadUsage(), _QuadUsage()
+            want = _sample_outcome(
+                lambda: _eval_num(body, {**env, "v": x}, cfg, walk)[0], walk
+            )
+            try:
+                f = _compile_integral(node)(env, cfg, usage)
+            except (EvalError, TypeError):
+                assert want[0].startswith(("EvalError: ", "TypeError: ")), (body, x)
+                continue
+            assert _sample_outcome(lambda: f(x), usage) == want, (body, x)
 
 
 _BIG = st.integers(2 ** 2000, 2 ** 6000)

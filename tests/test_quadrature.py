@@ -51,6 +51,25 @@ def test_eval_cap_blocks_convergence():
     assert res.evaluations <= 20
 
 
+@pytest.mark.parametrize("cap", [1, 6])
+def test_eval_cap_below_the_first_level_is_refused_before_sampling(cap):
+    # level 0 is the center and three pairs: 7 evaluations or none
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.0
+
+    want = f"eval cap {cap} is below the 7 evaluations of the first level"
+    with pytest.raises(QuadratureError, match=f"^{want}$"):
+        tanh_sinh(f, 0.0, 1.0, eval_cap=cap)
+    with pytest.raises(QuadratureError, match=f"^{want}$"):
+        integrate_decaying(f, rate=1.0, eval_cap=cap)
+    assert calls == []
+    res = tanh_sinh(f, 0.0, 1.0, eval_cap=7)
+    assert (res.evaluations, res.converged, len(calls)) == (7, False, 7)
+
+
 def test_result_is_deterministic():
     a = tanh_sinh(lambda x: math.cos(3 * x) ** 2, 0.0, 2.0)
     b = tanh_sinh(lambda x: math.cos(3 * x) ** 2, 0.0, 2.0)
