@@ -4,18 +4,15 @@ A value is an (hi, lo) pair of floats with |lo| <= ulp(hi)/2, giving ~31
 significant digits. Only the operations needed by the zeta machinery are
 provided; everything stays deterministic binary64 pairs.
 
-The helpers (_two_sum, _split, _two_prod, dd_add, dd_mul, ...) are the
-readable rule, and the cold paths call them: the cached rows of head logs,
-powers and reciprocals that specfun._hz_dd reads, and its derivative mode.
-The hot kernels are fused: dd_exp here, and the value loops of
-specfun._hz_dd (the head, its binary powering included, and the Bernoulli
-tail) expand the helpers in place (Hida, Li & Bailey's QD library does the
-same) so that no per-operation call or tuple remains. A fused kernel runs
-the same float operations in the same order as its composed form, so every
-word it returns is bit-identical; only a split that would be repeated is
-done once. tests/test_ddmath.py compares dd_exp with the composed rule, and
-tests/test_specfun.py pins the engine's words and compares its fused values
-with its composed derivative mode.
+The error-free steps _two_sum, _quick_two_sum, _split and _two_prod are the
+readable rule. dd_add, dd_add_d, dd_mul and dd_mul_d are written call-free,
+as Hida, Li & Bailey's QD library writes them: each runs the float
+operations of its composition from those steps, in the same order, so every
+word it returns is the same, but makes no inner call. specfun._hz_dd
+composes these helpers. dd_exp is the one fused kernel: it expands a chain
+of helpers in place and does once a split that they would repeat, again
+with every word unchanged. tests/test_ddmath.py compares each helper and
+dd_exp with its composition, word for word.
 
 dd_exp is table-driven (Tang, ACM TOMS 15, 1989) and squares nothing.
 After the reduction by m ln 2, two steps on the high word, r0 -= j1/64 and
@@ -84,18 +81,32 @@ def _two_prod(a: float, b: float) -> DD:
 
 
 def dd_add(x: DD, y: DD) -> DD:
-    s1, s2 = _two_sum(x[0], y[0])
-    t1, t2 = _two_sum(x[1], y[1])
-    s2 += t1
-    s1, s2 = _quick_two_sum(s1, s2)
-    s2 += t2
-    return _quick_two_sum(s1, s2)
+    # _two_sum of the hi and of the lo words, then two _quick_two_sums
+    x0, x1 = x
+    y0, y1 = y
+    s = x0 + y0
+    bb = s - x0
+    e = (x0 - (s - bb)) + (y0 - bb)
+    t = x1 + y1
+    bb = t - x1
+    f = (x1 - (t - bb)) + (y1 - bb)
+    e += t
+    u = s + e
+    e = e - (u - s)
+    e += f
+    s = u + e
+    return s, e - (s - u)
 
 
 def dd_add_d(x: DD, y: float) -> DD:
-    s1, s2 = _two_sum(x[0], y)
-    s2 += x[1]
-    return _quick_two_sum(s1, s2)
+    # _two_sum(x0, y), then a _quick_two_sum
+    x0, x1 = x
+    s = x0 + y
+    bb = s - x0
+    e = (x0 - (s - bb)) + (y - bb)
+    e += x1
+    u = s + e
+    return u, e - (u - s)
 
 
 def dd_sub(x: DD, y: DD) -> DD:
@@ -103,15 +114,37 @@ def dd_sub(x: DD, y: DD) -> DD:
 
 
 def dd_mul(x: DD, y: DD) -> DD:
-    p1, p2 = _two_prod(x[0], y[0])
-    p2 += x[0] * y[1] + x[1] * y[0]
-    return _quick_two_sum(p1, p2)
+    # _two_prod(x0, y0) on the _split of each, the cross terms, then a
+    # _quick_two_sum
+    x0, x1 = x
+    y0, y1 = y
+    p = x0 * y0
+    t = _SPLITTER * x0
+    ah = t - (t - x0)
+    al = x0 - ah
+    t = _SPLITTER * y0
+    bh = t - (t - y0)
+    bl = y0 - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    e += x0 * y1 + x1 * y0
+    s = p + e
+    return s, e - (s - p)
 
 
 def dd_mul_d(x: DD, y: float) -> DD:
-    p1, p2 = _two_prod(x[0], y)
-    p2 += x[1] * y
-    return _quick_two_sum(p1, p2)
+    # _two_prod(x0, y), the lo word times y, then a _quick_two_sum
+    x0, x1 = x
+    p = x0 * y
+    t = _SPLITTER * x0
+    ah = t - (t - x0)
+    al = x0 - ah
+    t = _SPLITTER * y
+    bh = t - (t - y)
+    bl = y - bh
+    e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    e += x1 * y
+    s = p + e
+    return s, e - (s - p)
 
 
 def dd_div(x: DD, y: DD) -> DD:
@@ -185,7 +218,7 @@ _LN2_HI_SPLIT = _split(_LN2[0])
 
 
 def dd_exp(x: DD) -> DD:
-    """exp(x) in double-double, fused (see the module docstring).
+    """exp(x) in double-double, the one fused kernel (see the module docstring).
 
     Reduce by m ln 2, then by j1/64 and j2/8192 on the high word alone;
     both steps are exact (Sterbenz) and leave |r0| <= 2**-14. Composed:

@@ -6,14 +6,14 @@ catastrophically for negative order; plain binary64 loses seven or more
 digits there. It splits the order as s = s0 + round(s): the powers
 (k+a)^(-s0) cost one exp each and are cached in rows that every order
 s0 + m at the same a reads, and (k+a)^(-m) is double-double powering, whose
-error, unlike that of exp(-s ln(k+a)), does not grow with |s|. Values
-run a kernel with its double-double steps fused in place. Derivatives with
-respect to the order s, needed only by hurwitz_zeta_ds, eta_ds, S_ds and
-zeta_prime_at, run the composed rule in forward mode: each intermediate
-travels as a (value, d/ds) double-double pair, so no finite differences
-appear anywhere, and the value words are the same in both modes. The
-alternating variant switches between a convergence-accelerated alternating
-sum (stable near s = 1, including at the point itself) and the
+error, unlike that of exp(-s ln(k+a)), does not grow with |s|. One
+composed rule of double-double steps gives the value and, when asked, the
+derivative with respect to the order s, needed only by hurwitz_zeta_ds,
+eta_ds, S_ds and zeta_prime_at. The derivative runs in forward mode beside
+the value: each intermediate also carries its d/ds, so no finite
+differences appear anywhere, and the value words are the same in both
+modes. The alternating variant switches between a convergence-accelerated
+alternating sum (stable near s = 1, including at the point itself) and the
 double-double zeta difference (stable for decidedly non-positive s). S_of
 is 2^s times that variant; tests/test_specfun.py checks it, and eta, against
 mpmath.
@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Tuple
 
 from .ddmath import (
     DD,
-    _SPLITTER,
     _two_sum,
     dd_add,
     dd_add_d,
@@ -73,7 +71,7 @@ class SpecfunError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# double-double pieces with an attached d/ds component
+# the double-double Hurwitz engine, values with an optional d/ds
 
 _DDual = Tuple[DD, DD]
 
@@ -86,6 +84,10 @@ _EM_TAIL_TERMS = 15
 # s in (-10, -9], 2.2e-16 in (-11, -10], 1.3e-14 in (-12, -11] and 1.2e-12
 # in (-13, -12]; it reaches 1.7e2 in (-24, -23].
 _HZ_MIN_ORDER = -12.0
+# Above this order the work, not the accuracy, is the limit: the head has
+# about 1.1 s terms, each a binary power of log2(s) double-double products.
+# s = 1000 takes ~0.02 s a call, s = 1e6 took 13 s, and s = 1e8 never ended.
+_HZ_MAX_ORDER = 1000.0
 
 
 def _head_log(k: int, a: float) -> DD:
@@ -152,66 +154,6 @@ def _bern_over_fact() -> Tuple[DD, ...]:
     return tuple(rows)
 
 
-def _hz_dual(
-    sv: float, a: float, n_head: int, frow: Optional[_Row], brow: Optional[_Row]
-) -> Tuple[DD, DD]:
-    """_hz_dd(sv, a, True): the composed rule, every intermediate a
-    (value, d/ds) pair. frow and brow are the rows _hz_dd fetched."""
-    m = round(sv)
-    bits = bin(abs(m))[3:]
-    lrow = _log_row(a, n_head + 1)
-
-    def term(k: int) -> _DDual:
-        # (k+a)^(-s) = (k+a)^(-m) * (k+a)^(-s0), and its d/ds v * -ln(k+a)
-        v = None
-        if m:
-            b = (brow[0][k], brow[1][k]) if brow is not None else _two_sum(float(k), a)
-            v = b
-            for bit in bits:
-                v = dd_mul(v, v)
-                if bit == "1":
-                    v = dd_mul(v, b)
-        if frow is not None:
-            f = (frow[0][k], frow[1][k])
-            v = f if v is None else dd_mul(v, f)
-        if v is None:
-            v = (1.0, 0.0)
-        return v, dd_mul(v, (-lrow[0][k], -lrow[1][k]))
-
-    hv = hd = (0.0, 0.0)
-    for k in range(n_head):
-        v, d = term(k)
-        hv, hd = dd_add(hv, v), dd_add(hd, d)
-    z = _two_sum(float(n_head), a)
-    pw, pw_d = term(n_head)  # z^(-s)
-
-    # pole term z^(1-s) / (s-1)
-    num = dd_mul(z, pw)
-    den = _two_sum(sv, -1.0)
-    pole = dd_div(num, den)
-    pole_d = dd_div(dd_sub(dd_mul(dd_mul(z, pw_d), den), num), dd_mul(den, den))
-
-    # Bernoulli tail, with c = (s)_(2j-1) and r = z^(-s-2j+1)
-    w = dd_div((1.0, 0.0), dd_mul(z, z))
-    c = ((sv, 0.0), (1.0, 0.0))
-    r = (dd_div(pw, z), dd_div(pw_d, z))
-    tv = td = (0.0, 0.0)
-    for j, b in enumerate(_bern_over_fact(), 1):
-        cr = _ddu_mul(c, r)
-        tv, td = dd_add(tv, dd_mul(b, cr[0])), dd_add(td, dd_mul(b, cr[1]))
-        if j == _EM_TAIL_TERMS:
-            break
-        g = _ddu_mul(
-            (_two_sum(sv, 2.0 * j - 1.0), (1.0, 0.0)), (_two_sum(sv, 2.0 * j), (1.0, 0.0))
-        )
-        c = _ddu_mul(c, g)
-        r = (dd_mul(r[0], w), dd_mul(r[1], w))
-    return (
-        dd_add(dd_add(hv, pole), dd_add(dd_mul_d(pw, 0.5), tv)),
-        dd_add(dd_add(hd, pole_d), dd_add(dd_mul_d(pw_d, 0.5), td)),
-    )
-
-
 @lru_cache(maxsize=8192)
 def _hz_dd(sv: float, a: float, ds: bool) -> Tuple[DD, Optional[DD]]:
     """Euler-Maclaurin Hurwitz zeta as a double-double, and d/ds if ds.
@@ -225,16 +167,11 @@ def _hz_dd(sv: float, a: float, ds: bool) -> Tuple[DD, Optional[DD]]:
     double-double products: exp(-s ln(k+a)) would carry the log's error
     times |s|, which below s = -9 survives the head's cancellation.
 
-    Without ds, None stands for the derivative and the value runs fused:
-    the head loop and the Bernoulli tail loop expand each composed step
-    named in their comments (dd_mul, dd_add) in place into the same float
-    operations in the same order, so every (hi, lo) word is bit-identical
-    to the composed form. Splits a step would repeat are done once; the
-    rows, and the one-off pole, z^-2 and r setup, stay composed. With ds,
-    _hz_dual runs the composed rule itself, with the same value words:
-    derivatives are rare (the catalog's zeta'(s), eta and S derivative
-    checks), so only the value loops pay for fusing. Its d/ds term is
-    v * -ln(k+a), with logs read from the same cached row that built the
+    One composed rule serves both modes. Without ds, None stands for the
+    derivative. With ds, every intermediate also carries its d/ds, run in
+    forward mode beside the value; the value half runs the same operations
+    either way, so its words do not depend on ds. The d/ds of a head term
+    is v * -ln(k+a), with logs read from the same cached row that built the
     s0 factors, so a derivative after its value computes no exp or log.
     Value and derivative calls at one (s, a) are separate cache entries;
     callers pass ds positionally, so that each mode has one key.
@@ -246,6 +183,8 @@ def _hz_dd(sv: float, a: float, ds: bool) -> Tuple[DD, Optional[DD]]:
         raise SpecfunError("hurwitz zeta pole at s = 1")
     if sv < _HZ_MIN_ORDER:
         raise SpecfunError(f"hurwitz zeta is not accurate for s < {_HZ_MIN_ORDER:g}")
+    if sv > _HZ_MAX_ORDER:
+        raise SpecfunError(f"hurwitz zeta is not computed for s > {_HZ_MAX_ORDER:g}")
     zmin = max(12.0, 1.1 * abs(sv) + 3.0)
     n_head = max(0, math.ceil(zmin - a))
     m = round(sv)
@@ -253,174 +192,71 @@ def _hz_dd(sv: float, a: float, ds: bool) -> Tuple[DD, Optional[DD]]:
     n = n_head + 1
     frow = _frac_row(a, s0, n) if s0 != 0.0 else None
     brow = _recip_row(a, n) if m > 0 else None
-    if ds:
-        return _hz_dual(sv, a, n_head, frow, brow)
-    sp = _SPLITTER
+    lrow = _log_row(a, n) if ds else None
+    bits = bin(abs(m))[3:]
 
-    # head: sum over k < n_head of v = (k+a)^(-s); the term at k = n_head
-    # is z^(-s). Composed, with f = frow[k] and x = _two_sum(k, a):
-    #     b = brow[k] if m > 0 else x
-    #     v = b, then for each bit of |m| after the leading one:
-    #         v = dd_mul(v, v), then v = dd_mul(v, b) if the bit is 1
-    #     v = dd_mul(v, f) if s0 != 0
-    # with v = f when m == 0, and v = (1, 0) when s == 0.
-    bits = bin(abs(m))[3:] if m else None
-    hv0 = hv1 = 0.0
+    # head: sum over k < n_head of v = (k+a)^(-s), and d = v * -ln(k+a);
+    # the term at k = n_head is z^(-s)
+    hv = hd = (0.0, 0.0)
     for k in range(n):
-        if bits is None:
-            v0, v1 = (frow[0][k], frow[1][k]) if frow is not None else (1.0, 0.0)
-        else:
-            if brow is not None:
-                b0 = brow[0][k]
-                b1 = brow[1][k]
-            else:
-                fk = float(k)
-                b0 = fk + a
-                bb = b0 - fk
-                b1 = (fk - (b0 - bb)) + (a - bb)
-            t = sp * b0
-            bh = t - (t - b0)
-            bl = b0 - bh
-            v0 = b0
-            v1 = b1
+        v = None
+        if m:
+            b = (brow[0][k], brow[1][k]) if brow is not None else _two_sum(float(k), a)
+            v = b
             for bit in bits:
-                t = sp * v0
-                vh = t - (t - v0)
-                vl = v0 - vh
-                p = v0 * v0
-                e = ((vh * vh - p) + vh * vl + vl * vh) + vl * vl
-                e += v0 * v1 + v1 * v0
-                v0 = p + e
-                v1 = e - (v0 - p)
+                v = dd_mul(v, v)
                 if bit == "1":
-                    t = sp * v0
-                    vh = t - (t - v0)
-                    vl = v0 - vh
-                    p = v0 * b0
-                    e = ((vh * bh - p) + vh * bl + vl * bh) + vl * bl
-                    e += v0 * b1 + v1 * b0
-                    v0 = p + e
-                    v1 = e - (v0 - p)
-            if frow is not None:
-                f0 = frow[0][k]
-                f1 = frow[1][k]
-                t = sp * v0
-                vh = t - (t - v0)
-                vl = v0 - vh
-                t = sp * f0
-                fh = t - (t - f0)
-                fl = f0 - fh
-                p = v0 * f0
-                e = ((vh * fh - p) + vh * fl + vl * fh) + vl * fl
-                e += v0 * f1 + v1 * f0
-                v0 = p + e
-                v1 = e - (v0 - p)
+                    v = dd_mul(v, b)
+        if frow is not None:
+            f = (frow[0][k], frow[1][k])
+            v = f if v is None else dd_mul(v, f)
+        if v is None:
+            v = (1.0, 0.0)
+        if ds:
+            d = dd_mul(v, (-lrow[0][k], -lrow[1][k]))
         if k == n_head:
             break
-        # head_v = dd_add(head_v, v)
-        s = hv0 + v0
-        bb = s - hv0
-        se = (hv0 - (s - bb)) + (v0 - bb)
-        t = hv1 + v1
-        bb = t - hv1
-        te = (hv1 - (t - bb)) + (v1 - bb)
-        se += t
-        u = s + se
-        se = se - (u - s)
-        se += te
-        hv0 = u + se
-        hv1 = se - (hv0 - u)
-
+        hv = dd_add(hv, v)
+        if ds:
+            hd = dd_add(hd, d)
     z = _two_sum(float(n_head), a)
-    pw = (v0, v1)  # z^(-s)
+    pw = v  # z^(-s), and d its d/ds
+
     # pole term z^(1-s) / (s-1)
-    pole = dd_div(dd_mul(z, pw), _two_sum(sv, -1.0))
+    num = dd_mul(z, pw)
+    den = _two_sum(sv, -1.0)
+    pole = dd_div(num, den)
 
     # Bernoulli tail: sum_j B(2j)/(2j)! * (s)_(2j-1) * z^(-s-2j+1), with
-    # c = (s)_(2j-1) and r = z^(-s-2j+1)
-    w0, w1 = dd_div((1.0, 0.0), dd_mul(z, z))  # z^-2
-    t = sp * w0
-    wh = t - (t - w0)
-    wl = w0 - wh
-    rv0, rv1 = dd_div(pw, z)  # z^(-s-1)
-    cv0, cv1 = sv, 0.0  # (s)_1
-    tv0 = tv1 = 0.0
-    for j, (b0, b1) in enumerate(_bern_over_fact(), 1):
-        # cr = dd_mul(c, r)
-        t = sp * cv0
-        cvh = t - (t - cv0)
-        cvl = cv0 - cvh
-        t = sp * rv0
-        rvh = t - (t - rv0)
-        rvl = rv0 - rvh
-        p = cv0 * rv0
-        e = ((cvh * rvh - p) + cvh * rvl + cvl * rvh) + cvl * rvl
-        e += cv0 * rv1 + cv1 * rv0
-        crv0 = p + e
-        crv1 = e - (crv0 - p)
-        # tail = dd_add(tail, dd_mul(b, cr))
-        t = sp * b0
-        bh = t - (t - b0)
-        bl = b0 - bh
-        t = sp * crv0
-        crvh = t - (t - crv0)
-        crvl = crv0 - crvh
-        p = b0 * crv0
-        e = ((bh * crvh - p) + bh * crvl + bl * crvh) + bl * crvl
-        e += b0 * crv1 + b1 * crv0
-        x0 = p + e
-        x1 = e - (x0 - p)
-        s = tv0 + x0
-        bb = s - tv0
-        se = (tv0 - (s - bb)) + (x0 - bb)
-        t = tv1 + x1
-        bb = t - tv1
-        te = (tv1 - (t - bb)) + (x1 - bb)
-        se += t
-        u = s + se
-        se = se - (u - s)
-        se += te
-        tv0 = u + se
-        tv1 = se - (tv0 - u)
+    # c = (s)_(2j-1) and r = z^(-s-2j+1); g = (s+2j-1)(s+2j) steps c
+    w = dd_div((1.0, 0.0), dd_mul(z, z))  # z^-2
+    c = (sv, 0.0)
+    r = dd_div(pw, z)
+    tv = (0.0, 0.0)
+    if ds:
+        pole_d = dd_div(dd_sub(dd_mul(dd_mul(z, d), den), num), dd_mul(den, den))
+        c_d = (1.0, 0.0)
+        r_d = dd_div(d, z)
+        td = (0.0, 0.0)
+    for j, b in enumerate(_bern_over_fact(), 1):
+        tv = dd_add(tv, dd_mul(b, dd_mul(c, r)))
+        if ds:
+            td = dd_add(td, dd_mul(b, dd_add(dd_mul(c_d, r), dd_mul(c, r_d))))
         if j == _EM_TAIL_TERMS:
             break
-        # g = dd_mul(fa, fb) for fa = _two_sum(s, 2j - 1), fb = _two_sum(s, 2j)
-        k = 2.0 * j - 1.0
-        fa0 = sv + k
-        bb = fa0 - sv
-        fa1 = (sv - (fa0 - bb)) + (k - bb)
-        k = 2.0 * j
-        fb0 = sv + k
-        bb = fb0 - sv
-        fb1 = (sv - (fb0 - bb)) + (k - bb)
-        t = sp * fa0
-        fah = t - (t - fa0)
-        fal = fa0 - fah
-        t = sp * fb0
-        fbh = t - (t - fb0)
-        fbl = fb0 - fbh
-        p = fa0 * fb0
-        e = ((fah * fbh - p) + fah * fbl + fal * fbh) + fal * fbl
-        e += fa0 * fb1 + fa1 * fb0
-        gv0 = p + e
-        gv1 = e - (gv0 - p)
-        t = sp * gv0
-        gvh = t - (t - gv0)
-        gvl = gv0 - gvh
-        # c = dd_mul(c, g)
-        p = cv0 * gv0
-        e = ((cvh * gvh - p) + cvh * gvl + cvl * gvh) + cvl * gvl
-        e += cv0 * gv1 + cv1 * gv0
-        cv0 = p + e
-        cv1 = e - (cv0 - p)
-        # r = dd_mul(r, z^-2)
-        p = rv0 * w0
-        e = ((rvh * wh - p) + rvh * wl + rvl * wh) + rvl * wl
-        e += rv0 * w1 + rv1 * w0
-        rv0 = p + e
-        rv1 = e - (rv0 - p)
-
-    return dd_add(dd_add((hv0, hv1), pole), dd_add(dd_mul_d(pw, 0.5), (tv0, tv1))), None
+        fa = _two_sum(sv, 2.0 * j - 1.0)
+        fb = _two_sum(sv, 2.0 * j)
+        g = dd_mul(fa, fb)
+        if ds:
+            g_d = dd_add(dd_mul((1.0, 0.0), fb), dd_mul(fa, (1.0, 0.0)))
+            c_d = dd_add(dd_mul(c_d, g), dd_mul(c, g_d))
+            r_d = dd_mul(r_d, w)
+        c = dd_mul(c, g)
+        r = dd_mul(r, w)
+    value = dd_add(dd_add(hv, pole), dd_add(dd_mul_d(pw, 0.5), tv))
+    if not ds:
+        return value, None
+    return value, dd_add(dd_add(hd, pole_d), dd_add(dd_mul_d(d, 0.5), td))
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
@@ -548,6 +384,9 @@ def polygamma(m: int, x: float) -> float:
         return digamma(x)
     if x <= 0.0:
         raise SpecfunError("polygamma needs x > 0")
+    if m + 1 > _HZ_MAX_ORDER:
+        # refused before m!, which alone takes minutes for m = 1e7
+        raise SpecfunError(f"polygamma is not computed for m > {_HZ_MAX_ORDER - 1:g}")
     sign = -1.0 if m % 2 == 0 else 1.0
     return sign * math.factorial(m) * hurwitz_zeta(float(m + 1), float(x))
 

@@ -309,7 +309,8 @@ def test_deeply_nested_sums_evaluate(capsys):
 
 
 def test_capped_sums_leave_room_for_a_guarded_call(capsys):
-    # a call in the innermost body compiles to a try block inside the loops
+    # the generated function nests the 16 loops in its one try, 17 of
+    # CPython's 20 blocks
     code, out, err = run_cli(capsys, "eval", "--exact", _nested_sums("binom(2, 1)"))
     assert code == 0, err
     assert out.strip() == "2"
@@ -370,6 +371,33 @@ def test_hurwitz_zeta_below_its_accurate_range_is_input_error(capsys):
     assert code == 2
     assert "hurwitz zeta is not accurate for s < -12" in err
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("hzeta(10^8, 2)", "hzeta failed: hurwitz zeta is not computed for s > 1000"),
+        ("eta(10^7, 1)", "eta failed: hurwitz zeta is not computed for s > 1000"),
+        ("hzeta_ds(10^7, 2)", "hzeta_ds failed: hurwitz zeta is not computed for s > 1000"),
+        ("S_ds(10^7, 1)", "S_ds failed: hurwitz zeta is not computed for s > 1000"),
+        ("polygamma(10^7, 2)", "polygamma failed: polygamma is not computed for m > 999"),
+    ],
+)
+def test_large_orders_are_refused_at_once(expr, message):
+    # the Euler-Maclaurin head grows with s, and polygamma computed m! first:
+    # each of these ran for minutes or more
+    src = os.path.dirname(os.path.dirname(zetasech.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zetasech.cli", "eval", expr],
+        capture_output=True,
+        text=True,
+        timeout=2,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"zetasech: error: {message}\n"
+    assert proc.stdout == ""
 
 
 def test_eval_rejects_bad_expression(capsys):

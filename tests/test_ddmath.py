@@ -22,6 +22,7 @@ from zetasech.ddmath import (
     _LN2,
     _quick_two_sum,
     _two_prod,
+    _two_sum,
     DD,
     dd_add,
     dd_add_d,
@@ -213,6 +214,77 @@ def test_exp_is_the_composed_rule_word_for_word():
         assert [w.hex() for w in dd_exp(x)] == [w.hex() for w in composed_exp(x)], x
     with pytest.raises(OverflowError):
         dd_exp((709.0 + 2**-40, 0.0))
+
+
+def composed_add(x: DD, y: DD) -> DD:
+    s1, s2 = _two_sum(x[0], y[0])
+    t1, t2 = _two_sum(x[1], y[1])
+    s2 += t1
+    s1, s2 = _quick_two_sum(s1, s2)
+    s2 += t2
+    return _quick_two_sum(s1, s2)
+
+
+def composed_add_d(x: DD, y: float) -> DD:
+    s1, s2 = _two_sum(x[0], y)
+    s2 += x[1]
+    return _quick_two_sum(s1, s2)
+
+
+def composed_mul(x: DD, y: DD) -> DD:
+    p1, p2 = _two_prod(x[0], y[0])
+    p2 += x[0] * y[1] + x[1] * y[0]
+    return _quick_two_sum(p1, p2)
+
+
+def composed_mul_d(x: DD, y: float) -> DD:
+    p1, p2 = _two_prod(x[0], y)
+    p2 += x[1] * y
+    return _quick_two_sum(p1, p2)
+
+
+def seeded_pairs(rng: random.Random, n: int):
+    # hi words: signed zeros, subnormals, exponents near -1000 and +1000 (so
+    # some products overflow) and ordinary ones; lo words zero or up to an
+    # ulp of hi, of either sign
+    out = []
+    for i in range(n):
+        kind = i % 4
+        if kind == 0:
+            hi = rng.choice([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1000)])
+        elif kind == 1:
+            hi = math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1074, -990))
+        elif kind == 2:
+            hi = math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(990, 1024))
+        else:
+            hi = math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-60, 60))
+        lo = rng.choice([0.0, -0.0, math.ulp(hi) * rng.uniform(-1.0, 1.0)])
+        out.append((hi, lo))
+    rng.shuffle(out)
+    return out
+
+
+def test_helpers_are_their_composition_word_for_word():
+    # dd_add, dd_add_d, dd_mul and dd_mul_d are written call-free; each runs
+    # the operations of its composition from _two_sum, _quick_two_sum and
+    # _two_prod in the same order, so every word, signed zeros, infinities
+    # and NaNs included, is the same
+    rng = random.Random(2301)
+    xs = seeded_pairs(rng, 4000)
+    ys = seeded_pairs(rng, 4000)
+    assert sum(x[1] > 0.0 for x in xs) > 500 and sum(x[1] < 0.0 for x in xs) > 500
+    assert sum(0.0 < abs(x[0]) < 2.0**-1022 for x in xs) > 500
+
+    def words(x):
+        return [w.hex() for w in x]
+
+    for x, y in zip(xs, ys):
+        neg = (-y[0], -y[1])
+        assert words(dd_add(x, y)) == words(composed_add(x, y)), (x, y)
+        assert words(dd_sub(x, y)) == words(composed_add(x, neg)), (x, y)
+        assert words(dd_add_d(x, y[0])) == words(composed_add_d(x, y[0])), (x, y)
+        assert words(dd_mul(x, y)) == words(composed_mul(x, y)), (x, y)
+        assert words(dd_mul_d(x, y[0])) == words(composed_mul_d(x, y[0])), (x, y)
 
 
 def test_exp_tables_hold_exp_to_a_double_double():
