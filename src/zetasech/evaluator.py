@@ -9,16 +9,18 @@ handles the rest of an expression once per evaluation. Both read a number
 literal's float from the node (NumberLiteral.fvalue, converted once when
 the node is built), not from its Fraction.
 
-Code is generated only for integral bodies, which quadrature samples
-hundreds of times per integral; every other part of a side, numeric or
-exact, is walked. The parts of an integral body that read only parameters
-run once per integral, before quadrature starts, and not at every sample
-(_Codegen says which parts). Their failures therefore raise before the
-first sample, and before the quadrature settings are checked. Each sum in
-a body is a for loop inline in the one generated function, nested in the
-loop of its enclosing sum. Generated sources hold only generated names, so
-each distinct text is compiled once and its code object run in each tree's
-namespace.
+Code is generated only for what runs at every quadrature sample: the
+per-sample function of each integral body, which quadrature calls
+hundreds of times per integral. Every other part of a side, numeric or
+exact, is walked, and so are the parts of an integral body that read
+only parameters: make walks them once per integral, before quadrature
+starts, and hands their values to the generated function as locals
+(_Codegen says which parts). Their failures therefore raise the walk's
+message before the first sample, and before the quadrature settings are
+checked. Each sum in a body is a for loop inline in the one generated
+function, nested in the loop of its enclosing sum. Generated sources hold
+only generated names, so each distinct text is compiled once and its code
+object run in each tree's namespace.
 
 The generated code tests nothing step by step. It runs straight through
 inside one try, with one finiteness test over the results of its calls and
@@ -43,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from types import CodeType
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
 
 from .exprlang import (
     BinaryOp,
@@ -302,23 +304,6 @@ def _fixed_subtrees(node: Node, var: str, out: Set[int]) -> bool:
     return fixed
 
 
-def _walk_integrand(
-    node: Integral,
-    hoisted: Tuple[Node, ...],
-    env: Dict[str, float],
-    cfg: EvalConfig,
-    usage: _QuadUsage,
-) -> Callable[[float], float]:
-    """make's slow path, for an unbound parameter or a failing hoisted
-    subtree: the hoisted subtrees are walked in order, so the first failure
-    raises the walk's message before the first sample; if none fails, the
-    walk itself is the integrand."""
-    for sub in hoisted:
-        _eval_num(sub, env, cfg, usage)
-    body, var = node.body, node.var
-    return lambda x: _eval_num(body, {**env, var: x}, cfg, usage)[0]
-
-
 def _product(names: List[str]) -> str:
     """names multiplied left to right. From a first factor of 0.0, every
     partial product is exactly 0.0 or -0.0 while the factors are finite
@@ -328,38 +313,31 @@ def _product(names: List[str]) -> str:
     return " * ".join(names)
 
 
-def _fast_path(lines: List[str], checks: List[str], result: str) -> List[str]:
-    """lines, then return result if every name in checks holds a finite
-    value, all inside one try; a failure falls through past the try."""
-    ret = f"return {result}"
-    if checks:
-        lines = [*lines, f"if isfinite({_product(['0.0', *checks])}):"]
-        ret = _BODY + ret
-    return ["try:", *(_BODY + line for line in [*lines, ret]), "except FAILS:", _BODY + "pass"]
-
-
 class _Codegen:
-    """Python source for one integral body, computing only its value.
+    """Python source for the per-sample function f of one integral body.
 
     Every node gets one temporary, computed in the walk's operation order,
     so a value is the walk's bit for bit. The source holds only generated
     names; values, callables and strings reach it through the exec
-    namespace.
+    namespace, and the values of one integral through the arguments of
+    the binder that returns f, which f reads as locals.
 
-    The body is split between make, which runs once per integral, and f,
-    which runs at every sample. A subtree is hoisted to make when it is at
-    f's top level (not inside a sum loop), reads no local (the integration
-    variable or a sum index) and holds no Sum or Integral.
+    Parameter-only work is not generated. A subtree at f's top level (not
+    inside a sum loop) that reads no local (the integration variable or a
+    sum index) and holds no Sum or Integral is walked once per integral
+    by make, unless it is a float literal or a constant; so is the first
+    top-level read of each parameter. walked maps the local of each such
+    subtree to the subtree. A parameter read only inside sum loops is read
+    from env by make.
 
-    Neither part tests a step: each runs straight through inside one try.
-    Division by zero and the errors of functions and sum bounds raise on
-    their own; one finiteness test over every call and power result
-    (checks) catches an infinite or NaN result, a complex power and a
-    literal past the float range (None). Inside a sum loop each pass
-    multiplies its results into the running check ok. On a failure the
-    walk takes over (_walk_integrand in make, _eval_num at f's sample) and
-    gives the same value or raises its own message. f restores usage.evals
-    before the walk when it holds a nested integral, so only the walk's
+    f tests no step: it runs straight through inside one try. Division by
+    zero and the errors of functions and sum bounds raise on their own;
+    one finiteness test over every call and power result (checks) catches
+    an infinite or NaN result, a complex power and a literal past the
+    float range (None). Inside a sum loop each pass multiplies its results
+    into the running check ok. On a failure f hands the sample to the
+    walk, which gives the same value or raises its own message. f restores
+    usage.evals first when it holds a nested integral, so only the walk's
     integrals count.
 
     f nests one try and one loop per sum; the parser's cap of 16 nested
@@ -369,23 +347,17 @@ class _Codegen:
     def __init__(self, node: Integral) -> None:
         self.namespace: Dict[str, object] = {
             "FAILS": _FAILS,
-            "MISSING": _MISSING,
             "isfinite": math.isfinite,
             "srange": _sum_range,
             "integrate": _integrate,
             "walk": _eval_num,
-            "walk_integrand": _walk_integrand,
         }
         self.params: Dict[str, str] = {}
-        self.sample: List[str] = []
-        self.setup: List[str] = []
-        self.lines = self.sample
+        self.walked: Dict[str, Node] = {}
+        self.lines: List[str] = []
         # the call and power results, and literals past the float range,
         # that the current block's finiteness test covers
-        self.sample_checks: List[str] = []
-        self.setup_checks: List[str] = []
-        self.checks = self.sample_checks
-        self.hoisted: List[Node] = []
+        self.checks: List[str] = []
         self.running = False
         self.nested = False
         self.temps = 0
@@ -407,24 +379,29 @@ class _Codegen:
     def emit(self, node: Node, scope: Dict[str, str], indent: str) -> str:
         """Emit the lines computing node, indented relative to their
         block; return the name holding its value."""
-        if not indent and self.lines is self.sample and id(node) in self.fixed:
-            self.hoisted.append(node)
-            self.lines, self.checks = self.setup, self.setup_checks
-            name = self.emit(node, scope, indent)
-            self.lines, self.checks = self.sample, self.sample_checks
-            return name
-        if isinstance(node, NumberLiteral):
-            name = self.const(node.fvalue)
-            if node.fvalue is None:
-                self.checks.append(name)
-            return name
+        if isinstance(node, NumberLiteral) and node.fvalue is not None:
+            return self.const(node.fvalue)
         if isinstance(node, ConstantRef):
             return self.const(getattr(constants(), node.name))
         if isinstance(node, (ParamRef, BoundVarRef)):
             # scope maps each bound variable in reach to its local; any
-            # other name is a parameter, read by make
+            # other name is a parameter
             local = scope.get(node.name)
-            return local or self.params.setdefault(node.name, f"p{len(self.params)}")
+            if local:
+                return local
+            local = self.params.setdefault(node.name, f"p{len(self.params)}")
+            if not indent:
+                self.walked.setdefault(local, node)
+            return local
+        if not indent and id(node) in self.fixed:
+            local = f"h{len(self.walked)}"
+            self.walked[local] = node
+            return local
+        if isinstance(node, NumberLiteral):
+            # past the float range, in a sum loop: the finiteness test fails
+            name = self.const(None)
+            self.checks.append(name)
+            return name
         if isinstance(node, UnaryNeg):
             v = self.emit(node.operand, scope, indent)
             t = self.temp()
@@ -478,38 +455,41 @@ def _compile_integral(node: Integral) -> _Make:
     """The integrand of node as a factory make(env, cfg, usage) -> f(x).
 
     Compiled once per distinct node, on first evaluation, so the function
-    table is read after any wrapping of its entries. make reads each
-    parameter from env once; if one is missing, or a hoisted subtree (see
-    _Codegen) fails, it returns the walk as f, after raising the first
-    hoisted failure. f evaluates the rest of the body at one abscissa on
-    the fast path and falls back to the walk at that abscissa.
+    table is read after any wrapping of its entries. make walks the
+    parameter-only parts of the body (see _Codegen) once, in the walk's
+    order, so the first of their failures raises before the first sample
+    and before the quadrature settings are checked. It then reads from env
+    the parameters used only in sum loops; if one is missing, the walk is
+    the integrand. Otherwise it binds these values into the generated f,
+    which evaluates the rest of the body at one abscissa on the fast path
+    and falls back to the walk at that abscissa.
     """
     gen = _Codegen(node)
     result = gen.emit(node.body, {node.var: "x"}, "")
+    body, var = node.body, node.var
+    fast, ret = gen.lines, f"return {result}"
     if gen.running:
-        gen.sample.insert(0, "ok = 0.0")
-        gen.sample_checks.append("ok")
-    sample_env = f"{{**env, {gen.const(node.var)}: x}}"
-    walk = f"return walk({gen.const(node.body)}, {sample_env}, cfg, usage)[0]"
+        fast.insert(0, "ok = 0.0")
+        gen.checks.append("ok")
+    if gen.checks:
+        fast.append(f"if isfinite({_product(['0.0', *gen.checks])}):")
+        ret = _BODY + ret
     save, restore = (["n = usage.evals"], ["usage.evals = n"]) if gen.nested else ([], [])
-    sample = [*save, *_fast_path(gen.sample, gen.sample_checks, result), *restore, walk]
-    ready = ["return f"]
-    if gen.setup or gen.setup_checks:
-        ready = _fast_path(gen.setup, gen.setup_checks, "f")
-    if gen.params:
-        bound = " and ".join(f"{local} is not MISSING" for local in gen.params.values())
-        ready = [f"if {bound}:", *(_BODY + line for line in ready)]
-    make = [f"{local} = env.get({gen.const(name)}, MISSING)" for name, local in gen.params.items()]
-    make += ready
-    # a make that does more than return f can fall back to the walk
-    if make != ["return f"]:
-        hoisted = gen.const(tuple(gen.hoisted))
-        make.append(f"return walk_integrand({gen.const(node)}, {hoisted}, env, cfg, usage)")
+    sample = [
+        *save,
+        "try:",
+        *(_BODY + line for line in [*fast, ret]),
+        "except FAILS:",
+        _BODY + "pass",
+        *restore,
+        f"return walk({gen.const(body)}, {{**env, {gen.const(var)}: x}}, cfg, usage)[0]",
+    ]
+    read = {name: local for name, local in gen.params.items() if local not in gen.walked}
     source = [
-        "def make(env, cfg, usage):",
+        f"def bind({', '.join(['env', 'cfg', 'usage', *gen.walked, *read.values()])}):",
         f"{_BODY}def f(x):",
         *(_BODY * 2 + line for line in sample),
-        *(_BODY + line for line in make),
+        f"{_BODY}return f",
     ]
     try:
         code = _compiled("\n".join(source))
@@ -518,7 +498,18 @@ def _compile_integral(node: Integral) -> _Make:
         # CPython compiles
         raise EvalError("expression nested too deeply to evaluate") from None
     exec(code, gen.namespace)
-    return gen.namespace["make"]  # type: ignore[return-value]
+    bind = gen.namespace["bind"]
+    walked, names = tuple(gen.walked.values()), tuple(read)
+
+    def make(env: Dict[str, float], cfg: EvalConfig, usage: _QuadUsage) -> Callable[[float], float]:
+        values = [_eval_num(sub, env, cfg, usage)[0] for sub in walked]
+        try:
+            values += [env[name] for name in names]
+        except KeyError:
+            return lambda x: _eval_num(body, {**env, var: x}, cfg, usage)[0]
+        return bind(env, cfg, usage, *values)  # type: ignore[operator]
+
+    return make
 
 
 def evaluate_numeric(

@@ -88,6 +88,11 @@ _HZ_MIN_ORDER = -12.0
 # about 1.1 s terms, each a binary power of log2(s) double-double products.
 # s = 1000 takes ~0.02 s a call, s = 1e6 took 13 s, and s = 1e8 never ended.
 _HZ_MAX_ORDER = 1000.0
+# 170! is the largest factorial a float holds. laguerre divides by n!, and
+# the large-|z| reduction of hyp3f2_reduction multiplies by (m+1)!, so a
+# larger index fails there; at an index of 10^7 their loops of n^2 or m^2
+# terms first ran for minutes.
+_MAX_FACTORIAL_INDEX = 170
 
 
 def _head_log(k: int, a: float) -> DD:
@@ -414,6 +419,8 @@ def laguerre(n: int, alpha: float, x: float) -> float:
     """Generalized Laguerre polynomial L_n^(alpha)(x)."""
     if n < 0:
         raise SpecfunError("laguerre needs n >= 0")
+    if n > _MAX_FACTORIAL_INDEX:
+        raise SpecfunError(f"laguerre is not computed for n > {_MAX_FACTORIAL_INDEX}")
     acc = 0.0
     for j in range(n + 1):
         prod = 1.0
@@ -512,6 +519,10 @@ def hyp3f2_reduction(m: int, z: float) -> float:
     if m == 0:
         # 3F2(1,1,3/2; 2,3/2; z) collapses to 2F1(1,1;2;z)
         return -math.log1p(-z) / z
+    if m + 1 > _MAX_FACTORIAL_INDEX:
+        raise SpecfunError(
+            f"hyp3f2_reduction is not computed for m > {_MAX_FACTORIAL_INDEX - 1} and |z| > 0.75"
+        )
     pref = 2.0 * math.factorial(m + 1) * math.gamma(m + 1.5) / math.sqrt(math.pi)
     acc = 0.0
     for k in range(m + 1):

@@ -381,15 +381,36 @@ def test_hurwitz_zeta_below_its_accurate_range_is_input_error(capsys):
         ("hzeta_ds(10^7, 2)", "hzeta_ds failed: hurwitz zeta is not computed for s > 1000"),
         ("S_ds(10^7, 1)", "S_ds failed: hurwitz zeta is not computed for s > 1000"),
         ("polygamma(10^7, 2)", "polygamma failed: polygamma is not computed for m > 999"),
+        ("laguerre(10^7, 0, 1)", "laguerre failed: laguerre is not computed for n > 170"),
+        (
+            "h3f2(10^7, -1)",
+            "h3f2 failed: hyp3f2_reduction is not computed for m > 169 and |z| > 0.75",
+        ),
+        ("bernnum(10^5)", "bernnum failed: Bernoulli numbers are not computed for n > 300"),
+        (
+            "eulernum(10^5)",
+            "eulernum failed: Euler numbers and polynomials are not computed for n > 299",
+        ),
+        (
+            "eulerpoly(10^5, 1/2)",
+            "eulerpoly failed: Euler numbers and polynomials are not computed for n > 299",
+        ),
+        (
+            "--exact bernnum(2000)",
+            "bernnum failed: Bernoulli numbers are not computed for n > 300",
+        ),
     ],
 )
 def test_large_orders_are_refused_at_once(expr, message):
-    # the Euler-Maclaurin head grows with s, and polygamma computed m! first:
-    # each of these ran for minutes or more
+    # the Euler-Maclaurin head grows with s, polygamma computed m! first,
+    # and laguerre, h3f2 and the Bernoulli recurrence take n^2 steps: each
+    # of these ran for seconds, minutes or more
     src = os.path.dirname(os.path.dirname(zetasech.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # "--exact EXPR" runs the exact path
+    argv = expr.split(" ", 1) if expr.startswith("--exact ") else [expr]
     proc = subprocess.run(
-        [sys.executable, "-m", "zetasech.cli", "eval", expr],
+        [sys.executable, "-m", "zetasech.cli", "eval", *argv],
         capture_output=True,
         text=True,
         timeout=2,

@@ -1,8 +1,10 @@
 """Numeric and exact evaluation of parsed expressions."""
 
 import hashlib
+import inspect
 import math
 import operator
+import typing
 from fractions import Fraction
 
 import pytest
@@ -351,6 +353,47 @@ def test_parameter_only_failure_comes_before_the_settings_check():
     assert str(info.value) == "quadrature failed: algebraic envelope needs p_max < -1"
 
 
+def test_a_literal_past_the_float_range_comes_before_the_settings_check():
+    big = "1" + "0" * 400
+    cfg = EvalConfig(quad_decay=0.0)
+    with pytest.raises(EvalError, match="^number literal too large for a float$"):
+        evaluate_numeric(parse_expression(f"integral[v]{{exp(-v)*{big}}}"), {}, cfg)
+    # in a sum loop the literal is read at the sample, after the check
+    node = parse_expression(f"integral[v]{{sum[k=0,1]{{exp(-v)*{big}}}}}")
+    with pytest.raises(EvalError, match="^quadrature failed: "):
+        evaluate_numeric(node, {}, cfg)
+    with pytest.raises(EvalError, match="^number literal too large for a float$"):
+        evaluate_numeric(node, {})
+
+
+def test_an_infinite_parameter_only_value_stays_on_the_fast_path(monkeypatch):
+    # (a*a)^2 overflows to inf without raising, so the walk gives each
+    # sample the same value as f does; f gets the walked inf as a local
+    # and no sample falls back to the walk
+    calls = []
+    walk = evaluator._eval_num
+
+    def spy(*args):
+        calls.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(evaluator, "_eval_num", spy)
+    # a body no other test compiles, so f's fallback is the spy too
+    node = parse_expression("integral[v]{exp(-v)/(a*a)^2}")
+    res = evaluate_numeric(node, {"a": 1e200})
+    assert res == (0.0, 3.1830988618378954e-15, 15, True)
+    # the integral, then the five nodes of (a*a)^2 once
+    assert len(calls) == 6
+
+
+def test_module_functions_have_resolvable_type_hints():
+    # annotations are strings (from __future__ import annotations), so a
+    # name missing from the imports fails only when they are resolved
+    for obj in vars(evaluator).values():
+        if inspect.isfunction(inspect.unwrap(obj)) and obj.__module__ == evaluator.__name__:
+            typing.get_type_hints(obj)
+
+
 def _sources(monkeypatch):
     """The generated sources compiled from here on."""
     seen = []
@@ -382,9 +425,16 @@ def test_sample_code_is_one_try_and_one_finiteness_test(monkeypatch):
     assert "raise" not in source
     assert sample.count("try:") == 1
     assert sample.count("isfinite(") == 1
-    assert "MISSING" not in sample
-    # make reads and tests each parameter once
-    assert source.count("is not MISSING") == 2
+    assert "MISSING" not in source
+    # the source is the binder and the one f it returns; parameter-only
+    # work is walked by make, and its values, b and a/3, are the binder's
+    # arguments, each bound there once and never assigned in f
+    assert source.count("def ") == 2 and lines[-1] == "    return f"
+    binder = lines[0]
+    assert binder.startswith("def bind(env, cfg, usage, ") and binder.endswith("):")
+    args = binder[len("def bind(") : -2].split(", ")
+    assert len(args) == len(set(args)) == 5
+    assert not any(f" {a} = " in source for a in args[3:])
 
 
 @pytest.mark.parametrize("x", [700.0, 709.7])
