@@ -31,7 +31,8 @@ try and one loop per sum; the parser's cap of 16 nested sums keeps it
 within CPython's 20 nested blocks per code object.
 
 The exact path walks the tree over Python ints and pairs of ints, a
-numerator and a positive denominator in lowest terms (_eval_exact). Pairs
+numerator and a positive denominator in lowest terms (_eval_exact), and
+reads a literal's value from NumberLiteral.exact, built with the node. Pairs
 are added, multiplied and divided by Fraction's own gcd rules, and a
 Fraction is built only for a registry function's argument and for the
 result. It refuses anything that is not rational-valued, so a successful
@@ -73,7 +74,14 @@ __all__ = [
     "evaluate_numeric",
 ]
 
+# the most times the body of a sum may run in all: the product of its range
+# length and those of the sums around it, across integrals, checked once as
+# each sum starts
 _SUM_LIMIT = 1_000_000
+_SUM_TOO_LARGE = "sum range too large"
+# the env key, never a name, that holds that product for the sums around a
+# step; the env copies made for integrals carry it along
+_TERMS = "#terms"
 _NUM_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 _HUGE_LITERAL = "number literal too large for a float"
 
@@ -127,13 +135,16 @@ def _near_int(x: float, what: str) -> int:
     raise EvalError(f"{what} must be an integer, got {x!r}")
 
 
-def _sum_range(lov: float, hiv: float) -> Iterator[float]:
-    """The index values, as floats, of a sum with bounds lov and hiv."""
+def _sum_range(lov: float, hiv: float, outer: int) -> Tuple[int, Iterator[float]]:
+    """For a sum with bounds lov and hiv, inside sums whose bodies run
+    outer times in all: how many times its own body runs in all, outer
+    times its range length, and its index values as floats."""
     lo = _near_int(lov, "sum lower bound")
     hi = _near_int(hiv, "sum upper bound")
-    if hi - lo > _SUM_LIMIT:
-        raise EvalError("sum range too large")
-    return map(float, range(lo, hi + 1))
+    terms = outer * (hi - lo + 1)
+    if terms > _SUM_LIMIT:
+        raise EvalError(_SUM_TOO_LARGE)
+    return terms, map(float, range(lo, hi + 1))
 
 
 def _eval_num(
@@ -142,11 +153,33 @@ def _eval_num(
     cfg: EvalConfig,
     usage: _QuadUsage,
 ) -> Tuple[float, float]:
-    # operators, literals and names are 88% of the nodes visited on
-    # closed-form sides, so they are tested first
-    if isinstance(node, BinaryOp):
-        lv, le = _eval_num(node.left, env, cfg, usage)
-        rv, re_ = _eval_num(node.right, env, cfg, usage)
+    """node's value and error budget.
+
+    Operators and leaves are most of the nodes on closed-form sides, so
+    the walk tests the node's type once, operators first, and reads a leaf
+    operand (a literal in the float range, or a bound name) in place. Any
+    other operand, a failing leaf included, is walked, so every message
+    comes from the leaf's own rule and the left operand fails before the
+    right one.
+    """
+    t = type(node)
+    if t is BinaryOp:
+        a = node.left
+        at = type(a)
+        if at is NumberLiteral and a.fvalue is not None:
+            lv, le = a.fvalue, 0.0
+        elif (at is ParamRef or at is BoundVarRef) and a.name in env:
+            lv, le = env[a.name], 0.0
+        else:
+            lv, le = _eval_num(a, env, cfg, usage)
+        b = node.right
+        bt = type(b)
+        if bt is NumberLiteral and b.fvalue is not None:
+            rv, re_ = b.fvalue, 0.0
+        elif (bt is ParamRef or bt is BoundVarRef) and b.name in env:
+            rv, re_ = env[b.name], 0.0
+        else:
+            rv, re_ = _eval_num(b, env, cfg, usage)
         op = node.op
         if op == "+":
             return lv + rv, le + re_
@@ -177,27 +210,19 @@ def _eval_num(
         if re_ and lv > 0.0:
             err += abs(v * math.log(lv)) * re_
         return v, err
-    if isinstance(node, NumberLiteral):
-        if node.fvalue is None:
-            raise EvalError(_HUGE_LITERAL)
-        return node.fvalue, 0.0
-    if isinstance(node, (ParamRef, BoundVarRef)):
-        try:
-            return env[node.name], 0.0
-        except KeyError:
-            raise EvalError(f"unbound name {node.name!r}") from None
-    if isinstance(node, ConstantRef):
-        return getattr(constants(), node.name), 0.0
-    if isinstance(node, UnaryNeg):
-        v, e = _eval_num(node.operand, env, cfg, usage)
-        return -v, e
-    if isinstance(node, Call):
+    if t is Call:
         vals = []
         errs = 0.0
-        for arg in node.args:
-            av, ae = _eval_num(arg, env, cfg, usage)
-            vals.append(av)
-            errs += ae
+        for a in node.args:
+            at = type(a)
+            if at is NumberLiteral and a.fvalue is not None:
+                vals.append(a.fvalue)
+            elif (at is ParamRef or at is BoundVarRef) and a.name in env:
+                vals.append(env[a.name])
+            else:
+                av, ae = _eval_num(a, env, cfg, usage)
+                vals.append(av)
+                errs += ae
         spec = function_table()[node.name]
         try:
             v = spec.numeric(*vals)
@@ -206,14 +231,36 @@ def _eval_num(
         if not math.isfinite(v):
             raise EvalError(f"{node.name} returned a non-finite value")
         return v, errs
-    if isinstance(node, Sum):
+    if t is UnaryNeg:
+        a = node.operand
+        at = type(a)
+        if at is NumberLiteral and a.fvalue is not None:
+            return -a.fvalue, 0.0
+        if (at is ParamRef or at is BoundVarRef) and a.name in env:
+            return -env[a.name], 0.0
+        v, e = _eval_num(a, env, cfg, usage)
+        return -v, e
+    if t is NumberLiteral:
+        if node.fvalue is None:
+            raise EvalError(_HUGE_LITERAL)
+        return node.fvalue, 0.0
+    if t is ParamRef or t is BoundVarRef:
+        try:
+            return env[node.name], 0.0
+        except KeyError:
+            raise EvalError(f"unbound name {node.name!r}") from None
+    if t is ConstantRef:
+        return getattr(constants(), node.name), 0.0
+    if t is Sum:
         lov, _ = _eval_num(node.lo, env, cfg, usage)
         hiv, _ = _eval_num(node.hi, env, cfg, usage)
-        indices = _sum_range(lov, hiv)
+        outer = env.get(_TERMS, 1)
+        terms, indices = _sum_range(lov, hiv, outer)  # type: ignore[arg-type]
         total = 0.0
         total_err = 0.0
         saved = env.get(node.var)
         had = node.var in env
+        env[_TERMS] = terms
         try:
             for k in indices:
                 env[node.var] = k
@@ -221,12 +268,13 @@ def _eval_num(
                 total += v
                 total_err += e
         finally:
+            env[_TERMS] = outer
             if had:
                 env[node.var] = saved  # type: ignore[assignment]
             else:
                 env.pop(node.var, None)
         return total, total_err
-    if isinstance(node, Integral):
+    if t is Integral:
         return _integrate(_compile_integral(node), env, cfg, usage)
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -360,6 +408,9 @@ class _Codegen:
         self.checks: List[str] = []
         self.running = False
         self.nested = False
+        # whether the code reads n0, the terms of the sums enclosing the
+        # integral, which the binder reads from env
+        self.counted = False
         self.temps = 0
         self.fixed: Set[int] = set()
         _fixed_subtrees(node.body, node.var, self.fixed)
@@ -384,8 +435,9 @@ class _Codegen:
         if isinstance(node, ConstantRef):
             return self.const(getattr(constants(), node.name))
         if isinstance(node, (ParamRef, BoundVarRef)):
-            # scope maps each bound variable in reach to its local; any
-            # other name is a parameter
+            # scope maps each bound variable in reach to its local, and
+            # _TERMS to the local holding the terms of the enclosing sums;
+            # any other name is a parameter
             local = scope.get(node.name)
             if local:
                 return local
@@ -426,12 +478,14 @@ class _Codegen:
         if isinstance(node, Sum):
             lov = self.emit(node.lo, scope, indent)
             hiv = self.emit(node.hi, scope, indent)
-            total, kv = self.temp(), self.temp()
+            total, terms, indices, kv = self.temp(), self.temp(), self.temp(), self.temp()
             self.line(indent, f"{total} = 0.0")
-            self.line(indent, f"for {kv} in srange({lov}, {hiv}):")
+            self.line(indent, f"{terms}, {indices} = srange({lov}, {hiv}, {scope[_TERMS]})")
+            self.line(indent, f"for {kv} in {indices}:")
+            self.counted = True
             inner = indent + _BODY
             outer, self.checks = self.checks, []
-            v = self.emit(node.body, {**scope, node.var: kv}, inner)
+            v = self.emit(node.body, {**scope, node.var: kv, _TERMS: terms}, inner)
             if self.checks:
                 self.line(inner, f"ok = {_product(['ok', *self.checks])}")
                 self.running = True
@@ -445,7 +499,7 @@ class _Codegen:
             for name, local in scope.items():
                 self.line(indent, f"{bound}[{self.const(name)}] = {local}")
             self.line(indent, f"{t} = integrate({make}, {bound}, cfg, usage)[0]")
-            self.nested = True
+            self.nested = self.counted = True
             return t
         raise TypeError(f"not an expression node: {node!r}")
 
@@ -465,7 +519,7 @@ def _compile_integral(node: Integral) -> _Make:
     and falls back to the walk at that abscissa.
     """
     gen = _Codegen(node)
-    result = gen.emit(node.body, {node.var: "x"}, "")
+    result = gen.emit(node.body, {node.var: "x", _TERMS: "n0"}, "")
     body, var = node.body, node.var
     fast, ret = gen.lines, f"return {result}"
     if gen.running:
@@ -487,6 +541,7 @@ def _compile_integral(node: Integral) -> _Make:
     read = {name: local for name, local in gen.params.items() if local not in gen.walked}
     source = [
         f"def bind({', '.join(['env', 'cfg', 'usage', *gen.walked, *read.values()])}):",
+        *([f"{_BODY}n0 = env.get({gen.const(_TERMS)}, 1)"] if gen.counted else []),
         f"{_BODY}def f(x):",
         *(_BODY * 2 + line for line in sample),
         f"{_BODY}return f",
@@ -596,12 +651,28 @@ def _eval_exact(node: Node, env: Dict[str, _Exact]) -> _Exact:
     The value is the Fraction a plain Fraction walk gives, and the first
     failure raises the same ExactEvalError: steps run left before right, a
     name fails at its first read, and a function with no exact form fails
-    before its arguments are evaluated.
+    before its arguments are evaluated. As in _eval_num, the node's type is
+    tested once and a leaf operand (a literal, or a bound name) is read in
+    place; an unbound name is walked, so its own rule raises.
     """
-    # operators and literals are most of the nodes on exact sides
-    if isinstance(node, BinaryOp):
-        x = _eval_exact(node.left, env)
-        y = _eval_exact(node.right, env)
+    t = type(node)
+    if t is BinaryOp:
+        a = node.left
+        at = type(a)
+        if at is NumberLiteral:
+            x = a.exact
+        elif (at is ParamRef or at is BoundVarRef) and a.name in env:
+            x = env[a.name]
+        else:
+            x = _eval_exact(a, env)
+        b = node.right
+        bt = type(b)
+        if bt is NumberLiteral:
+            y = b.exact
+        elif (bt is ParamRef or bt is BoundVarRef) and b.name in env:
+            y = env[b.name]
+        else:
+            y = _eval_exact(b, env)
         op = node.op
         if type(x) is int:
             if type(y) is int:
@@ -626,37 +697,47 @@ def _eval_exact(node: Node, env: Dict[str, _Exact]) -> _Exact:
                 raise ExactEvalError("division by zero")
             return _qdiv(xn, xd, yn, yd)
         return _qpow(xn, xd, yn, yd)
-    if isinstance(node, NumberLiteral):
-        value = node.value
-        if value.denominator == 1:
-            return value.numerator
-        return value.numerator, value.denominator
-    if isinstance(node, (ParamRef, BoundVarRef)):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise ExactEvalError(f"unbound name {node.name!r}") from None
-    if isinstance(node, Call):
+    if t is Call:
         fn = function_table()[node.name].exact
         if fn is None:
             raise ExactEvalError(f"{node.name} has no exact evaluation")
         args = []
-        for arg in node.args:
-            v = _eval_exact(arg, env)
+        for a in node.args:
+            at = type(a)
+            if at is NumberLiteral:
+                v = a.exact
+            elif (at is ParamRef or at is BoundVarRef) and a.name in env:
+                v = env[a.name]
+            else:
+                v = _eval_exact(a, env)
             args.append(v if type(v) is int else Fraction(*v))
         try:
             result = fn(*args)
         except _NUM_ERRORS as exc:
             raise ExactEvalError(f"{node.name} failed: {exc}") from None
         return result if type(result) is int else (result.numerator, result.denominator)
-    if isinstance(node, UnaryNeg):
-        v = _eval_exact(node.operand, env)
+    if t is UnaryNeg:
+        a = node.operand
+        at = type(a)
+        if at is NumberLiteral:
+            v = a.exact
+        elif (at is ParamRef or at is BoundVarRef) and a.name in env:
+            v = env[a.name]
+        else:
+            v = _eval_exact(a, env)
         return -v if type(v) is int else (-v[0], v[1])
-    if isinstance(node, Sum):
+    if t is NumberLiteral:
+        return node.exact
+    if t is ParamRef or t is BoundVarRef:
+        try:
+            return env[node.name]
+        except KeyError:
+            raise ExactEvalError(f"unbound name {node.name!r}") from None
+    if t is Sum:
         return _sum_exact(node, env)
-    if isinstance(node, ConstantRef):
+    if t is ConstantRef:
         raise ExactEvalError(f"constant {node.name!r} is not rational")
-    if isinstance(node, Integral):
+    if t is Integral:
         raise ExactEvalError("integrals have no exact evaluation")
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -673,10 +754,13 @@ def _sum_exact(node: Sum, env: Dict[str, _Exact]) -> _Exact:
         hi = hi[0] if hi[1] == 1 else None
     if lo is None or hi is None:
         raise ExactEvalError("sum bounds must be integers")
-    if hi - lo > _SUM_LIMIT:
-        raise ExactEvalError("sum range too large")
+    outer = env.get(_TERMS, 1)
+    terms = outer * (hi - lo + 1)  # type: ignore[operator]
+    if terms > _SUM_LIMIT:
+        raise ExactEvalError(_SUM_TOO_LARGE)
     total: _Exact = 0
     saved = env.get(node.var, _MISSING)
+    env[_TERMS] = terms
     try:
         for k in range(lo, hi + 1):
             env[node.var] = k
@@ -693,6 +777,7 @@ def _sum_exact(node: Sum, env: Dict[str, _Exact]) -> _Exact:
             if bits > _MAX_EXACT_BITS:
                 raise ExactEvalError(f"sum would exceed {_MAX_EXACT_BITS} bits")
     finally:
+        env[_TERMS] = outer
         if saved is _MISSING:
             env.pop(node.var, None)
         else:

@@ -117,18 +117,22 @@ class _Node:
 
 
 class NumberLiteral(_Node):
-    __slots__ = ("value", "fvalue")
+    __slots__ = ("value", "fvalue", "exact")
     # fvalue is float(value), converted once for the numeric evaluators;
-    # None when value is too large for a float. Not part of ==, hash or repr.
+    # None when value is too large for a float. exact is value as the exact
+    # evaluator's operand: an int, or (numerator, denominator) in lowest
+    # terms with a positive denominator. Neither is part of ==, hash or repr.
     _fields = ("value",)
 
     def __init__(self, value: Fraction) -> None:
         _set(self, "value", value)
+        n, d = value.numerator, value.denominator
         try:
-            fvalue: Optional[float] = value.numerator / value.denominator
+            fvalue: Optional[float] = n / d
         except OverflowError:
             fvalue = None
         _set(self, "fvalue", fvalue)
+        _set(self, "exact", n if d == 1 else (n, d))
 
 
 class ConstantRef(_Node):

@@ -21,7 +21,9 @@ mpmath.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Tuple
 
@@ -337,7 +339,10 @@ def S_of(s: float, a: float) -> float:
     tests/test_specfun.py.
     """
     sv = float(s)
-    return math.exp(sv * math.log(2.0)) * _eta_parts(sv, 2.0 * float(a), False)[0]
+    # eta first, so an order past the cap is refused by name before 2^s
+    # overflows
+    ev = _eta_parts(sv, 2.0 * float(a), False)[0]
+    return math.exp(sv * math.log(2.0)) * ev
 
 
 def S_ds(s: float, a: float) -> float:
@@ -392,8 +397,19 @@ def polygamma(m: int, x: float) -> float:
     if m + 1 > _HZ_MAX_ORDER:
         # refused before m!, which alone takes minutes for m = 1e7
         raise SpecfunError(f"polygamma is not computed for m > {_HZ_MAX_ORDER - 1:g}")
-    sign = -1.0 if m % 2 == 0 else 1.0
-    return sign * math.factorial(m) * hurwitz_zeta(float(m + 1), float(x))
+    z = hurwitz_zeta(float(m + 1), float(x))
+    # zeta(m+1, x) > 0: below the normal floats it has lost its precision,
+    # and m! would scale that loss up
+    if z < sys.float_info.min:
+        raise SpecfunError("polygamma is not computed where zeta(m+1, x) underflows a float")
+    # m! times zeta exactly, rounded once: m! alone passes the float range
+    # from m = 171. Fraction refuses an infinite or NaN zeta, which is
+    # past the float range too.
+    try:
+        value = float(math.factorial(m) * Fraction(z))
+    except (OverflowError, ValueError):
+        raise SpecfunError(f"polygamma({m}, {x!r}) is too large for a float") from None
+    return value if m % 2 else -value
 
 
 def log_gamma(x: float) -> float:

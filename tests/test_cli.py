@@ -365,6 +365,41 @@ def test_exact_sum_total_is_capped():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sum[k=0,10^5]{sum[j=0,10^5]{1}}"],
+        ["--exact", "sum[k=0,10^5]{sum[j=0,10^5]{1}}"],
+        ["integral[v]{exp(-pi*v)*sum[k=0,3000]{sum[j=0,3000]{1}}}"],
+    ],
+)
+def test_nested_sums_are_refused_at_once(argv):
+    # each range is under the cap, but their product is 10^10 or 9*10^6
+    # terms a sample; these ran until a timeout stopped them
+    src = os.path.dirname(os.path.dirname(zetasech.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zetasech.cli", "eval", *argv],
+        capture_output=True,
+        text=True,
+        timeout=5,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "zetasech: error: sum range too large\n"
+    assert proc.stdout == ""
+
+
+def test_polygamma_past_the_float_range_is_input_error(capsys):
+    code, out, _ = run_cli(capsys, "eval", "polygamma(171, 2)")
+    assert (code, out) == (0, "2.073093314165313e+257\nerr_budget = 0.0\n")
+    code, out, err = run_cli(capsys, "eval", "polygamma(999, 2)")
+    assert (code, out) == (2, "")
+    assert err == (
+        "zetasech: error: polygamma failed: polygamma(999, 2.0) is too large for a float\n"
+    )
+
+
 def test_hurwitz_zeta_below_its_accurate_range_is_input_error(capsys):
     # the engine printed -539648.0 with err_budget 0.0 (true value 11287.6)
     code, out, err = run_cli(capsys, "eval", "hzeta(-23.88, 1.177271)")
@@ -380,6 +415,8 @@ def test_hurwitz_zeta_below_its_accurate_range_is_input_error(capsys):
         ("eta(10^7, 1)", "eta failed: hurwitz zeta is not computed for s > 1000"),
         ("hzeta_ds(10^7, 2)", "hzeta_ds failed: hurwitz zeta is not computed for s > 1000"),
         ("S_ds(10^7, 1)", "S_ds failed: hurwitz zeta is not computed for s > 1000"),
+        ("S(10^7, 1)", "S failed: hurwitz zeta is not computed for s > 1000"),
+        ("eta_ds(10^7, 1)", "eta_ds failed: hurwitz zeta is not computed for s > 1000"),
         ("polygamma(10^7, 2)", "polygamma failed: polygamma is not computed for m > 999"),
         ("laguerre(10^7, 0, 1)", "laguerre failed: laguerre is not computed for n > 170"),
         (

@@ -41,6 +41,7 @@ from zetasech.exprlang import (
 )
 from zetasech.quadrature import DEFAULT_EVAL_CAP
 from zetasech.registry import function_table
+from zetasech.specfun import constants
 from zetasech.verifier import config_for
 
 F = Fraction
@@ -118,6 +119,72 @@ def test_budget_propagates_past_an_overflowing_quotient():
     integral = num("integral[v]{ exp(-pi*v) }")
     res = num("integral[v]{ exp(-pi*v) }/10^(-200)")
     assert res.err_budget == integral.err_budget / 10.0 ** -200
+
+
+_HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("x + y", "unbound name 'x'"),
+        ("2*y - x", "unbound name 'y'"),
+        ("-x / y", "unbound name 'x'"),
+        ("binom(x, y)", "unbound name 'x'"),
+        ("binom(1, y) + x", "unbound name 'y'"),
+        ("sum[k=1,2]{k*x + y}", "unbound name 'x'"),
+    ],
+)
+def test_leaf_operands_fail_left_before_right_in_both_walks(src, message):
+    with pytest.raises(EvalError) as info:
+        num(src)
+    assert str(info.value) == message
+    with pytest.raises(ExactEvalError) as info:
+        exact(src)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        (f"{_HUGE} * 2", "number literal too large for a float"),
+        (f"2 ^ {_HUGE}", "number literal too large for a float"),
+        (f"-{_HUGE}", "number literal too large for a float"),
+        (f"exp({_HUGE})", "number literal too large for a float"),
+        (f"binom(2, {_HUGE})", "number literal too large for a float"),
+        (f"{_HUGE} + x", "number literal too large for a float"),
+        (f"x + {_HUGE}", "unbound name 'x'"),
+    ],
+)
+def test_a_huge_literal_operand_is_a_numeric_error(src, message):
+    with pytest.raises(EvalError) as info:
+        num(src)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "sum[k=1,2]{sum[j=1,500001]{j}}",
+        "sum[k=1,1000]{1 + sum[j=1,1001]{j}}",
+        "sum[k=0,1]{sum[j=0,1]{sum[i=0,250000]{i}}}",
+        # the inner length grows with k: refused at k = 500
+        "sum[k=0,1999]{sum[j=0,k]{j}}",
+    ],
+)
+def test_nested_sums_share_one_cap(src):
+    # the product of the range lengths of a sum and the sums around it is
+    # checked as the sum starts, in both walks, in generated integrand
+    # loops and across an integral
+    with pytest.raises(EvalError, match="^sum range too large$"):
+        num(src)
+    with pytest.raises(ExactEvalError, match="^sum range too large$"):
+        exact(src)
+    with pytest.raises(EvalError, match="^sum range too large$"):
+        num(f"integral[v]{{exp(-v)*{src}}}")
+    inner = src.split("{", 1)[1][:-1]
+    with pytest.raises(EvalError, match="^sum range too large$"):
+        num(f"{src.split('{', 1)[0]}{{integral[v]{{exp(-v)*{inner}}}}}")
 
 
 def test_literals_past_the_float_range_are_numeric_errors():
@@ -382,8 +449,10 @@ def test_an_infinite_parameter_only_value_stays_on_the_fast_path(monkeypatch):
     node = parse_expression("integral[v]{exp(-v)/(a*a)^2}")
     res = evaluate_numeric(node, {"a": 1e200})
     assert res == (0.0, 3.1830988618378954e-15, 15, True)
-    # the integral, then the five nodes of (a*a)^2 once
-    assert len(calls) == 6
+    # the integral, then (a*a)^2 walked once: its power and its product,
+    # whose leaf operands are read in place. A sample that fell back to
+    # the walk would add at least 15 calls, one per sample.
+    assert len(calls) == 3
 
 
 def test_module_functions_have_resolvable_type_hints():
@@ -554,6 +623,8 @@ def test_exact_results_of_a_catalog_run_are_pinned():
         ("sum[k=0,1/2]{k}", {}, "sum bounds must be integers"),
         ("sum[k=0,a]{k}", {"a": F(3, 2)}, "sum bounds must be integers"),
         ("sum[k=0,10^7]{k}", {}, "sum range too large"),
+        # nested sums share one cap on the product of their range lengths
+        ("sum[k=1,2]{sum[j=1,500001]{j}}", {}, "sum range too large"),
         ("integral[v]{v}", {}, "integrals have no exact evaluation"),
         # left before right, outer before inner
         ("1/0 + pi", {}, "division by zero"),
@@ -650,7 +721,7 @@ def _walk(node, env):
         lo, hi = _walk(node.lo, env), _walk(node.hi, env)
         if lo.denominator != 1 or hi.denominator != 1:
             raise ExactEvalError("sum bounds must be integers")
-        if hi - lo > 1_000_000:
+        if hi - lo + 1 > 1_000_000:
             raise ExactEvalError("sum range too large")
         total = F(0)
         for k in range(int(lo), int(hi) + 1):
@@ -840,6 +911,131 @@ def test_compiled_samples_equal_the_walk(body, a, n, cap):
                 assert want[0].startswith(("EvalError: ", "TypeError: ")), (body, x)
                 continue
             assert _sample_outcome(lambda: f(x), usage) == want, (body, x)
+
+
+def _float_walk(node, env, terms=1):
+    """node's value and error budget by a plain float walk, with
+    _eval_num's rules and messages: the reference it is checked against.
+    terms is the product of the range lengths of the enclosing sums."""
+    if isinstance(node, NumberLiteral):
+        try:
+            return float(node.value), 0.0
+        except OverflowError:
+            raise EvalError("number literal too large for a float") from None
+    if isinstance(node, (ParamRef, BoundVarRef)):
+        if node.name not in env:
+            raise EvalError(f"unbound name {node.name!r}")
+        return env[node.name], 0.0
+    if isinstance(node, ConstantRef):
+        return getattr(constants(), node.name), 0.0
+    if isinstance(node, UnaryNeg):
+        v, e = _float_walk(node.operand, env, terms)
+        return -v, e
+    if isinstance(node, BinaryOp):
+        (x, ex), (y, ey) = _float_walk(node.left, env, terms), _float_walk(node.right, env, terms)
+        # a budget term is added only when its operand budget is nonzero
+        if node.op in "+-":
+            return (x + y if node.op == "+" else x - y), ex + ey
+        if node.op == "*":
+            err = abs(x) * ey if ey else 0.0
+            return x * y, err + abs(y) * ex if ex else err
+        if node.op == "/":
+            if y == 0.0:
+                raise EvalError("division by zero")
+            err = ex / abs(y) if ex else 0.0
+            return x / y, err + abs(x / y / y) * ey if ey else err
+        try:
+            v = x ** y
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise EvalError(f"power failed: {exc}") from None
+        if isinstance(v, complex):
+            raise EvalError("power produced a complex value")
+        err = abs(y * v / x) * ex if ex and x != 0.0 else 0.0
+        return v, err + abs(v * math.log(x)) * ey if ey and x > 0.0 else err
+    if isinstance(node, Call):
+        walked = [_float_walk(arg, env, terms) for arg in node.args]
+        try:
+            v = function_table()[node.name].numeric(*(av for av, _ in walked))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise EvalError(f"{node.name} failed: {exc}") from None
+        if not math.isfinite(v):
+            raise EvalError(f"{node.name} returned a non-finite value")
+        return v, sum(ae for _, ae in walked)
+    if isinstance(node, Sum):
+        # both bounds are walked before either is checked
+        bounds = [_float_walk(node.lo, env, terms)[0], _float_walk(node.hi, env, terms)[0]]
+        for what, x in zip(("lower", "upper"), bounds):
+            if not (math.isfinite(x) and abs(x - round(x)) <= 1e-9):
+                raise EvalError(f"sum {what} bound must be an integer, got {x!r}")
+        lo, hi = map(round, bounds)
+        terms *= hi - lo + 1
+        if terms > 1_000_000:
+            raise EvalError("sum range too large")
+        total, total_err = 0.0, 0.0
+        for k in range(lo, hi + 1):
+            v, e = _float_walk(node.body, {**env, node.var: float(k)}, terms)
+            total += v
+            total_err += e
+        return total, total_err
+    # the integral machinery has its own tests; its budget feeds the walk
+    return _eval_num(node, env, EvalConfig(), _QuadUsage())
+
+
+def _walk_outcome(thunk):
+    try:
+        value, budget = thunk()
+    except EvalError as exc:
+        return f"EvalError: {exc}"
+    return repr(value), repr(budget)
+
+
+# integrals whose nonzero budgets the walk propagates
+_BUDGETED = [
+    Integral("v", parse_expression("exp(-pi*v)")),
+    Integral("v", parse_expression("exp(-v)*(1 + a*v)")),
+]
+# a failure ends the whole evaluation, so failing leaves are rare
+_NUMERIC_LEAVES = st.one_of(
+    st.integers(-3, 5).map(_lit),
+    st.sampled_from([F(1, 2), F(-3, 4), F(7, 3)] * 3 + [F(10 ** 400)]).map(_lit),
+    # b is never bound; k is bound only inside a sum
+    st.sampled_from(_NAMES * 3 + [ParamRef("b")]),
+    st.sampled_from(_BUDGETED),
+)
+
+
+def _numeric_branches(children):
+    return st.one_of(
+        st.builds(BinaryOp, st.sampled_from("+-*/^"), children, children),
+        st.builds(UnaryNeg, children),
+        st.builds(lambda lo, hi, body: Sum("k", lo, hi, body), _BOUNDS, _BOUNDS, children),
+        st.builds(
+            lambda f, x: Call(f, (x,)),
+            st.sampled_from(["exp", "ln", "fact", "gammafn", "cosh", "digamma"]),
+            children,
+        ),
+        st.builds(
+            lambda f, x, y: Call(f, (x, y)),
+            st.sampled_from(["pow", "pow", "binom"]),
+            children,
+            children,
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.recursive(_NUMERIC_LEAVES, _numeric_branches, max_leaves=10),
+    st.sampled_from([-1.0, 0.0, 2.0, 2.5]),
+    st.sampled_from([-1.5, 0.75, 3.0]),
+)
+@example(BinaryOp("*", _BUDGETED[0], BinaryOp("/", ParamRef("n"), _BUDGETED[1])), 2.0, 0.75)
+def test_numeric_walk_equals_a_float_walk(tree, n, a):
+    # value and budget, or the message of the first failure
+    env = bind_parameters({"n": n, "a": a})
+    assert _walk_outcome(lambda: _eval_num(tree, dict(env), EvalConfig(), _QuadUsage())) == (
+        _walk_outcome(lambda: _float_walk(tree, env))
+    ), tree
 
 
 _BIG = st.integers(2 ** 2000, 2 ** 6000)

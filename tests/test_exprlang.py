@@ -99,10 +99,16 @@ def test_decimal_literals_are_exact():
 def test_literal_float_is_converted_once_and_not_compared():
     lit = parse_expression("2.375")
     assert lit.fvalue == float(Fraction(19, 8))
+    # the exact walk's operand: a reduced pair, or an int for an integer
+    assert lit.exact == (19, 8)
+    assert type(NumberLiteral(Fraction(-6, 2)).exact) is int
+    assert NumberLiteral(Fraction(-6, 2)).exact == -3
     twin = NumberLiteral(Fraction(19, 8))
     assert lit == twin and hash(lit) == hash(twin) == hash((Fraction(19, 8),))
     assert repr(lit) == "NumberLiteral(value=Fraction(19, 8))"
+    assert NumberLiteral._fields == ("value",)
     assert NumberLiteral(Fraction(10**400)).fvalue is None
+    assert NumberLiteral(Fraction(10**400)).exact == 10**400
 
 
 def test_constants_and_params_are_distinct():
@@ -132,6 +138,8 @@ def test_nodes_compare_hash_and_freeze_like_values():
     assert third.fvalue == float(Fraction(1, 3))
     with pytest.raises(AttributeError):
         third.fvalue = 0.0
+    with pytest.raises(AttributeError):
+        third.exact = 0
 
 
 def test_call_node_shape():
