@@ -6,7 +6,12 @@ catastrophically for negative order; plain binary64 loses seven or more
 digits there. It splits the order as s = s0 + round(s): the powers
 (k+a)^(-s0) cost one exp each and are cached in rows that every order
 s0 + m at the same a reads, and (k+a)^(-m) is double-double powering, whose
-error, unlike that of exp(-s ln(k+a)), does not grow with |s|. One
+error, unlike that of exp(-s ln(k+a)), does not grow with |s|. The
+Bernoulli tail is a polynomial in z^-2, evaluated by Horner on per-order
+coefficients B(2j)/(2j)! (s)_(2j-1) that a small cache keeps by s, with
+one reciprocal of z for all of it; the first coefficient left out is the
+leading term of the Euler-Maclaurin remainder. A value past the
+double-double range is a SpecfunError, not a NaN. One
 composed rule of double-double steps gives the value and, when asked, the
 derivative with respect to the order s, needed only by hurwitz_zeta_ds,
 eta_ds, S_ds and zeta_prime_at. The derivative runs in forward mode beside
@@ -161,6 +166,68 @@ def _bern_over_fact() -> Tuple[DD, ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=64)
+def _tail_coeffs(sv: float, ds: bool) -> _Row:
+    # K_j = B(2j)/(2j)! * (s)_(2j-1) for j = 1 .. _EM_TAIL_TERMS, then, if
+    # ds, their d/ds K'_j. They depend on s alone, so the two a of an eta
+    # and the orders a catalog sum repeats share them. (s)_(2j+1) is
+    # (s)_(2j-1) * g with g = (s+2j-1)(s+2j), and g' = (s+2j-1) + (s+2j).
+    c = (sv, 0.0)
+    c_d = (1.0, 0.0)
+    ks, dks = [], []
+    for j, b in enumerate(_bern_over_fact(), 1):
+        ks.append(dd_mul(b, c))
+        if ds:
+            dks.append(dd_mul(b, c_d))
+        if j == _EM_TAIL_TERMS:
+            break
+        fa = _two_sum(sv, 2.0 * j - 1.0)
+        fb = _two_sum(sv, 2.0 * j)
+        g = dd_mul(fa, fb)
+        if ds:
+            c_d = dd_add(dd_mul(c_d, g), dd_mul(c, dd_add(fa, fb)))
+        c = dd_mul(c, g)
+    return _row(ks + dks)
+
+
+def _horner(row: _Row, start: int, w: DD) -> DD:
+    # sum over j < _EM_TAIL_TERMS of row[start + j] * w^j, highest order first
+    hi, lo = row
+    j = start + _EM_TAIL_TERMS - 1
+    p = (hi[j], lo[j])
+    while j > start:
+        j -= 1
+        p = dd_add(dd_mul(p, w), (hi[j], lo[j]))
+    return p
+
+
+def _em_tail(sv: float, z: DD, pw: DD, d: Optional[DD]) -> Tuple[DD, Optional[DD]]:
+    """The Bernoulli tail of the Euler-Maclaurin sum, and its d/ds if d is given.
+
+    sum_j B(2j)/(2j)! * (s)_(2j-1) * z^(-s-2j+1) is r * P(w) with
+    r = z^(-s) / z, w = z^-2 and P(w) = sum_j K_j w^(j-1), the K_j from
+    _tail_coeffs. P runs by Horner in w. pw is z^(-s) and d its d/ds; the
+    d/ds of the tail is r * Q(w) + r' * P(w), Q the same sum over K'_j.
+    One reciprocal of z gives w and r.
+    """
+    coeffs = _tail_coeffs(sv, d is not None)
+    iz = dd_div((1.0, 0.0), z)
+    w = dd_mul(iz, iz)
+    r = dd_mul(pw, iz)
+    p = _horner(coeffs, 0, w)
+    tv = dd_mul(r, p)
+    if d is None:
+        return tv, None
+    q = _horner(coeffs, _EM_TAIL_TERMS, w)
+    return tv, dd_add(dd_mul(r, q), dd_mul(dd_mul(d, iz), p))
+
+
+def _past_range(name: str, sv: float, a: float) -> SpecfunError:
+    # a word past ~2^996 overflows the splitting step of a product, and a
+    # value past ~2^1024 the float itself; either leaves inf or NaN
+    return SpecfunError(f"{name}({sv:g}, {a:g}) is past the double-double range")
+
+
 @lru_cache(maxsize=8192)
 def _hz_dd(sv: float, a: float, ds: bool) -> Tuple[DD, Optional[DD]]:
     """Euler-Maclaurin Hurwitz zeta as a double-double, and d/ds if ds.
@@ -174,6 +241,11 @@ def _hz_dd(sv: float, a: float, ds: bool) -> Tuple[DD, Optional[DD]]:
     double-double products: exp(-s ln(k+a)) would carry the log's error
     times |s|, which below s = -9 survives the head's cancellation.
 
+    The Bernoulli tail (_em_tail) is a polynomial in z^-2, run by Horner on
+    per-order coefficients that are cached by s, so it computes no exp; one
+    reciprocal of z serves the whole tail. Its first omitted coefficient,
+    K_16 * z^(-s-31), is the leading term of the Euler-Maclaurin remainder.
+
     One composed rule serves both modes. Without ds, None stands for the
     derivative. With ds, every intermediate also carries its d/ds, run in
     forward mode beside the value; the value half runs the same operations
@@ -182,7 +254,8 @@ def _hz_dd(sv: float, a: float, ds: bool) -> Tuple[DD, Optional[DD]]:
     s0 factors, so a derivative after its value computes no exp or log.
     Value and derivative calls at one (s, a) are separate cache entries;
     callers pass ds positionally, so that each mode has one key.
-    tests/test_specfun.py pins the words of both modes.
+    tests/test_specfun.py pins the words of both modes. A value or d/ds
+    that leaves the double-double range is a SpecfunError, not a NaN.
     """
     if a <= 0.0:
         raise SpecfunError("hurwitz zeta needs a > 0")
@@ -234,36 +307,17 @@ def _hz_dd(sv: float, a: float, ds: bool) -> Tuple[DD, Optional[DD]]:
     den = _two_sum(sv, -1.0)
     pole = dd_div(num, den)
 
-    # Bernoulli tail: sum_j B(2j)/(2j)! * (s)_(2j-1) * z^(-s-2j+1), with
-    # c = (s)_(2j-1) and r = z^(-s-2j+1); g = (s+2j-1)(s+2j) steps c
-    w = dd_div((1.0, 0.0), dd_mul(z, z))  # z^-2
-    c = (sv, 0.0)
-    r = dd_div(pw, z)
-    tv = (0.0, 0.0)
-    if ds:
-        pole_d = dd_div(dd_sub(dd_mul(dd_mul(z, d), den), num), dd_mul(den, den))
-        c_d = (1.0, 0.0)
-        r_d = dd_div(d, z)
-        td = (0.0, 0.0)
-    for j, b in enumerate(_bern_over_fact(), 1):
-        tv = dd_add(tv, dd_mul(b, dd_mul(c, r)))
-        if ds:
-            td = dd_add(td, dd_mul(b, dd_add(dd_mul(c_d, r), dd_mul(c, r_d))))
-        if j == _EM_TAIL_TERMS:
-            break
-        fa = _two_sum(sv, 2.0 * j - 1.0)
-        fb = _two_sum(sv, 2.0 * j)
-        g = dd_mul(fa, fb)
-        if ds:
-            g_d = dd_add(dd_mul((1.0, 0.0), fb), dd_mul(fa, (1.0, 0.0)))
-            c_d = dd_add(dd_mul(c_d, g), dd_mul(c, g_d))
-            r_d = dd_mul(r_d, w)
-        c = dd_mul(c, g)
-        r = dd_mul(r, w)
+    tv, td = _em_tail(sv, z, pw, d if ds else None)
     value = dd_add(dd_add(hv, pole), dd_add(dd_mul_d(pw, 0.5), tv))
+    if not math.isfinite(value[0] + value[1]):
+        raise _past_range("hurwitz zeta", sv, a)
     if not ds:
         return value, None
-    return value, dd_add(dd_add(hd, pole_d), dd_add(dd_mul_d(d, 0.5), td))
+    pole_d = dd_div(dd_sub(dd_mul(dd_mul(z, d), den), num), dd_mul(den, den))
+    deriv = dd_add(dd_add(hd, pole_d), dd_add(dd_mul_d(d, 0.5), td))
+    if not math.isfinite(deriv[0] + deriv[1]):
+        raise _past_range("hurwitz zeta", sv, a)
+    return value, deriv
 
 
 def hurwitz_zeta(s: float, a: float) -> float:
@@ -315,9 +369,13 @@ def _eta_parts(sv: float, a: float, ds: bool) -> Tuple[float, Optional[float]]:
     pw = _pow_dual(_LN2_DD, sv, ds)
     diff = dd_sub(pv, qv)
     if not ds:
-        return to_float(dd_mul(pw[0], diff)), None
-    out = _ddu_mul(pw, (diff, dd_sub(pd, qd)))
-    return to_float(out[0]), to_float(out[1])
+        v, d = to_float(dd_mul(pw[0], diff)), 0.0
+    else:
+        out = _ddu_mul(pw, (diff, dd_sub(pd, qd)))
+        v, d = to_float(out[0]), to_float(out[1])
+    if not (math.isfinite(v) and math.isfinite(d)):
+        raise _past_range("eta", sv, a)
+    return v, d if ds else None
 
 
 def eta(s: float, a: float) -> float:
@@ -397,18 +455,23 @@ def polygamma(m: int, x: float) -> float:
     if m + 1 > _HZ_MAX_ORDER:
         # refused before m!, which alone takes minutes for m = 1e7
         raise SpecfunError(f"polygamma is not computed for m > {_HZ_MAX_ORDER - 1:g}")
-    z = hurwitz_zeta(float(m + 1), float(x))
+    too_large = f"polygamma({m}, {x!r}) is too large for a float"
+    try:
+        z = hurwitz_zeta(float(m + 1), float(x))
+    except SpecfunError:
+        # with x > 0 and 2 <= m + 1 <= 1000 the engine refuses only a zeta
+        # past the double-double range, and zeta(m+1, x) > 0 leaves it upwards
+        raise SpecfunError(too_large) from None
     # zeta(m+1, x) > 0: below the normal floats it has lost its precision,
     # and m! would scale that loss up
     if z < sys.float_info.min:
         raise SpecfunError("polygamma is not computed where zeta(m+1, x) underflows a float")
     # m! times zeta exactly, rounded once: m! alone passes the float range
-    # from m = 171. Fraction refuses an infinite or NaN zeta, which is
-    # past the float range too.
+    # from m = 171
     try:
         value = float(math.factorial(m) * Fraction(z))
-    except (OverflowError, ValueError):
-        raise SpecfunError(f"polygamma({m}, {x!r}) is too large for a float") from None
+    except OverflowError:
+        raise SpecfunError(too_large) from None
     return value if m % 2 else -value
 
 

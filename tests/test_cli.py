@@ -411,6 +411,27 @@ def test_hurwitz_zeta_below_its_accurate_range_is_input_error(capsys):
 @pytest.mark.parametrize(
     "expr, message",
     [
+        (
+            "hzeta(172, 0.01)",
+            "hzeta failed: hurwitz zeta(172, 0.01) is past the double-double range",
+        ),
+        ("eta(152, 0.02)", "eta failed: eta(152, 0.02) is past the double-double range"),
+        (
+            "polygamma(171, 0.01)",
+            "polygamma failed: polygamma(171, 0.01) is too large for a float",
+        ),
+    ],
+)
+def test_values_past_the_double_double_range_are_input_errors(capsys, expr, message):
+    # hzeta and eta printed "returned a non-finite value" for a NaN here;
+    # polygamma names the float range, not the engine's
+    code, out, err = run_cli(capsys, "eval", expr)
+    assert (code, out, err) == (2, "", f"zetasech: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
         ("hzeta(10^8, 2)", "hzeta failed: hurwitz zeta is not computed for s > 1000"),
         ("eta(10^7, 1)", "eta failed: hurwitz zeta is not computed for s > 1000"),
         ("hzeta_ds(10^7, 2)", "hzeta_ds failed: hurwitz zeta is not computed for s > 1000"),
