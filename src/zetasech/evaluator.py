@@ -74,16 +74,14 @@ __all__ = [
     "evaluate_numeric",
 ]
 
-# the most times the body of a sum may run in all: the product of its range
-# length and those of the sums around it, across integrals, checked once as
-# each sum starts
+# the most passes through sum bodies one evaluation may make in all, over
+# every sum it runs, nested or not, at every integrand sample: each sum
+# charges its range length to the evaluation's _Work as it starts
 _SUM_LIMIT = 1_000_000
 _SUM_TOO_LARGE = "sum range too large"
-# the env key, never a name, that holds that product for the sums around a
-# step; the env copies made for integrals carry it along
-_TERMS = "#terms"
 _NUM_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 _HUGE_LITERAL = "number literal too large for a float"
+_MISSING = object()
 
 
 class EvalError(ValueError):
@@ -119,11 +117,15 @@ def bind_parameters(params: Mapping[str, float]) -> Dict[str, float]:
     return env
 
 
-class _QuadUsage:
-    __slots__ = ("evals", "converged")
+class _Work:
+    """The work of one evaluation: quadrature samples (evals), passes
+    through sum bodies (passes), and whether every quadrature converged."""
+
+    __slots__ = ("evals", "passes", "converged")
 
     def __init__(self) -> None:
         self.evals = 0
+        self.passes = 0
         self.converged = True
 
 
@@ -135,23 +137,22 @@ def _near_int(x: float, what: str) -> int:
     raise EvalError(f"{what} must be an integer, got {x!r}")
 
 
-def _sum_range(lov: float, hiv: float, outer: int) -> Tuple[int, Iterator[float]]:
-    """For a sum with bounds lov and hiv, inside sums whose bodies run
-    outer times in all: how many times its own body runs in all, outer
-    times its range length, and its index values as floats."""
+def _sum_range(lov: float, hiv: float, usage: _Work) -> Iterator[float]:
+    """The index values, as floats, of a sum with bounds lov and hiv, its
+    range length charged to usage.passes."""
     lo = _near_int(lov, "sum lower bound")
     hi = _near_int(hiv, "sum upper bound")
-    terms = outer * (hi - lo + 1)
-    if terms > _SUM_LIMIT:
+    usage.passes += max(hi - lo + 1, 0)
+    if usage.passes > _SUM_LIMIT:
         raise EvalError(_SUM_TOO_LARGE)
-    return terms, map(float, range(lo, hi + 1))
+    return map(float, range(lo, hi + 1))
 
 
 def _eval_num(
     node: Node,
     env: Dict[str, float],
     cfg: EvalConfig,
-    usage: _QuadUsage,
+    usage: _Work,
 ) -> Tuple[float, float]:
     """node's value and error budget.
 
@@ -254,13 +255,10 @@ def _eval_num(
     if t is Sum:
         lov, _ = _eval_num(node.lo, env, cfg, usage)
         hiv, _ = _eval_num(node.hi, env, cfg, usage)
-        outer = env.get(_TERMS, 1)
-        terms, indices = _sum_range(lov, hiv, outer)  # type: ignore[arg-type]
+        indices = _sum_range(lov, hiv, usage)
         total = 0.0
         total_err = 0.0
-        saved = env.get(node.var)
-        had = node.var in env
-        env[_TERMS] = terms
+        saved = env.get(node.var, _MISSING)
         try:
             for k in indices:
                 env[node.var] = k
@@ -268,11 +266,10 @@ def _eval_num(
                 total += v
                 total_err += e
         finally:
-            env[_TERMS] = outer
-            if had:
-                env[node.var] = saved  # type: ignore[assignment]
-            else:
+            if saved is _MISSING:
                 env.pop(node.var, None)
+            else:
+                env[node.var] = saved  # type: ignore[assignment]
         return total, total_err
     if t is Integral:
         return _integrate(_compile_integral(node), env, cfg, usage)
@@ -280,16 +277,17 @@ def _eval_num(
 
 
 # make(env, cfg, usage) -> f(x): the integrand of one Integral node
-_Make = Callable[[Dict[str, float], EvalConfig, _QuadUsage], Callable[[float], float]]
+_Make = Callable[[Dict[str, float], EvalConfig, _Work], Callable[[float], float]]
 
 
 def _integrate(
     make: _Make,
     env: Dict[str, float],
     cfg: EvalConfig,
-    usage: _QuadUsage,
+    usage: _Work,
 ) -> Tuple[float, float]:
-    """Value and error estimate of one integral, counted against the cap."""
+    """Value and error estimate of one integral, its samples charged to
+    usage.evals against the cap."""
     remaining = cfg.eval_cap - usage.evals
     if remaining <= 0:
         raise EvalError("evaluation cap exhausted")
@@ -310,7 +308,6 @@ def _integrate(
     return quad.value, quad.abs_error_estimate
 
 
-_MISSING = object()
 _BODY = " " * 4
 # what a generated fast path catches: float arithmetic's ZeroDivisionError
 # and OverflowError, the ValueErrors of registry functions, sum bounds and
@@ -384,9 +381,11 @@ class _Codegen:
     an infinite or NaN result, a complex power and a literal past the
     float range (None). Inside a sum loop each pass multiplies its results
     into the running check ok. On a failure f hands the sample to the
-    walk, which gives the same value or raises its own message. f restores
-    usage.evals first when it holds a nested integral, so only the walk's
-    integrals count.
+    walk, which gives the same value or raises its own message. Each sum
+    loop charges its range length to usage.passes as it starts, through
+    the walk's own _sum_range, and a nested integral charges its samples
+    to usage.evals; f restores both first when it holds either, so only
+    the walk's work counts.
 
     f nests one try and one loop per sum; the parser's cap of 16 nested
     sums keeps that within CPython's 20 nested blocks per code object.
@@ -407,10 +406,8 @@ class _Codegen:
         # that the current block's finiteness test covers
         self.checks: List[str] = []
         self.running = False
-        self.nested = False
-        # whether the code reads n0, the terms of the sums enclosing the
-        # integral, which the binder reads from env
-        self.counted = False
+        # whether f charges usage: it holds a sum or an integral
+        self.charged = False
         self.temps = 0
         self.fixed: Set[int] = set()
         _fixed_subtrees(node.body, node.var, self.fixed)
@@ -435,9 +432,8 @@ class _Codegen:
         if isinstance(node, ConstantRef):
             return self.const(getattr(constants(), node.name))
         if isinstance(node, (ParamRef, BoundVarRef)):
-            # scope maps each bound variable in reach to its local, and
-            # _TERMS to the local holding the terms of the enclosing sums;
-            # any other name is a parameter
+            # scope maps each bound variable in reach to its local; any
+            # other name is a parameter
             local = scope.get(node.name)
             if local:
                 return local
@@ -478,18 +474,17 @@ class _Codegen:
         if isinstance(node, Sum):
             lov = self.emit(node.lo, scope, indent)
             hiv = self.emit(node.hi, scope, indent)
-            total, terms, indices, kv = self.temp(), self.temp(), self.temp(), self.temp()
+            total, kv = self.temp(), self.temp()
             self.line(indent, f"{total} = 0.0")
-            self.line(indent, f"{terms}, {indices} = srange({lov}, {hiv}, {scope[_TERMS]})")
-            self.line(indent, f"for {kv} in {indices}:")
-            self.counted = True
+            self.line(indent, f"for {kv} in srange({lov}, {hiv}, usage):")
+            self.charged = True
             inner = indent + _BODY
-            outer, self.checks = self.checks, []
-            v = self.emit(node.body, {**scope, node.var: kv, _TERMS: terms}, inner)
+            around, self.checks = self.checks, []
+            v = self.emit(node.body, {**scope, node.var: kv}, inner)
             if self.checks:
                 self.line(inner, f"ok = {_product(['ok', *self.checks])}")
                 self.running = True
-            self.checks = outer
+            self.checks = around
             self.line(inner, f"{total} += {v}")
             return total
         if isinstance(node, Integral):
@@ -499,7 +494,7 @@ class _Codegen:
             for name, local in scope.items():
                 self.line(indent, f"{bound}[{self.const(name)}] = {local}")
             self.line(indent, f"{t} = integrate({make}, {bound}, cfg, usage)[0]")
-            self.nested = self.counted = True
+            self.charged = True
             return t
         raise TypeError(f"not an expression node: {node!r}")
 
@@ -519,7 +514,7 @@ def _compile_integral(node: Integral) -> _Make:
     and falls back to the walk at that abscissa.
     """
     gen = _Codegen(node)
-    result = gen.emit(node.body, {node.var: "x", _TERMS: "n0"}, "")
+    result = gen.emit(node.body, {node.var: "x"}, "")
     body, var = node.body, node.var
     fast, ret = gen.lines, f"return {result}"
     if gen.running:
@@ -528,7 +523,8 @@ def _compile_integral(node: Integral) -> _Make:
     if gen.checks:
         fast.append(f"if isfinite({_product(['0.0', *gen.checks])}):")
         ret = _BODY + ret
-    save, restore = (["n = usage.evals"], ["usage.evals = n"]) if gen.nested else ([], [])
+    work = "usage.evals, usage.passes"
+    save, restore = ([f"n, m = {work}"], [f"{work} = n, m"]) if gen.charged else ([], [])
     sample = [
         *save,
         "try:",
@@ -541,7 +537,6 @@ def _compile_integral(node: Integral) -> _Make:
     read = {name: local for name, local in gen.params.items() if local not in gen.walked}
     source = [
         f"def bind({', '.join(['env', 'cfg', 'usage', *gen.walked, *read.values()])}):",
-        *([f"{_BODY}n0 = env.get({gen.const(_TERMS)}, 1)"] if gen.counted else []),
         f"{_BODY}def f(x):",
         *(_BODY * 2 + line for line in sample),
         f"{_BODY}return f",
@@ -556,7 +551,7 @@ def _compile_integral(node: Integral) -> _Make:
     bind = gen.namespace["bind"]
     walked, names = tuple(gen.walked.values()), tuple(read)
 
-    def make(env: Dict[str, float], cfg: EvalConfig, usage: _QuadUsage) -> Callable[[float], float]:
+    def make(env: Dict[str, float], cfg: EvalConfig, usage: _Work) -> Callable[[float], float]:
         values = [_eval_num(sub, env, cfg, usage)[0] for sub in walked]
         try:
             values += [env[name] for name in names]
@@ -573,7 +568,7 @@ def evaluate_numeric(
     config: Optional[EvalConfig] = None,
 ) -> NumericResult:
     cfg = config or EvalConfig()
-    usage = _QuadUsage()
+    usage = _Work()
     env = bind_parameters(params)
     try:
         value, err = _eval_num(node, env, cfg, usage)
@@ -641,7 +636,7 @@ def _qpow(p: int, q: int, en: int, ed: int) -> Tuple[int, int]:
 _Exact = Union[int, Tuple[int, int]]
 
 
-def _eval_exact(node: Node, env: Dict[str, _Exact]) -> _Exact:
+def _eval_exact(node: Node, env: Dict[str, _Exact], work: _Work) -> _Exact:
     """node's exact value. + - * of two ints stay ints; every other result
     of arithmetic is a pair from _qadd, _qmul, _qdiv or _qpow, an int
     entering as its value over 1. A registry function gets a Fraction for
@@ -664,7 +659,7 @@ def _eval_exact(node: Node, env: Dict[str, _Exact]) -> _Exact:
         elif (at is ParamRef or at is BoundVarRef) and a.name in env:
             x = env[a.name]
         else:
-            x = _eval_exact(a, env)
+            x = _eval_exact(a, env, work)
         b = node.right
         bt = type(b)
         if bt is NumberLiteral:
@@ -672,7 +667,7 @@ def _eval_exact(node: Node, env: Dict[str, _Exact]) -> _Exact:
         elif (bt is ParamRef or bt is BoundVarRef) and b.name in env:
             y = env[b.name]
         else:
-            y = _eval_exact(b, env)
+            y = _eval_exact(b, env, work)
         op = node.op
         if type(x) is int:
             if type(y) is int:
@@ -709,7 +704,7 @@ def _eval_exact(node: Node, env: Dict[str, _Exact]) -> _Exact:
             elif (at is ParamRef or at is BoundVarRef) and a.name in env:
                 v = env[a.name]
             else:
-                v = _eval_exact(a, env)
+                v = _eval_exact(a, env, work)
             args.append(v if type(v) is int else Fraction(*v))
         try:
             result = fn(*args)
@@ -724,7 +719,7 @@ def _eval_exact(node: Node, env: Dict[str, _Exact]) -> _Exact:
         elif (at is ParamRef or at is BoundVarRef) and a.name in env:
             v = env[a.name]
         else:
-            v = _eval_exact(a, env)
+            v = _eval_exact(a, env, work)
         return -v if type(v) is int else (-v[0], v[1])
     if t is NumberLiteral:
         return node.exact
@@ -734,7 +729,7 @@ def _eval_exact(node: Node, env: Dict[str, _Exact]) -> _Exact:
         except KeyError:
             raise ExactEvalError(f"unbound name {node.name!r}") from None
     if t is Sum:
-        return _sum_exact(node, env)
+        return _sum_exact(node, env, work)
     if t is ConstantRef:
         raise ExactEvalError(f"constant {node.name!r} is not rational")
     if t is Integral:
@@ -742,11 +737,11 @@ def _eval_exact(node: Node, env: Dict[str, _Exact]) -> _Exact:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _sum_exact(node: Sum, env: Dict[str, _Exact]) -> _Exact:
+def _sum_exact(node: Sum, env: Dict[str, _Exact], work: _Work) -> _Exact:
     """_eval_exact for a Sum, whose index is bound in env while its body
-    runs."""
-    lo = _eval_exact(node.lo, env)
-    hi = _eval_exact(node.hi, env)
+    runs; its range length is charged to work.passes, as in _sum_range."""
+    lo = _eval_exact(node.lo, env, work)
+    hi = _eval_exact(node.hi, env, work)
     # a pair is an integer only over 1
     if type(lo) is not int:
         lo = lo[0] if lo[1] == 1 else None
@@ -754,17 +749,15 @@ def _sum_exact(node: Sum, env: Dict[str, _Exact]) -> _Exact:
         hi = hi[0] if hi[1] == 1 else None
     if lo is None or hi is None:
         raise ExactEvalError("sum bounds must be integers")
-    outer = env.get(_TERMS, 1)
-    terms = outer * (hi - lo + 1)  # type: ignore[operator]
-    if terms > _SUM_LIMIT:
+    work.passes += max(hi - lo + 1, 0)  # type: ignore[operator]
+    if work.passes > _SUM_LIMIT:
         raise ExactEvalError(_SUM_TOO_LARGE)
     total: _Exact = 0
     saved = env.get(node.var, _MISSING)
-    env[_TERMS] = terms
     try:
         for k in range(lo, hi + 1):
             env[node.var] = k
-            v = _eval_exact(node.body, env)
+            v = _eval_exact(node.body, env, work)
             if type(total) is int and type(v) is int:
                 total += v
                 bits = total.bit_length()
@@ -777,7 +770,6 @@ def _sum_exact(node: Sum, env: Dict[str, _Exact]) -> _Exact:
             if bits > _MAX_EXACT_BITS:
                 raise ExactEvalError(f"sum would exceed {_MAX_EXACT_BITS} bits")
     finally:
-        env[_TERMS] = outer
         if saved is _MISSING:
             env.pop(node.var, None)
         else:
@@ -812,7 +804,7 @@ def _reduced(n: int, d: int) -> _Exact:
 def evaluate_exact(node: Node, params: Mapping[str, Fraction]) -> Fraction:
     env = _bind_pairs(params)
     try:
-        value = _eval_exact(node, env)
+        value = _eval_exact(node, env, _Work())
     except RecursionError:
         raise ExactEvalError("expression nested too deeply to evaluate") from None
     return Fraction(value) if type(value) is int else Fraction(*value)

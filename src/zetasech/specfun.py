@@ -362,17 +362,23 @@ def _eta_parts(sv: float, a: float, ds: bool) -> Tuple[float, Optional[float]]:
     if a <= 0.0:
         raise SpecfunError("eta needs a > 0")
     if abs(sv - 1.0) < _ETA_BAND:
-        return _eta_cvz(sv, a)
-    # eta(s,a) = 2^(-s) * (zeta(s, a/2) - zeta(s, (a+1)/2))
-    pv, pd = _hz_dd(sv, 0.5 * a, ds)
-    qv, qd = _hz_dd(sv, 0.5 * (a + 1.0), ds)
-    pw = _pow_dual(_LN2_DD, sv, ds)
-    diff = dd_sub(pv, qv)
-    if not ds:
-        v, d = to_float(dd_mul(pw[0], diff)), 0.0
+        # a tiny a makes (k+a)^(-s), or its product with a weight, overflow
+        try:
+            v, d = _eta_cvz(sv, a)
+        except OverflowError:
+            raise _past_range("eta", sv, a) from None
+        d = d if ds else 0.0
     else:
-        out = _ddu_mul(pw, (diff, dd_sub(pd, qd)))
-        v, d = to_float(out[0]), to_float(out[1])
+        # eta(s,a) = 2^(-s) * (zeta(s, a/2) - zeta(s, (a+1)/2))
+        pv, pd = _hz_dd(sv, 0.5 * a, ds)
+        qv, qd = _hz_dd(sv, 0.5 * (a + 1.0), ds)
+        pw = _pow_dual(_LN2_DD, sv, ds)
+        diff = dd_sub(pv, qv)
+        if not ds:
+            v, d = to_float(dd_mul(pw[0], diff)), 0.0
+        else:
+            out = _ddu_mul(pw, (diff, dd_sub(pd, qd)))
+            v, d = to_float(out[0]), to_float(out[1])
     if not (math.isfinite(v) and math.isfinite(d)):
         raise _past_range("eta", sv, a)
     return v, d if ds else None

@@ -371,11 +371,14 @@ def test_exact_sum_total_is_capped():
         ["sum[k=0,10^5]{sum[j=0,10^5]{1}}"],
         ["--exact", "sum[k=0,10^5]{sum[j=0,10^5]{1}}"],
         ["integral[v]{exp(-pi*v)*sum[k=0,3000]{sum[j=0,3000]{1}}}"],
+        ["integral[v]{exp(-v)*sum[k=1,999999]{v/k^2}}", "--decay", "1"],
     ],
 )
 def test_nested_sums_are_refused_at_once(argv):
-    # each range is under the cap, but their product is 10^10 or 9*10^6
-    # terms a sample; these ran until a timeout stopped them
+    # each range is under the cap, but the passes of one evaluation through
+    # its sum bodies, over all its sums and integrand samples, pass it long
+    # before the outer sum or the quadrature ends; these ran until a
+    # timeout stopped them, or for 34 s and exited 0
     src = os.path.dirname(os.path.dirname(zetasech.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -416,6 +419,11 @@ def test_hurwitz_zeta_below_its_accurate_range_is_input_error(capsys):
             "hzeta failed: hurwitz zeta(172, 0.01) is past the double-double range",
         ),
         ("eta(152, 0.02)", "eta failed: eta(152, 0.02) is past the double-double range"),
+        ("eta(1.5, 10^-250)", "eta failed: eta(1.5, 1e-250) is past the double-double range"),
+        (
+            "eta_ds(1.5, 10^-250)",
+            "eta_ds failed: eta(1.5, 1e-250) is past the double-double range",
+        ),
         (
             "polygamma(171, 0.01)",
             "polygamma failed: polygamma(171, 0.01) is too large for a float",
@@ -423,8 +431,9 @@ def test_hurwitz_zeta_below_its_accurate_range_is_input_error(capsys):
     ],
 )
 def test_values_past_the_double_double_range_are_input_errors(capsys, expr, message):
-    # hzeta and eta printed "returned a non-finite value" for a NaN here;
-    # polygamma names the float range, not the engine's
+    # hzeta and eta printed "returned a non-finite value" for a NaN here,
+    # and eta near s = 1 "math range error"; polygamma names the float
+    # range, not the engine's
     code, out, err = run_cli(capsys, "eval", expr)
     assert (code, out, err) == (2, "", f"zetasech: error: {message}\n")
 

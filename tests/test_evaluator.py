@@ -16,7 +16,7 @@ from zetasech.evaluator import (
     EvalConfig,
     EvalError,
     ExactEvalError,
-    _QuadUsage,
+    _Work,
     _compile_integral,
     _eval_num,
     _qadd,
@@ -168,14 +168,14 @@ def test_a_huge_literal_operand_is_a_numeric_error(src, message):
         "sum[k=1,2]{sum[j=1,500001]{j}}",
         "sum[k=1,1000]{1 + sum[j=1,1001]{j}}",
         "sum[k=0,1]{sum[j=0,1]{sum[i=0,250000]{i}}}",
-        # the inner length grows with k: refused at k = 500
+        # the inner length grows with k: refused at k = 1412
         "sum[k=0,1999]{sum[j=0,k]{j}}",
     ],
 )
 def test_nested_sums_share_one_cap(src):
-    # the product of the range lengths of a sum and the sums around it is
-    # checked as the sum starts, in both walks, in generated integrand
-    # loops and across an integral
+    # each sum charges its range length to the evaluation's passes as it
+    # starts, and the total is checked against the cap, in both walks, in
+    # generated integrand loops and across an integral
     with pytest.raises(EvalError, match="^sum range too large$"):
         num(src)
     with pytest.raises(ExactEvalError, match="^sum range too large$"):
@@ -185,6 +185,27 @@ def test_nested_sums_share_one_cap(src):
     inner = src.split("{", 1)[1][:-1]
     with pytest.raises(EvalError, match="^sum range too large$"):
         num(f"{src.split('{', 1)[0]}{{integral[v]{{exp(-v)*{inner}}}}}")
+
+
+def test_sibling_sums_share_one_cap():
+    # each sum alone is under the cap
+    with pytest.raises(EvalError, match="^sum range too large$"):
+        num("sum[k=1,600000]{1/k^2} + sum[k=1,600000]{1/k^2}")
+
+
+def test_an_empty_range_charges_nothing():
+    # were the empty range to refund its 10^6 passes, the last sum would
+    # be accepted
+    src = "sum[j=0,-999999]{1} + sum[k=1,10^6]{1} + sum[k=1,1]{1}"
+    with pytest.raises(EvalError, match="^sum range too large$"):
+        num(src)
+    with pytest.raises(ExactEvalError, match="^sum range too large$"):
+        exact(src)
+
+
+def test_a_sum_of_the_cap_s_length_is_accepted():
+    assert num("sum[k=1,10^6]{1}").value == 1e6
+    assert exact("sum[j=0,-1]{1} + sum[k=1,10^6]{1}") == 10 ** 6
 
 
 def test_literals_past_the_float_range_are_numeric_errors():
@@ -322,8 +343,8 @@ def _integrals(node, env, cfg):
     if isinstance(node, Integral):
         yield node, env
     elif isinstance(node, Sum):
-        lo = _eval_num(node.lo, env, cfg, _QuadUsage())[0]
-        hi = _eval_num(node.hi, env, cfg, _QuadUsage())[0]
+        lo = _eval_num(node.lo, env, cfg, _Work())[0]
+        hi = _eval_num(node.hi, env, cfg, _Work())[0]
         for k in range(round(lo), round(hi) + 1):
             yield from _integrals(node.body, {**env, node.var: float(k)}, cfg)
     else:
@@ -350,11 +371,11 @@ def test_compiled_integrands_equal_the_ast_walk():
             env = bind_parameters(params)
             for side in (record.lhs(), record.rhs()):
                 for node, bound in _integrals(side, env, cfg):
-                    f = _compile_integral(node)(bound, cfg, _QuadUsage())
+                    f = _compile_integral(node)(bound, cfg, _Work())
                     for x in abscissae:
                         walk = {**bound, node.var: x}
                         assert _outcome(lambda: f(x)) == _outcome(
-                            lambda: _eval_num(node.body, walk, cfg, _QuadUsage())[0]
+                            lambda: _eval_num(node.body, walk, cfg, _Work())[0]
                         ), (record.id, params, x)
                     checked += 1
     assert checked == 476  # one per quadrature call of a catalog run
@@ -366,10 +387,10 @@ def test_compiled_sums_read_outer_locals_and_parameters():
     cfg = EvalConfig()
     node = parse_expression("integral[v]{ sum[k=0,n]{ sum[j=k,n]{ a*v^j/(k+1) } - k*a } }")
     env = bind_parameters({"n": 3.0, "a": 0.5})
-    f = _compile_integral(node)(env, cfg, _QuadUsage())
+    f = _compile_integral(node)(env, cfg, _Work())
     for x in (0.0, 0.3, 1.7, 12.5):
         walk = {**env, node.var: x}
-        assert f(x) == _eval_num(node.body, walk, cfg, _QuadUsage())[0]
+        assert f(x) == _eval_num(node.body, walk, cfg, _Work())[0]
 
 
 def test_parameter_only_call_runs_once_per_integral(monkeypatch):
@@ -399,10 +420,10 @@ def test_parameter_only_failure_is_raised_before_sampling():
     node = parse_expression("integral[v]{ln(0*v) + 1/a}")
     cfg = EvalConfig()
     with pytest.raises(EvalError) as info:
-        _eval_num(node.body, {"a": 0.0, "v": 0.5}, cfg, _QuadUsage())
+        _eval_num(node.body, {"a": 0.0, "v": 0.5}, cfg, _Work())
     assert str(info.value) == "ln failed: math domain error"
     with pytest.raises(EvalError) as info:
-        _compile_integral(node)({"a": 0.0}, cfg, _QuadUsage())
+        _compile_integral(node)({"a": 0.0}, cfg, _Work())
     assert str(info.value) == "division by zero"
     with pytest.raises(EvalError) as info:
         evaluate_numeric(node, {"a": 0.0}, cfg)
@@ -520,9 +541,9 @@ def test_large_finite_call_results_stay_on_the_fast_path(monkeypatch, x):
     # a body no other test compiles, so its code is built with the spy
     node = parse_expression("integral[v]{sum[k=1,2]{cosh(v)} - cosh(v) + v^2/4}")
     cfg = EvalConfig()
-    got = _compile_integral(node)({}, cfg, _QuadUsage())(x)
+    got = _compile_integral(node)({}, cfg, _Work())(x)
     assert calls == []
-    want = walk(node.body, {"v": x}, cfg, _QuadUsage())[0]
+    want = walk(node.body, {"v": x}, cfg, _Work())[0]
     assert math.isfinite(got) and got == want
 
 
@@ -830,13 +851,14 @@ def _wild(x):
 
 
 def _sample_outcome(thunk, usage):
-    """A sample's value or failure, and the evaluations it counted."""
+    """A sample's value or failure, and the evaluations and sum passes it
+    charged."""
     try:
         outcome = repr(thunk())
     except (EvalError, TypeError) as exc:
         # the walk lets the TypeError of a complex function result through
         outcome = f"{type(exc).__name__}: {exc}"
-    return outcome, usage.evals
+    return outcome, usage.evals, usage.passes
 
 
 _V = BoundVarRef("v")
@@ -891,7 +913,8 @@ _INTEGRAL_THEN_FAILURE = BinaryOp(
 @example(_INTEGRAL_THEN_FAILURE, 1.0, 2.0, DEFAULT_EVAL_CAP)
 @example(BinaryOp("+", _INTEGRAL_THEN_FAILURE, _inner_integral(_V)), 1.0, 2.0, 300)
 def test_compiled_samples_equal_the_walk(body, a, n, cap):
-    # value or message, and quadrature evaluations, at each abscissa; make,
+    # value or message, quadrature evaluations and sum passes, at each
+    # abscissa; make,
     # which may raise before sampling, fails only where the walk fails at
     # every abscissa
     node = Integral("v", body)
@@ -901,7 +924,7 @@ def test_compiled_samples_equal_the_walk(body, a, n, cap):
         wild = function_table()["cosh"]._replace(name="wild", numeric=_wild)
         patch.setitem(function_table(), "wild", wild)
         for x in (0.0, 1e-300, -1.0, 700.0):
-            walk, usage = _QuadUsage(), _QuadUsage()
+            walk, usage = _Work(), _Work()
             want = _sample_outcome(
                 lambda: _eval_num(body, {**env, "v": x}, cfg, walk)[0], walk
             )
@@ -913,10 +936,10 @@ def test_compiled_samples_equal_the_walk(body, a, n, cap):
             assert _sample_outcome(lambda: f(x), usage) == want, (body, x)
 
 
-def _float_walk(node, env, terms=1):
+def _float_walk(node, env, work):
     """node's value and error budget by a plain float walk, with
     _eval_num's rules and messages: the reference it is checked against.
-    terms is the product of the range lengths of the enclosing sums."""
+    Each sum charges its range length to work.passes as it starts."""
     if isinstance(node, NumberLiteral):
         try:
             return float(node.value), 0.0
@@ -929,10 +952,10 @@ def _float_walk(node, env, terms=1):
     if isinstance(node, ConstantRef):
         return getattr(constants(), node.name), 0.0
     if isinstance(node, UnaryNeg):
-        v, e = _float_walk(node.operand, env, terms)
+        v, e = _float_walk(node.operand, env, work)
         return -v, e
     if isinstance(node, BinaryOp):
-        (x, ex), (y, ey) = _float_walk(node.left, env, terms), _float_walk(node.right, env, terms)
+        (x, ex), (y, ey) = _float_walk(node.left, env, work), _float_walk(node.right, env, work)
         # a budget term is added only when its operand budget is nonzero
         if node.op in "+-":
             return (x + y if node.op == "+" else x - y), ex + ey
@@ -953,7 +976,7 @@ def _float_walk(node, env, terms=1):
         err = abs(y * v / x) * ex if ex and x != 0.0 else 0.0
         return v, err + abs(v * math.log(x)) * ey if ey and x > 0.0 else err
     if isinstance(node, Call):
-        walked = [_float_walk(arg, env, terms) for arg in node.args]
+        walked = [_float_walk(arg, env, work) for arg in node.args]
         try:
             v = function_table()[node.name].numeric(*(av for av, _ in walked))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -963,22 +986,22 @@ def _float_walk(node, env, terms=1):
         return v, sum(ae for _, ae in walked)
     if isinstance(node, Sum):
         # both bounds are walked before either is checked
-        bounds = [_float_walk(node.lo, env, terms)[0], _float_walk(node.hi, env, terms)[0]]
+        bounds = [_float_walk(node.lo, env, work)[0], _float_walk(node.hi, env, work)[0]]
         for what, x in zip(("lower", "upper"), bounds):
             if not (math.isfinite(x) and abs(x - round(x)) <= 1e-9):
                 raise EvalError(f"sum {what} bound must be an integer, got {x!r}")
         lo, hi = map(round, bounds)
-        terms *= hi - lo + 1
-        if terms > 1_000_000:
+        work.passes += max(hi - lo + 1, 0)
+        if work.passes > 1_000_000:
             raise EvalError("sum range too large")
         total, total_err = 0.0, 0.0
         for k in range(lo, hi + 1):
-            v, e = _float_walk(node.body, {**env, node.var: float(k)}, terms)
+            v, e = _float_walk(node.body, {**env, node.var: float(k)}, work)
             total += v
             total_err += e
         return total, total_err
     # the integral machinery has its own tests; its budget feeds the walk
-    return _eval_num(node, env, EvalConfig(), _QuadUsage())
+    return _eval_num(node, env, EvalConfig(), work)
 
 
 def _walk_outcome(thunk):
@@ -1033,8 +1056,8 @@ def _numeric_branches(children):
 def test_numeric_walk_equals_a_float_walk(tree, n, a):
     # value and budget, or the message of the first failure
     env = bind_parameters({"n": n, "a": a})
-    assert _walk_outcome(lambda: _eval_num(tree, dict(env), EvalConfig(), _QuadUsage())) == (
-        _walk_outcome(lambda: _float_walk(tree, env))
+    assert _walk_outcome(lambda: _eval_num(tree, dict(env), EvalConfig(), _Work())) == (
+        _walk_outcome(lambda: _float_walk(tree, env, _Work()))
     ), tree
 
 
