@@ -205,11 +205,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     node = parse_expression(args.expr)
     params = _parse_params(args.param or ())
     if args.exact:
-        print(_exact_text(evaluate_exact(node, params)))  # type: ignore[arg-type]
+        print(_exact_text(evaluate_exact(node, params, args.eval_cap)))  # type: ignore[arg-type]
         return EXIT_OK
-    cfg = EvalConfig(
-        quad_decay=args.decay, quad_p_max=args.p_max, eval_cap=args.eval_cap
-    )
+    cfg = EvalConfig(quad_decay=args.decay, quad_p_max=args.p_max, eval_cap=args.eval_cap)
     result = evaluate_numeric(node, params, cfg)  # type: ignore[arg-type]
     return _print_numeric(result, show_evals=False)
 
@@ -276,8 +274,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_eval_cap(p: argparse.ArgumentParser) -> None:
         p.add_argument("--eval-cap", type=_positive_int, default=DEFAULT_EVAL_CAP,
-                       metavar="N", help="max integrand evaluations per expression,"
-                       " shared by its integrals (in run: per side)")
+                       metavar="N", help="max work per expression, integrand evaluations"
+                       " plus sum passes, shared by its integrals and sums (in run: per side)")
 
     def add_envelope(p: argparse.ArgumentParser) -> None:
         p.add_argument("--decay", type=_nonnegative_float,

@@ -74,11 +74,7 @@ __all__ = [
     "evaluate_numeric",
 ]
 
-# the most passes through sum bodies one evaluation may make in all, over
-# every sum it runs, nested or not, at every integrand sample: each sum
-# charges its range length to the evaluation's _Work as it starts
-_SUM_LIMIT = 1_000_000
-_SUM_TOO_LARGE = "sum range too large"
+_OVER_CAP = "eval cap {} exceeded by sum passes and integrand samples"
 _NUM_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 _HUGE_LITERAL = "number literal too large for a float"
 _MISSING = object()
@@ -119,13 +115,15 @@ def bind_parameters(params: Mapping[str, float]) -> Dict[str, float]:
 
 class _Work:
     """The work of one evaluation: quadrature samples (evals), passes
-    through sum bodies (passes), and whether every quadrature converged."""
+    through sum bodies (passes), and whether every quadrature converged.
+    A sum charges its range length to passes as it starts and is refused
+    once evals + passes > cap; an integral may take what cap leaves."""
 
-    __slots__ = ("evals", "passes", "converged")
+    __slots__ = ("cap", "evals", "passes", "converged")
 
-    def __init__(self) -> None:
-        self.evals = 0
-        self.passes = 0
+    def __init__(self, cap: int = DEFAULT_EVAL_CAP) -> None:
+        self.cap = cap
+        self.evals = self.passes = 0
         self.converged = True
 
 
@@ -139,12 +137,12 @@ def _near_int(x: float, what: str) -> int:
 
 def _sum_range(lov: float, hiv: float, usage: _Work) -> Iterator[float]:
     """The index values, as floats, of a sum with bounds lov and hiv, its
-    range length charged to usage.passes."""
+    range length charged to usage.passes against the cap."""
     lo = _near_int(lov, "sum lower bound")
     hi = _near_int(hiv, "sum upper bound")
     usage.passes += max(hi - lo + 1, 0)
-    if usage.passes > _SUM_LIMIT:
-        raise EvalError(_SUM_TOO_LARGE)
+    if usage.evals + usage.passes > usage.cap:
+        raise EvalError(_OVER_CAP.format(usage.cap))
     return map(float, range(lo, hi + 1))
 
 
@@ -286,11 +284,11 @@ def _integrate(
     cfg: EvalConfig,
     usage: _Work,
 ) -> Tuple[float, float]:
-    """Value and error estimate of one integral, its samples charged to
-    usage.evals against the cap."""
-    remaining = cfg.eval_cap - usage.evals
+    """Value and error estimate of one integral, which may take the
+    samples usage's cap has left; they are charged to usage.evals."""
+    remaining = usage.cap - usage.evals - usage.passes
     if remaining <= 0:
-        raise EvalError("evaluation cap exhausted")
+        raise EvalError(_OVER_CAP.format(usage.cap))
     try:
         quad = integrate_decaying(
             make(env, cfg, usage),
@@ -383,9 +381,9 @@ class _Codegen:
     into the running check ok. On a failure f hands the sample to the
     walk, which gives the same value or raises its own message. Each sum
     loop charges its range length to usage.passes as it starts, through
-    the walk's own _sum_range, and a nested integral charges its samples
-    to usage.evals; f restores both first when it holds either, so only
-    the walk's work counts.
+    the walk's own _sum_range and against the one cap, and a nested
+    integral charges its samples to usage.evals; f restores both first
+    when it holds either, so only the walk's work counts.
 
     f nests one try and one loop per sum; the parser's cap of 16 nested
     sums keeps that within CPython's 20 nested blocks per code object.
@@ -568,7 +566,7 @@ def evaluate_numeric(
     config: Optional[EvalConfig] = None,
 ) -> NumericResult:
     cfg = config or EvalConfig()
-    usage = _Work()
+    usage = _Work(cfg.eval_cap)
     env = bind_parameters(params)
     try:
         value, err = _eval_num(node, env, cfg, usage)
@@ -750,8 +748,8 @@ def _sum_exact(node: Sum, env: Dict[str, _Exact], work: _Work) -> _Exact:
     if lo is None or hi is None:
         raise ExactEvalError("sum bounds must be integers")
     work.passes += max(hi - lo + 1, 0)  # type: ignore[operator]
-    if work.passes > _SUM_LIMIT:
-        raise ExactEvalError(_SUM_TOO_LARGE)
+    if work.passes > work.cap:
+        raise ExactEvalError(_OVER_CAP.format(work.cap))
     total: _Exact = 0
     saved = env.get(node.var, _MISSING)
     try:
@@ -801,10 +799,12 @@ def _reduced(n: int, d: int) -> _Exact:
     return n // g if g == d else (n // g, d // g)
 
 
-def evaluate_exact(node: Node, params: Mapping[str, Fraction]) -> Fraction:
+def evaluate_exact(
+    node: Node, params: Mapping[str, Fraction], eval_cap: int = DEFAULT_EVAL_CAP
+) -> Fraction:
     env = _bind_pairs(params)
     try:
-        value = _eval_exact(node, env, _Work())
+        value = _eval_exact(node, env, _Work(eval_cap))
     except RecursionError:
         raise ExactEvalError("expression nested too deeply to evaluate") from None
     return Fraction(value) if type(value) is int else Fraction(*value)

@@ -25,7 +25,7 @@ __all__ = [
     "tanh_sinh",
 ]
 
-DEFAULT_EVAL_CAP = 2_000_000
+DEFAULT_EVAL_CAP = 1_000_000
 
 # Outermost abscissa of the t-grid. At t = 3.9 the node sits about 1e-33
 # of the interval width away from the endpoint and the weight is ~1e-31,

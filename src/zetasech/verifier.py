@@ -216,15 +216,17 @@ def _side(
     params: Mapping[str, GridValue],
     point: Hashable,
     cfg: Optional[EvalConfig],
+    eval_cap: int,
 ) -> _Side:
     """One side evaluated, or taken from memo when it was evaluated at the
     same point with the same settings. The source text keys the side, as
-    it parses to one node. A side that raises is not stored."""
+    it parses to one node. A side that raises is not stored. cfg None is
+    the exact path, under eval_cap, which one memo never varies."""
     key = (src, point, cfg)
     side = memo.get(key)
     if side is None:
         if cfg is None:
-            side = evaluate_exact(node(), {k: Fraction(v) for k, v in params.items()})
+            side = evaluate_exact(node(), {k: Fraction(v) for k, v in params.items()}, eval_cap)
         else:
             side = evaluate_numeric(node(), params, cfg)
         memo[key] = side
@@ -253,8 +255,8 @@ def _verify(
     try:
         point = _point(params)
         cfg = None if record.kind is Kind.EXACT else config_for(record, eval_cap=eval_cap)
-        left = _side(memo, record.lhs_src, record.lhs, params, point, cfg)
-        right = _side(memo, record.rhs_src, record.rhs, params, point, cfg)
+        left = _side(memo, record.lhs_src, record.lhs, params, point, cfg, eval_cap)
+        right = _side(memo, record.rhs_src, record.rhs, params, point, cfg, eval_cap)
         status, residual, allowed, message = judge(record, left, right, tol_override)
         if cfg is None:
             lhs, rhs, budget, evals = _float_or_none(left), _float_or_none(right), 0.0, 0

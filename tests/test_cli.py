@@ -372,13 +372,14 @@ def test_exact_sum_total_is_capped():
         ["--exact", "sum[k=0,10^5]{sum[j=0,10^5]{1}}"],
         ["integral[v]{exp(-pi*v)*sum[k=0,3000]{sum[j=0,3000]{1}}}"],
         ["integral[v]{exp(-v)*sum[k=1,999999]{v/k^2}}", "--decay", "1"],
+        ["sum[k=1,600000]{1/k^2} + sum[k=1,600000]{1/k^2}"],
     ],
 )
 def test_nested_sums_are_refused_at_once(argv):
     # each range is under the cap, but the passes of one evaluation through
     # its sum bodies, over all its sums and integrand samples, pass it long
-    # before the outer sum or the quadrature ends; these ran until a
-    # timeout stopped them, or for 34 s and exited 0
+    # before the outer sum or the quadrature ends; the first four ran until
+    # a timeout stopped them, or for 34 s and exited 0
     src = os.path.dirname(os.path.dirname(zetasech.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -389,7 +390,9 @@ def test_nested_sums_are_refused_at_once(argv):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 2
-    assert proc.stderr == "zetasech: error: sum range too large\n"
+    assert proc.stderr == (
+        "zetasech: error: eval cap 1000000 exceeded by sum passes and integrand samples\n"
+    )
     assert proc.stdout == ""
 
 
@@ -624,6 +627,16 @@ def test_eval_cap_below_the_first_level_is_input_error(capsys):
         assert code == 2, cmd
         assert err == f"zetasech: error: quadrature failed: {below.format(left)}\n"
         assert out == ""
+
+
+def test_eval_cap_bounds_exact_evaluations(capsys):
+    code, out, err = run_cli(capsys, "eval", "--exact", "sum[k=1,100]{k}", "--eval-cap", "5")
+    assert (code, out) == (2, "")
+    assert err == "zetasech: error: eval cap 5 exceeded by sum passes and integrand samples\n"
+    code, out, _ = run_cli(capsys, "run", "--id", "BernSum", "--eval-cap", "5")
+    assert code == 1
+    assert "ERROR BernSum [n=6, a=2]  eval cap 5 exceeded by sum passes" in out
+    assert out.endswith("28 cases: 12 PASS, 16 ERROR\n")
 
 
 def test_eval_cap_env_validation(capsys):

@@ -47,6 +47,15 @@ from zetasech.verifier import config_for
 F = Fraction
 
 
+def _over_cap(cap):
+    """The message of an evaluation whose sum passes and integrand samples
+    together pass cap."""
+    return f"eval cap {cap} exceeded by sum passes and integrand samples"
+
+
+_OVER_CAP = _over_cap(1_000_000)
+
+
 def num(src: str, **params):
     return evaluate_numeric(parse_expression(src), params)
 
@@ -176,20 +185,20 @@ def test_nested_sums_share_one_cap(src):
     # each sum charges its range length to the evaluation's passes as it
     # starts, and the total is checked against the cap, in both walks, in
     # generated integrand loops and across an integral
-    with pytest.raises(EvalError, match="^sum range too large$"):
+    with pytest.raises(EvalError, match=f"^{_OVER_CAP}$"):
         num(src)
-    with pytest.raises(ExactEvalError, match="^sum range too large$"):
+    with pytest.raises(ExactEvalError, match=f"^{_OVER_CAP}$"):
         exact(src)
-    with pytest.raises(EvalError, match="^sum range too large$"):
+    with pytest.raises(EvalError, match=f"^{_OVER_CAP}$"):
         num(f"integral[v]{{exp(-v)*{src}}}")
     inner = src.split("{", 1)[1][:-1]
-    with pytest.raises(EvalError, match="^sum range too large$"):
+    with pytest.raises(EvalError, match=f"^{_OVER_CAP}$"):
         num(f"{src.split('{', 1)[0]}{{integral[v]{{exp(-v)*{inner}}}}}")
 
 
 def test_sibling_sums_share_one_cap():
     # each sum alone is under the cap
-    with pytest.raises(EvalError, match="^sum range too large$"):
+    with pytest.raises(EvalError, match=f"^{_OVER_CAP}$"):
         num("sum[k=1,600000]{1/k^2} + sum[k=1,600000]{1/k^2}")
 
 
@@ -197,15 +206,34 @@ def test_an_empty_range_charges_nothing():
     # were the empty range to refund its 10^6 passes, the last sum would
     # be accepted
     src = "sum[j=0,-999999]{1} + sum[k=1,10^6]{1} + sum[k=1,1]{1}"
-    with pytest.raises(EvalError, match="^sum range too large$"):
+    with pytest.raises(EvalError, match=f"^{_OVER_CAP}$"):
         num(src)
-    with pytest.raises(ExactEvalError, match="^sum range too large$"):
+    with pytest.raises(ExactEvalError, match=f"^{_OVER_CAP}$"):
         exact(src)
 
 
 def test_a_sum_of_the_cap_s_length_is_accepted():
     assert num("sum[k=1,10^6]{1}").value == 1e6
     assert exact("sum[j=0,-1]{1} + sum[k=1,10^6]{1}") == 10 ** 6
+
+
+def test_sum_passes_leave_an_integral_the_rest_of_the_cap():
+    src = "sum[k=1,1000]{1} + integral[v]{exp(-pi*v)}"
+    res = evaluate_numeric(parse_expression(src), {}, EvalConfig(eval_cap=1020))
+    # 20 samples left: the first two levels take 15, the third does not fit
+    assert (res.value, res.quad_evals, res.converged) == (1000 + 0.34070424530747634, 15, False)
+    with pytest.raises(EvalError, match=f"^{_over_cap(1000)}$"):
+        evaluate_numeric(parse_expression(src), {}, EvalConfig(eval_cap=1000))
+
+
+def test_integrand_samples_leave_a_sum_the_rest_of_the_cap():
+    src = "integral[v]{exp(-pi*v)} + sum[k=1,1000]{1}"
+    samples = num("integral[v]{exp(-pi*v)}").quad_evals
+    res = evaluate_numeric(parse_expression(src), {}, EvalConfig(eval_cap=samples + 1000))
+    assert res.quad_evals == samples and res.converged
+    cap = samples + 999
+    with pytest.raises(EvalError, match=f"^{_over_cap(cap)}$"):
+        evaluate_numeric(parse_expression(src), {}, EvalConfig(eval_cap=cap))
 
 
 def test_literals_past_the_float_range_are_numeric_errors():
@@ -234,7 +262,7 @@ def test_compilers_refuse_trees_nested_past_cpython_blocks(depth, body):
     # the sample's code takes them past the limit of 20 nested blocks. The
     # exact path walks the tree, so it has no such limit.
     tree = _nested_sum_tree(depth, body)
-    assert evaluate_exact(tree, {}) == _walk(tree, {}) == _walk(body, {})
+    assert evaluate_exact(tree, {}) == _walk(tree, {}, _Work()) == _walk(body, {}, _Work())
     integrand = BinaryOp("*", Call("exp", (UnaryNeg(BoundVarRef("v")),)), tree)
     with pytest.raises(EvalError, match="^expression nested too deeply to evaluate$"):
         evaluate_numeric(Integral("v", integrand), {})
@@ -643,9 +671,9 @@ def test_exact_results_of_a_catalog_run_are_pinned():
         ("hzeta(1, 1/2)", {}, "hzeta failed: exact hzeta needs a non-positive integer order"),
         ("sum[k=0,1/2]{k}", {}, "sum bounds must be integers"),
         ("sum[k=0,a]{k}", {"a": F(3, 2)}, "sum bounds must be integers"),
-        ("sum[k=0,10^7]{k}", {}, "sum range too large"),
-        # nested sums share one cap on the product of their range lengths
-        ("sum[k=1,2]{sum[j=1,500001]{j}}", {}, "sum range too large"),
+        ("sum[k=0,10^7]{k}", {}, _OVER_CAP),
+        # nested sums share one cap on their passes
+        ("sum[k=1,2]{sum[j=1,500001]{j}}", {}, _OVER_CAP),
         ("integral[v]{v}", {}, "integrals have no exact evaluation"),
         # left before right, outer before inner
         ("1/0 + pi", {}, "division by zero"),
@@ -702,9 +730,10 @@ def test_integer_valued_exact_functions_return_ints():
         assert type(got) is int and got == want, name
 
 
-def _walk(node, env):
+def _walk(node, env, work):
     """node's exact value by a plain Fraction walk, with evaluate_exact's
-    messages: the reference it is checked against."""
+    rules and messages: the reference it is checked against. Each sum
+    charges its range length to work.passes as it starts."""
     if isinstance(node, NumberLiteral):
         return node.value
     if isinstance(node, (ParamRef, BoundVarRef)):
@@ -714,9 +743,9 @@ def _walk(node, env):
     if isinstance(node, ConstantRef):
         raise ExactEvalError(f"constant {node.name!r} is not rational")
     if isinstance(node, UnaryNeg):
-        return -_walk(node.operand, env)
+        return -_walk(node.operand, env, work)
     if isinstance(node, BinaryOp):
-        x, y = _walk(node.left, env), _walk(node.right, env)
+        x, y = _walk(node.left, env, work), _walk(node.right, env, work)
         if node.op == "/" and y == 0:
             raise ExactEvalError("division by zero")
         if node.op != "^":
@@ -733,20 +762,21 @@ def _walk(node, env):
         fn = function_table()[node.name].exact
         if fn is None:
             raise ExactEvalError(f"{node.name} has no exact evaluation")
-        args = [_walk(arg, env) for arg in node.args]
+        args = [_walk(arg, env, work) for arg in node.args]
         try:
             return F(fn(*args))
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ExactEvalError(f"{node.name} failed: {exc}") from None
     if isinstance(node, Sum):
-        lo, hi = _walk(node.lo, env), _walk(node.hi, env)
+        lo, hi = _walk(node.lo, env, work), _walk(node.hi, env, work)
         if lo.denominator != 1 or hi.denominator != 1:
             raise ExactEvalError("sum bounds must be integers")
-        if hi - lo + 1 > 1_000_000:
-            raise ExactEvalError("sum range too large")
+        work.passes += max(int(hi - lo) + 1, 0)
+        if work.evals + work.passes > work.cap:
+            raise ExactEvalError(_over_cap(work.cap))
         total = F(0)
         for k in range(int(lo), int(hi) + 1):
-            total += _walk(node.body, {**env, node.var: F(k)})
+            total += _walk(node.body, {**env, node.var: F(k)}, work)
             if max(total.numerator.bit_length(), total.denominator.bit_length()) > 100_000:
                 raise ExactEvalError("sum would exceed 100000 bits")
         return total
@@ -780,7 +810,8 @@ def test_exact_results_of_a_catalog_run_equal_a_fraction_walk():
         for params in record.case_params():
             exact_params = {k: F(v) for k, v in params.items()}
             for side in (record.lhs(), record.rhs()):
-                assert evaluate_exact(side, exact_params) == _walk(side, _walk_env(params))
+                want = _walk(side, _walk_env(params), _Work())
+                assert evaluate_exact(side, exact_params) == want
                 checked += 1
     assert checked == 928
 
@@ -827,15 +858,18 @@ _FRACTION_VALUES = st.builds(F, st.integers(-9, 9), st.integers(2, 6)).filter(
 
 
 @settings(max_examples=300, deadline=None)
-@given(_TREES, _INT_VALUES, _FRACTION_VALUES, _INT_VALUES, _FRACTION_VALUES)
-def test_compiled_exact_code_equals_a_fraction_walk(tree, n_int, n_frac, a_int, a_frac):
+@given(
+    _TREES, _INT_VALUES, _FRACTION_VALUES, _INT_VALUES, _FRACTION_VALUES,
+    st.sampled_from([3, DEFAULT_EVAL_CAP]),
+)
+def test_compiled_exact_code_equals_a_fraction_walk(tree, n_int, n_frac, a_int, a_frac, cap):
     # each parameter bound as an int and as a non-integer Fraction; q is
-    # derived from a
+    # derived from a. A cap of 3 passes refuses many sums.
     for n in (n_int, n_frac):
         for a in (a_int, a_frac):
             params = {"n": F(n), "a": F(a)}
-            assert _exact_outcome(lambda: evaluate_exact(tree, params)) == _exact_outcome(
-                lambda: _walk(tree, _walk_env(params))
+            assert _exact_outcome(lambda: evaluate_exact(tree, params, cap)) == _exact_outcome(
+                lambda: _walk(tree, _walk_env(params), _Work(cap))
             ), (tree, params)
 
 
@@ -924,7 +958,7 @@ def test_compiled_samples_equal_the_walk(body, a, n, cap):
         wild = function_table()["cosh"]._replace(name="wild", numeric=_wild)
         patch.setitem(function_table(), "wild", wild)
         for x in (0.0, 1e-300, -1.0, 700.0):
-            walk, usage = _Work(), _Work()
+            walk, usage = _Work(cap), _Work(cap)
             want = _sample_outcome(
                 lambda: _eval_num(body, {**env, "v": x}, cfg, walk)[0], walk
             )
@@ -992,15 +1026,16 @@ def _float_walk(node, env, work):
                 raise EvalError(f"sum {what} bound must be an integer, got {x!r}")
         lo, hi = map(round, bounds)
         work.passes += max(hi - lo + 1, 0)
-        if work.passes > 1_000_000:
-            raise EvalError("sum range too large")
+        if work.evals + work.passes > work.cap:
+            raise EvalError(_over_cap(work.cap))
         total, total_err = 0.0, 0.0
         for k in range(lo, hi + 1):
             v, e = _float_walk(node.body, {**env, node.var: float(k)}, work)
             total += v
             total_err += e
         return total, total_err
-    # the integral machinery has its own tests; its budget feeds the walk
+    # the integral machinery has its own tests; its budget feeds the walk,
+    # and its samples are charged to work against the cap
     return _eval_num(node, env, EvalConfig(), work)
 
 
@@ -1051,13 +1086,22 @@ def _numeric_branches(children):
     st.recursive(_NUMERIC_LEAVES, _numeric_branches, max_leaves=10),
     st.sampled_from([-1.0, 0.0, 2.0, 2.5]),
     st.sampled_from([-1.5, 0.75, 3.0]),
+    st.sampled_from([300, DEFAULT_EVAL_CAP]),
 )
-@example(BinaryOp("*", _BUDGETED[0], BinaryOp("/", ParamRef("n"), _BUDGETED[1])), 2.0, 0.75)
-def test_numeric_walk_equals_a_float_walk(tree, n, a):
-    # value and budget, or the message of the first failure
+@example(
+    BinaryOp("*", _BUDGETED[0], BinaryOp("/", ParamRef("n"), _BUDGETED[1])), 2.0, 0.75,
+    DEFAULT_EVAL_CAP,
+)
+@example(
+    BinaryOp("*", _BUDGETED[0], BinaryOp("/", ParamRef("n"), _BUDGETED[1])), 2.0, 0.75, 300
+)
+def test_numeric_walk_equals_a_float_walk(tree, n, a, cap):
+    # value and budget, or the message of the first failure; under a cap of
+    # 300 the first of _BUDGETED's integrals (249 samples) leaves the next
+    # integral or sum little
     env = bind_parameters({"n": n, "a": a})
-    assert _walk_outcome(lambda: _eval_num(tree, dict(env), EvalConfig(), _Work())) == (
-        _walk_outcome(lambda: _float_walk(tree, env, _Work()))
+    assert _walk_outcome(lambda: _eval_num(tree, dict(env), EvalConfig(), _Work(cap))) == (
+        _walk_outcome(lambda: _float_walk(tree, env, _Work(cap)))
     ), tree
 
 
