@@ -10,7 +10,6 @@ stdout, so identical flags give identical output.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -213,16 +212,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _print_numeric(result: NumericResult, show_evals: bool) -> int:
-    """Print a numeric result for eval and quad; a non-finite value, or one
-    from an integral that did not converge, is an input error, not a
-    result."""
-    if not math.isfinite(result.value):
-        return _fail(f"the value is not finite: {result.value!r}", EXIT_USAGE)
-    if not result.converged:
-        return _fail(
-            f"quadrature did not converge after {result.quad_evals} evaluations",
-            EXIT_USAGE,
-        )
+    """Print a numeric result for eval and quad. evaluate_numeric has
+    already refused, as an input error, a value or error budget that is
+    not finite and an integral that did not converge."""
     print(repr(result.value))
     print(f"err_budget = {result.err_budget!r}")
     if show_evals:

@@ -75,6 +75,7 @@ __all__ = [
 ]
 
 _OVER_CAP = "eval cap {} exceeded by sum passes and integrand samples"
+_NOT_FINITE = "the {} is not finite: {!r}"
 _NUM_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
 _HUGE_LITERAL = "number literal too large for a float"
 _MISSING = object()
@@ -100,7 +101,6 @@ class NumericResult(NamedTuple):
     value: float
     err_budget: float
     quad_evals: int
-    converged: bool
 
 
 def bind_parameters(params: Mapping[str, float]) -> Dict[str, float]:
@@ -114,17 +114,16 @@ def bind_parameters(params: Mapping[str, float]) -> Dict[str, float]:
 
 
 class _Work:
-    """The work of one evaluation: quadrature samples (evals), passes
-    through sum bodies (passes), and whether every quadrature converged.
-    A sum charges its range length to passes as it starts and is refused
-    once evals + passes > cap; an integral may take what cap leaves."""
+    """The work of one evaluation: quadrature samples (evals) and passes
+    through sum bodies (passes). A sum charges its range length to passes
+    as it starts and is refused once evals + passes > cap; an integral may
+    take what cap leaves."""
 
-    __slots__ = ("cap", "evals", "passes", "converged")
+    __slots__ = ("cap", "evals", "passes")
 
     def __init__(self, cap: int = DEFAULT_EVAL_CAP) -> None:
         self.cap = cap
         self.evals = self.passes = 0
-        self.converged = True
 
 
 def _near_int(x: float, what: str) -> int:
@@ -285,7 +284,8 @@ def _integrate(
     usage: _Work,
 ) -> Tuple[float, float]:
     """Value and error estimate of one integral, which may take the
-    samples usage's cap has left; they are charged to usage.evals."""
+    samples usage's cap has left; they are charged to usage.evals. It
+    raises on a value that is not finite, then on no convergence."""
     remaining = usage.cap - usage.evals - usage.passes
     if remaining <= 0:
         raise EvalError(_OVER_CAP.format(usage.cap))
@@ -301,8 +301,10 @@ def _integrate(
     except QuadratureError as exc:
         raise EvalError(f"quadrature failed: {exc}") from None
     usage.evals += quad.evaluations
+    if not math.isfinite(quad.value):
+        raise EvalError(_NOT_FINITE.format("value", quad.value))
     if not quad.converged:
-        usage.converged = False
+        raise EvalError(f"quadrature did not converge after {usage.evals} evaluations")
     return quad.value, quad.abs_error_estimate
 
 
@@ -565,6 +567,8 @@ def evaluate_numeric(
     params: Mapping[str, float],
     config: Optional[EvalConfig] = None,
 ) -> NumericResult:
+    """node's value, error budget and quadrature samples. A value or budget
+    that is not finite, or an integral that did not converge, raises."""
     cfg = config or EvalConfig()
     usage = _Work(cfg.eval_cap)
     env = bind_parameters(params)
@@ -572,7 +576,11 @@ def evaluate_numeric(
         value, err = _eval_num(node, env, cfg, usage)
     except RecursionError:
         raise EvalError("expression nested too deeply to evaluate") from None
-    return NumericResult(value, err, usage.evals, usage.converged)
+    if not math.isfinite(value):
+        raise EvalError(_NOT_FINITE.format("value", value))
+    if not math.isfinite(err):
+        raise EvalError(_NOT_FINITE.format("error budget", err))
+    return NumericResult(value, err, usage.evals)
 
 
 def _qadd(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:

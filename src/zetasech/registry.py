@@ -47,7 +47,7 @@ def _as_index(x: float, what: str) -> int:
 
 def _exact_int(x: Fraction, what: str) -> int:
     if x.denominator != 1:
-        raise RegistryError(f"{what} needs an integer, got {x!r}")
+        raise RegistryError(f"{what} needs an integer, got {x}")
     return x.numerator
 
 

@@ -5,6 +5,10 @@ times a magnitude scale, plus the evaluator's propagated error budget.
 An EXACT case passes only when the rational residual is identically zero.
 A NEGATIVE_CONTROL case is confirmed when the two sides disagree by more
 than the record floor, proving the harness can still see a wrong formula.
+
+A side the evaluator refuses (a numeric one whose value or budget is not
+finite, or whose quadrature did not converge) makes the case an ERROR with
+null values, and so does a residual or allowed error past the float range.
 """
 
 from __future__ import annotations
@@ -143,7 +147,8 @@ def judge(
     """The verdict on two evaluated sides: (status, residual, allowed, message).
 
     The sides are Fractions for EXACT records and NumericResults otherwise.
-    Nothing is evaluated here, so stored sides can be judged again.
+    Nothing is evaluated here, so stored sides can be judged again. A
+    residual or allowed error (or threshold) past the float range is ERROR.
     """
     if record.kind is Kind.EXACT:
         resid = left - right
@@ -157,33 +162,29 @@ def judge(
             message = f"exact residual {resid}"
         return Status.FAIL, _float_or_none(abs(resid)), 0.0, message
 
-    if not (math.isfinite(left.value) and math.isfinite(right.value)):
-        return Status.ERROR, None, None, "non-finite value"
     diff = abs(left.value - right.value)
     if record.rhs_src.strip() == "0":
         scale = 1.0
     else:
         scale = max(abs(left.value), abs(right.value), _SCALE_FLOOR)
-    converged = left.converged and right.converged
-
-    if record.kind is Kind.NEGATIVE_CONTROL:
-        threshold = record.floor * scale
-        if not converged:
-            return Status.ERROR, diff, threshold, "quadrature did not converge"
-        if diff > threshold:
-            return Status.EXPECTED_FAIL_CONFIRMED, diff, threshold, ""
+    control = record.kind is Kind.NEGATIVE_CONTROL
+    if control:
+        allowed = record.floor * scale
+    else:
+        tol = TOLERANCES[record.tol_class] if tol_override is None else tol_override
+        # budgets first: tol * scale + lb + rb rounds some gates differently
+        allowed = tol * scale + (left.err_budget + right.err_budget)
+    if not (math.isfinite(diff) and math.isfinite(allowed)):
+        return Status.ERROR, None, None, "residual or allowed error past the float range"
+    if control:
+        if diff > allowed:
+            return Status.EXPECTED_FAIL_CONFIRMED, diff, allowed, ""
         return (
             Status.EXPECTED_FAIL_VIOLATED,
             diff,
-            threshold,
+            allowed,
             "control variant was not detectably wrong",
         )
-
-    tol = TOLERANCES[record.tol_class] if tol_override is None else tol_override
-    # budgets first: tol * scale + lb + rb rounds some gates differently
-    allowed = tol * scale + (left.err_budget + right.err_budget)
-    if not converged:
-        return Status.FAIL, diff, allowed, "quadrature did not converge"
     if diff <= allowed:
         return Status.PASS, diff, allowed, ""
     message = f"residual {diff:.3e} exceeds allowed {allowed:.3e}"
@@ -238,19 +239,12 @@ def verify_case(
     params: Mapping[str, GridValue],
     eval_cap: int = DEFAULT_EVAL_CAP,
     tol_override: Optional[float] = None,
+    *,
+    memo: Optional[_Memo] = None,
 ) -> CaseResult:
-    """Evaluate both sides of one record at one parameter point."""
-    return _verify(record, params, eval_cap, tol_override, {})
-
-
-def _verify(
-    record: IdentityRecord,
-    params: Mapping[str, GridValue],
-    eval_cap: int,
-    tol_override: Optional[float],
-    memo: _Memo,
-) -> CaseResult:
-    """verify_case, reusing the sides stored in memo and storing new ones."""
+    """Evaluate both sides of one record at one parameter point, reusing
+    the sides stored in memo and storing new ones; None is a fresh memo."""
+    memo = {} if memo is None else memo
     start = time.perf_counter()
     try:
         point = _point(params)
@@ -305,7 +299,7 @@ def run_suite(
     memo: _Memo = {}
     start = time.perf_counter()
     results = tuple(
-        _verify(rec, params, eval_cap, overrides.get(rec.tol_class.value), memo)
+        verify_case(rec, params, eval_cap, overrides.get(rec.tol_class.value), memo=memo)
         for rec in recs
         for params in rec.case_params()
     )

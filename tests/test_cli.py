@@ -616,16 +616,21 @@ def test_eval_cap_env_override(capsys):
 
 def test_eval_cap_below_the_first_level_is_input_error(capsys):
     # the first level takes 7 evaluations; a nested integral left fewer
-    # than 7 by the cap is refused the same way
-    below = "eval cap {} is below the 7 evaluations of the first level"
-    for cmd, cap, left in (
-        (("quad", "exp(-pi*v)"), "3", 3),
-        (("eval", "integral[v]{exp(-pi*v)}"), "6", 6),
-        (("eval", "integral[v]{integral[w]{exp(-v-w)}}"), "10", 3),
+    # than 7 by the cap is refused the same way. At cap 10 the first inner
+    # integral fits its first level but not its second, so it did not
+    # converge, and that refuses the whole evaluation.
+    below = "quadrature failed: eval cap {} is below the 7 evaluations of the first level"
+    for cmd, cap, message in (
+        (("quad", "exp(-pi*v)"), "3", below.format(3)),
+        (("eval", "integral[v]{exp(-pi*v)}"), "6", below.format(6)),
+        (("eval", "integral[v]{integral[w]{exp(-v-w)}}"), "10",
+         "quadrature did not converge after 7 evaluations"),
+        # the first inner integral converges after 249 samples
+        (("eval", "integral[v]{exp(-pi*v)*integral[w]{exp(-pi*w)}}"), "252", below.format(3)),
     ):
         code, out, err = run_cli(capsys, *cmd, "--eval-cap", cap)
         assert code == 2, cmd
-        assert err == f"zetasech: error: quadrature failed: {below.format(left)}\n"
+        assert err == f"zetasech: error: {message}\n"
         assert out == ""
 
 

@@ -69,7 +69,6 @@ def test_arithmetic_has_no_budget():
     assert res.value == 26.5
     assert res.err_budget == 0.0
     assert res.quad_evals == 0
-    assert res.converged
 
 
 def test_constants_resolve():
@@ -119,9 +118,9 @@ def test_division_by_zero_is_an_error():
 
 @pytest.mark.parametrize("src, value", [("1/10^(-200)", 1e200), ("2*(10^200*10^200)", math.inf)])
 def test_zero_operand_budgets_add_nothing(src, value):
-    # |v/rv| or |lv| overflows; inf * 0 must not turn the budget NaN
-    res = num(src)
-    assert (res.value, res.err_budget) == (value, 0.0)
+    # |v/rv| or |lv| overflows; inf * 0 must not turn the budget NaN. The
+    # walk is called directly: evaluate_numeric refuses the infinite value.
+    assert _eval_num(parse_expression(src), {}, EvalConfig(), _Work()) == (value, 0.0)
 
 
 def test_budget_propagates_past_an_overflowing_quotient():
@@ -219,9 +218,9 @@ def test_a_sum_of_the_cap_s_length_is_accepted():
 
 def test_sum_passes_leave_an_integral_the_rest_of_the_cap():
     src = "sum[k=1,1000]{1} + integral[v]{exp(-pi*v)}"
-    res = evaluate_numeric(parse_expression(src), {}, EvalConfig(eval_cap=1020))
     # 20 samples left: the first two levels take 15, the third does not fit
-    assert (res.value, res.quad_evals, res.converged) == (1000 + 0.34070424530747634, 15, False)
+    with pytest.raises(EvalError, match="^quadrature did not converge after 15 evaluations$"):
+        evaluate_numeric(parse_expression(src), {}, EvalConfig(eval_cap=1020))
     with pytest.raises(EvalError, match=f"^{_over_cap(1000)}$"):
         evaluate_numeric(parse_expression(src), {}, EvalConfig(eval_cap=1000))
 
@@ -230,7 +229,7 @@ def test_integrand_samples_leave_a_sum_the_rest_of_the_cap():
     src = "integral[v]{exp(-pi*v)} + sum[k=1,1000]{1}"
     samples = num("integral[v]{exp(-pi*v)}").quad_evals
     res = evaluate_numeric(parse_expression(src), {}, EvalConfig(eval_cap=samples + 1000))
-    assert res.quad_evals == samples and res.converged
+    assert res.quad_evals == samples
     cap = samples + 999
     with pytest.raises(EvalError, match=f"^{_over_cap(cap)}$"):
         evaluate_numeric(parse_expression(src), {}, EvalConfig(eval_cap=cap))
@@ -290,7 +289,6 @@ def test_integral_carries_budget_and_evals():
     assert math.isclose(res.value, 1.0 / math.pi, rel_tol=1e-11)
     assert res.err_budget > 0.0
     assert res.quad_evals > 0
-    assert res.converged
 
 
 def test_integral_respects_decay_config():
@@ -301,8 +299,20 @@ def test_integral_respects_decay_config():
 
 def test_small_eval_cap_spoils_convergence():
     cfg = EvalConfig(eval_cap=25)
-    res = evaluate_numeric(parse_expression("integral[v]{ exp(-pi*v) }"), {}, cfg)
-    assert not res.converged
+    with pytest.raises(EvalError, match="^quadrature did not converge after 15 evaluations$"):
+        evaluate_numeric(parse_expression("integral[v]{ exp(-pi*v) }"), {}, cfg)
+
+
+def test_an_unconverged_inner_integral_is_refused_alike_on_both_paths():
+    # the inner integral fits its first level of 7 samples in the cap of 10,
+    # not its second; the generated integrand hands the sample to the walk
+    node = parse_expression("integral[v]{integral[w]{exp(-v-w)}}")
+    cfg = EvalConfig(eval_cap=10)
+    refusal = "^quadrature did not converge after 7 evaluations$"
+    with pytest.raises(EvalError, match=refusal):
+        _compile_integral(node)({}, cfg, _Work(10))(0.5)
+    with pytest.raises(EvalError, match=refusal):
+        _eval_num(node.body, {"v": 0.5}, cfg, _Work(10))
 
 
 def test_budgets_add_across_integrals():
@@ -332,22 +342,22 @@ def test_function_calls_in_numeric_context():
         (
             "integral[v]{exp(-pi*v)}",
             {"eval_cap": 20},
-            (0.34070424530747634, 0.18804477917617543, 15, False),
+            "quadrature did not converge after 15 evaluations",
         ),
         (
             "integral[v]{sum[k=0,3]{v^k}*exp(-v)}",
             {},
-            (9.999859323437366, 2.586005943349802e-12, 125, True),
+            (9.999859323437366, 2.586005943349802e-12, 125),
         ),
         (
             "integral[v]{integral[w]{exp(-v-w)}}",
             {},
-            (0.9999999597555242, 4.959455701238146e-15, 15750, True),
+            (0.9999999597555242, 4.959455701238146e-15, 15750),
         ),
         (
             "integral[v]{sum[k=1,2]{integral[w]{exp(-v-k*w)*w}}}",
             {},
-            (1.2499995981299288, 5.181500306163177e-15, 46875, True),
+            (1.2499995981299288, 5.181500306163177e-15, 46875),
         ),
         ("integral[v]{sum[k=0,1]{b*exp(-v)}}", {}, "unbound name 'b'"),
     ],
@@ -362,7 +372,7 @@ def test_integral_outcomes_are_pinned(src, config, want):
         assert str(info.value) == want
     else:
         res = evaluate_numeric(node, {}, EvalConfig(**config))
-        assert (res.value, res.err_budget, res.quad_evals, res.converged) == want
+        assert (res.value, res.err_budget, res.quad_evals) == want
 
 
 def _integrals(node, env, cfg):
@@ -497,7 +507,7 @@ def test_an_infinite_parameter_only_value_stays_on_the_fast_path(monkeypatch):
     # a body no other test compiles, so f's fallback is the spy too
     node = parse_expression("integral[v]{exp(-v)/(a*a)^2}")
     res = evaluate_numeric(node, {"a": 1e200})
-    assert res == (0.0, 3.1830988618378954e-15, 15, True)
+    assert res == (0.0, 3.1830988618378954e-15, 15)
     # the integral, then (a*a)^2 walked once: its power and its product,
     # whose leaf operands are read in place. A sample that fell back to
     # the walk would add at least 15 calls, one per sample.
@@ -534,7 +544,7 @@ def test_sample_code_is_one_try_and_one_finiteness_test(monkeypatch):
     node = parse_expression(
         "integral[v]{exp(-v*b) * (b + sum[k=1,2]{ln(b*v + k)/k}) / 2^(a/3)}"
     )
-    assert evaluate_numeric(node, {"a": 1.0, "b": 1.0}).converged
+    evaluate_numeric(node, {"a": 1.0, "b": 1.0})
     (source,) = seen
     lines = source.splitlines()
     start = lines.index("    def f(x):")
@@ -664,8 +674,8 @@ def test_exact_results_of_a_catalog_run_are_pinned():
         ("digamma(1/2)", {}, "digamma has no exact evaluation"),
         # refused before its argument is evaluated
         ("digamma(1/0)", {}, "digamma has no exact evaluation"),
-        ("fact(1/2)", {}, "fact failed: fact needs an integer, got Fraction(1, 2)"),
-        ("fact(a)", {"a": F(1, 2)}, "fact failed: fact needs an integer, got Fraction(1, 2)"),
+        ("fact(1/2)", {}, "fact failed: fact needs an integer, got 1/2"),
+        ("fact(a)", {"a": F(1, 2)}, "fact failed: fact needs an integer, got 1/2"),
         ("binom(-1, 2)", {}, "binom failed: binom needs non-negative integers"),
         ("pow(0, -1)", {}, "pow failed: 0 to a non-positive power"),
         ("hzeta(1, 1/2)", {}, "hzeta failed: exact hzeta needs a non-positive integer order"),

@@ -272,10 +272,14 @@ VERDICT_BRANCHES = [
     pytest.param("hzeta(1, 1)", "0", "NUMERIC", "TIGHT", {}, DEFAULT_EVAL_CAP,
                  Status.ERROR, "hzeta failed:", SIDES, id="eval-error"),
     pytest.param("10^200*10^200", "1", "NUMERIC", "TIGHT", {}, DEFAULT_EVAL_CAP,
-                 Status.ERROR, "non-finite value", ("residual", "allowed"),
-                 id="non-finite"),
+                 Status.ERROR, "the value is not finite: inf", SIDES, id="non-finite"),
     pytest.param("integral[v]{exp(-pi*v)}", "1/pi", "NUMERIC", "TIGHT", {}, 20,
-                 Status.FAIL, "quadrature did not converge", (), id="unconverged"),
+                 Status.ERROR, "quadrature did not converge after 15 evaluations", SIDES,
+                 id="unconverged"),
+    # each side is finite, their difference is not
+    pytest.param("10^308", "-10^308", "NUMERIC", "TIGHT", {}, DEFAULT_EVAL_CAP,
+                 Status.ERROR, "residual or allowed error past the float range",
+                 ("residual", "allowed"), id="residual-past-floats"),
     # v/rv overflows; a NaN budget would FAIL this true identity
     pytest.param("10^200", "1/10^(-200)", "NUMERIC", "TIGHT", {}, DEFAULT_EVAL_CAP,
                  Status.PASS, "", (), id="pass-overflowing-quotient"),
@@ -303,7 +307,7 @@ VERDICT_BRANCHES = [
                  Status.EXPECTED_FAIL_VIOLATED,
                  "control variant was not detectably wrong", (), id="control-violated"),
     pytest.param("integral[v]{exp(-pi*v)}", "2/pi", "NEGATIVE_CONTROL", "MED", {}, 20,
-                 Status.ERROR, "quadrature did not converge", (),
+                 Status.ERROR, "quadrature did not converge", SIDES,
                  id="control-unconverged"),
 ]
 
@@ -324,6 +328,31 @@ def test_every_verdict_branch(lhs, rhs, kind, tol, params, eval_cap, status, pre
     assert bool(res.message) == bool(prefix)
     for side in SIDES:
         assert (getattr(res, side) is None) == (side in none_sides), side
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_non_finite_outcomes_are_error_rows_in_strict_json():
+    # vmax=0.5 leaves a tail bound of ~16, which 10^308 carries past the
+    # float range; an infinite allowed error would pass this wrong identity
+    budget = probe("Budget", "10^308*integral[v]{exp(-v)}", "2*10^307",
+                   extra="quad = decay=1.0 vmax=0.5 p_max=8\n")
+    cases = [
+        (budget, DEFAULT_EVAL_CAP, "the error budget is not finite: inf"),
+        (probe("Unconverged", "integral[v]{exp(-pi*v)}", "1/pi"), 20,
+         "quadrature did not converge after 15 evaluations"),
+        (probe("Value", "10^200*10^200", "1"), DEFAULT_EVAL_CAP,
+         "the value is not finite: inf"),
+        (probe("Residual", "10^308", "-10^308"), DEFAULT_EVAL_CAP,
+         "residual or allowed error past the float range"),
+    ]
+    suite = SuiteResult(tuple(verify_case(rec, {}, cap) for rec, cap, _ in cases), 1.0)
+    doc = json.loads(to_json(suite), parse_constant=_refuse_constant)
+    assert [(row["status"], row["message"]) for row in doc["cases"]] == [
+        ("ERROR", message) for _, _, message in cases
+    ]
 
 
 def test_mixed_verdicts_re_render_from_json():
