@@ -32,10 +32,11 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .exprlang import Node, SourceError, parse_expression
 
@@ -53,8 +54,8 @@ __all__ = [
     "parse_catalog",
 ]
 
-GridValue = Union[int, float, Fraction]
-Grid = Tuple[Tuple[str, Tuple[GridValue, ...]], ...]
+GridValue = int | float | Fraction
+Grid = tuple[tuple[str, tuple[GridValue, ...]], ...]
 
 
 class CatalogError(ValueError):
@@ -75,7 +76,7 @@ class TolClass(Enum):
 
 
 # relative tolerances per class; EXACT means a zero rational residual
-TOLERANCES: Dict[TolClass, float] = {
+TOLERANCES: dict[TolClass, float] = {
     TolClass.TIGHT: 1e-10,
     TolClass.MED: 1e-8,
     TolClass.LOOSE: 1e-6,
@@ -87,20 +88,31 @@ def _parse(src: str) -> Node:
     return parse_expression(src)
 
 
-class IdentityRecord(NamedTuple):
-    id: str
-    group: str
-    paper_anchor: str
-    kind: Kind
-    tol_class: TolClass
-    lhs_src: str
-    rhs_src: str
-    grid: Grid = ()
-    quad_decay: float = math.pi
-    quad_vmax: Optional[float] = None
-    quad_p_max: int = 8
-    floor: float = 1e-3
-    notes: str = ""
+class IdentityRecord(
+    namedtuple(
+        "IdentityRecord",
+        (
+            "id",  # str
+            "group",  # str
+            "paper_anchor",  # str
+            "kind",  # Kind
+            "tol_class",  # TolClass
+            "lhs_src",  # str
+            "rhs_src",  # str
+            "grid",  # Grid
+            "quad_decay",  # float
+            "quad_vmax",  # float | None
+            "quad_p_max",  # int
+            "floor",  # float
+            "notes",  # str
+        ),
+        defaults=((), math.pi, None, 8, 1e-3, ""),
+    )
+):
+    """One catalog identity: two expression sources, the grid of parameter
+    points they must agree at, the tolerance class and quadrature hints."""
+
+    __slots__ = ()
 
     def lhs(self) -> Node:
         return _parse(self.lhs_src)
@@ -108,10 +120,10 @@ class IdentityRecord(NamedTuple):
     def rhs(self) -> Node:
         return _parse(self.rhs_src)
 
-    def tolerance(self) -> Optional[float]:
+    def tolerance(self) -> float | None:
         return TOLERANCES.get(self.tol_class)
 
-    def case_params(self) -> List[Dict[str, GridValue]]:
+    def case_params(self) -> list[dict[str, GridValue]]:
         """All parameter bindings, in deterministic grid order."""
         if not self.grid:
             return [{}]
@@ -127,7 +139,7 @@ class IdentityRecord(NamedTuple):
 
 
 @lru_cache(maxsize=1)
-def builtin_identities() -> Tuple[IdentityRecord, ...]:
+def builtin_identities() -> tuple[IdentityRecord, ...]:
     """The built-in records, in the order of builtin_catalog.txt."""
     # the module loader reads package data without importing
     # importlib.resources, whose imports would dominate the build time
@@ -189,7 +201,7 @@ def _format_grid(grid: Grid) -> str:
 
 
 def _parse_grid(text: str, lineno: int) -> Grid:
-    items: List[Tuple[str, Tuple[GridValue, ...]]] = []
+    items: list[tuple[str, tuple[GridValue, ...]]] = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
@@ -217,15 +229,15 @@ def _format_quad(rec: IdentityRecord) -> str:
 
 
 # quad token key -> parser of its value; a ValueError means a bad value
-_QUAD_KEYS: Dict[str, Callable[[str], object]] = {
+_QUAD_KEYS: dict[str, Callable[[str], object]] = {
     "decay": lambda val: _checked_float(val, zero_ok=True),
     "vmax": lambda val: None if val == "none" else _checked_float(val),
     "p_max": int,
 }
 
 
-def _parse_quad(text: str, lineno: int) -> Dict[str, object]:
-    out: Dict[str, object] = {}
+def _parse_quad(text: str, lineno: int) -> dict[str, object]:
+    out: dict[str, object] = {}
     for token in text.split():
         key, sep, val = token.partition("=")
         if not sep:
@@ -241,7 +253,7 @@ def _parse_quad(text: str, lineno: int) -> Dict[str, object]:
 
 def format_catalog(records: Sequence[IdentityRecord]) -> str:
     """Render records as catalog text; parse_catalog inverts this exactly."""
-    lines: List[str] = ["# zetasech identity catalog", ""]
+    lines: list[str] = ["# zetasech identity catalog", ""]
     for rec in records:
         lines.append(f"[identity {rec.id}]")
         lines.append(f"group = {rec.group}")
@@ -266,14 +278,14 @@ _FIELD_KEYS = frozenset(
 )
 
 
-def parse_catalog(text: str) -> Tuple[IdentityRecord, ...]:
+def parse_catalog(text: str) -> tuple[IdentityRecord, ...]:
     """Parse catalog text into records, rejecting duplicates and bad fields."""
-    records: List[IdentityRecord] = []
+    records: list[IdentityRecord] = []
     seen: set = set()
-    current: Optional[Dict[str, object]] = None
+    current: dict[str, object] | None = None
     # the file line of each expression field and the 0-based index in that
     # line where its value starts, for positioning parse errors
-    starts: Dict[str, Tuple[int, int]] = {}
+    starts: dict[str, tuple[int, int]] = {}
 
     def flush() -> None:
         if current is None:

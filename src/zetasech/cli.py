@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, Optional, Sequence, Tuple
+from collections.abc import Sequence
 
 from .catalog import (
     TOLERANCES,
@@ -83,7 +83,7 @@ def _nonnegative_float(text: str) -> float:
 _TOL_CLASSES = tuple(cls.value for cls in TOLERANCES)
 
 
-def _tol_override(text: str) -> Tuple[str, float]:
+def _tol_override(text: str) -> tuple[str, float]:
     name, sep, value = text.partition("=")
     name = name.strip().upper()
     if not sep or name not in _TOL_CLASSES:
@@ -100,8 +100,8 @@ def _integration_var(text: str) -> str:
     return text
 
 
-def _parse_params(pairs: Sequence[str]) -> Dict[str, object]:
-    params: Dict[str, object] = {}
+def _parse_params(pairs: Sequence[str]) -> dict[str, object]:
+    params: dict[str, object] = {}
     for pair in pairs:
         name, sep, value = pair.partition("=")
         name = name.strip()
@@ -114,7 +114,7 @@ def _parse_params(pairs: Sequence[str]) -> Dict[str, object]:
     return params
 
 
-def _select_records(args: argparse.Namespace) -> Tuple[IdentityRecord, ...]:
+def _select_records(args: argparse.Namespace) -> tuple[IdentityRecord, ...]:
     if getattr(args, "catalog", None):
         with open(args.catalog, "r", encoding="utf-8") as fh:
             records = parse_catalog(fh.read())
@@ -135,7 +135,7 @@ def _select_records(args: argparse.Namespace) -> Tuple[IdentityRecord, ...]:
     return tuple(records)
 
 
-def _write_output(text: str, out: Optional[str]) -> None:
+def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -331,7 +331,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -29,10 +29,7 @@ one Newton step on dd_exp, is within 4.5e-32 (1 + |ln x|).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Tuple
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from numbers import Rational
 
 __all__ = [
     "DD",
@@ -48,7 +45,7 @@ __all__ = [
     "to_float",
 ]
 
-DD = Tuple[float, float]
+DD = tuple[float, float]
 
 _SPLITTER = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
@@ -165,14 +162,14 @@ def _dd_ratio(n: int, d: int) -> DD:
     return hi, (n * b - a * d) / (d * b)
 
 
-def dd_from_fraction(f: Fraction) -> DD:
+def dd_from_fraction(f: Rational) -> DD:
     return _dd_ratio(f.numerator, f.denominator)
 
 
 _TABLE_BITS = 200  # fixed-point scale of the table build
 
 
-def _exp_table(den: int, jmax: int) -> Tuple[DD, ...]:
+def _exp_table(den: int, jmax: int) -> tuple[DD, ...]:
     """exp(j/den) for j = -jmax .. jmax, entry j at index j + jmax.
 
     Integers only: exp(1/den) * 2**_TABLE_BITS is a Taylor sum, exp(-1/den)

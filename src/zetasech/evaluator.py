@@ -42,11 +42,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from types import CodeType
-from typing import Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Set, Tuple, Union
 
 from .exprlang import (
     BinaryOp,
@@ -89,21 +90,32 @@ class ExactEvalError(ValueError):
     """The expression has no exact rational evaluation."""
 
 
-class EvalConfig(NamedTuple):
-    quad_rel_tol: float = 1e-12
-    quad_decay: float = math.pi
-    quad_vmax: Optional[float] = None
-    quad_p_max: int = 8
-    eval_cap: int = DEFAULT_EVAL_CAP
+class EvalConfig(
+    namedtuple(
+        "EvalConfig",
+        (
+            "quad_rel_tol",  # float
+            "quad_decay",  # float
+            "quad_vmax",  # float | None
+            "quad_p_max",  # int
+            "eval_cap",  # int
+        ),
+        defaults=(1e-12, math.pi, None, 8, DEFAULT_EVAL_CAP),
+    )
+):
+    """Quadrature settings and the work cap of one numeric evaluation."""
+
+    __slots__ = ()
 
 
-class NumericResult(NamedTuple):
-    value: float
-    err_budget: float
-    quad_evals: int
+class NumericResult(namedtuple("NumericResult", ("value", "err_budget", "quad_evals"))):
+    """A numeric evaluation: its value and error budget (floats) and the
+    quadrature samples it took (int)."""
+
+    __slots__ = ()
 
 
-def bind_parameters(params: Mapping[str, float]) -> Dict[str, float]:
+def bind_parameters(params: Mapping[str, float]) -> dict[str, float]:
     """Float bindings with the derived q = a/4 + 1/4 injected when absent."""
     env = {name: float(value) for name, value in params.items()}
     if "q" in env and "a" in env:
@@ -147,10 +159,10 @@ def _sum_range(lov: float, hiv: float, usage: _Work) -> Iterator[float]:
 
 def _eval_num(
     node: Node,
-    env: Dict[str, float],
+    env: dict[str, float],
     cfg: EvalConfig,
     usage: _Work,
-) -> Tuple[float, float]:
+) -> tuple[float, float]:
     """node's value and error budget.
 
     Operators and leaves are most of the nodes on closed-form sides, so
@@ -274,15 +286,15 @@ def _eval_num(
 
 
 # make(env, cfg, usage) -> f(x): the integrand of one Integral node
-_Make = Callable[[Dict[str, float], EvalConfig, _Work], Callable[[float], float]]
+_Make = Callable[[dict[str, float], EvalConfig, _Work], Callable[[float], float]]
 
 
 def _integrate(
     make: _Make,
-    env: Dict[str, float],
+    env: dict[str, float],
     cfg: EvalConfig,
     usage: _Work,
-) -> Tuple[float, float]:
+) -> tuple[float, float]:
     """Value and error estimate of one integral, which may take the
     samples usage's cap has left; they are charged to usage.evals. It
     raises on a value that is not finite, then on no convergence."""
@@ -322,7 +334,7 @@ def _compiled(source: str) -> CodeType:
     return compile(source, "<expression>", "exec")
 
 
-def _fixed_subtrees(node: Node, var: str, out: Set[int]) -> bool:
+def _fixed_subtrees(node: Node, var: str, out: set[int]) -> bool:
     """Whether node reads no var and holds no Sum or Integral; adds the id
     of each such subtree, node included, to out. Sum bodies are not
     searched: they run in a loop."""
@@ -349,7 +361,7 @@ def _fixed_subtrees(node: Node, var: str, out: Set[int]) -> bool:
     return fixed
 
 
-def _product(names: List[str]) -> str:
+def _product(names: list[str]) -> str:
     """names multiplied left to right. From a first factor of 0.0, every
     partial product is exactly 0.0 or -0.0 while the factors are finite
     floats, so large finite values never fail the test; an infinite or
@@ -392,24 +404,24 @@ class _Codegen:
     """
 
     def __init__(self, node: Integral) -> None:
-        self.namespace: Dict[str, object] = {
+        self.namespace: dict[str, object] = {
             "FAILS": _FAILS,
             "isfinite": math.isfinite,
             "srange": _sum_range,
             "integrate": _integrate,
             "walk": _eval_num,
         }
-        self.params: Dict[str, str] = {}
-        self.walked: Dict[str, Node] = {}
-        self.lines: List[str] = []
+        self.params: dict[str, str] = {}
+        self.walked: dict[str, Node] = {}
+        self.lines: list[str] = []
         # the call and power results, and literals past the float range,
         # that the current block's finiteness test covers
-        self.checks: List[str] = []
+        self.checks: list[str] = []
         self.running = False
         # whether f charges usage: it holds a sum or an integral
         self.charged = False
         self.temps = 0
-        self.fixed: Set[int] = set()
+        self.fixed: set[int] = set()
         _fixed_subtrees(node.body, node.var, self.fixed)
 
     def const(self, value: object) -> str:
@@ -424,7 +436,7 @@ class _Codegen:
     def line(self, indent: str, text: str) -> None:
         self.lines.append(indent + text)
 
-    def emit(self, node: Node, scope: Dict[str, str], indent: str) -> str:
+    def emit(self, node: Node, scope: dict[str, str], indent: str) -> str:
         """Emit the lines computing node, indented relative to their
         block; return the name holding its value."""
         if isinstance(node, NumberLiteral) and node.fvalue is not None:
@@ -551,7 +563,7 @@ def _compile_integral(node: Integral) -> _Make:
     bind = gen.namespace["bind"]
     walked, names = tuple(gen.walked.values()), tuple(read)
 
-    def make(env: Dict[str, float], cfg: EvalConfig, usage: _Work) -> Callable[[float], float]:
+    def make(env: dict[str, float], cfg: EvalConfig, usage: _Work) -> Callable[[float], float]:
         values = [_eval_num(sub, env, cfg, usage)[0] for sub in walked]
         try:
             values += [env[name] for name in names]
@@ -565,7 +577,7 @@ def _compile_integral(node: Integral) -> _Make:
 def evaluate_numeric(
     node: Node,
     params: Mapping[str, float],
-    config: Optional[EvalConfig] = None,
+    config: EvalConfig | None = None,
 ) -> NumericResult:
     """node's value, error budget and quadrature samples. A value or budget
     that is not finite, or an integral that did not converge, raises."""
@@ -583,7 +595,7 @@ def evaluate_numeric(
     return NumericResult(value, err, usage.evals)
 
 
-def _qadd(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:
+def _qadd(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
     """na/da + nb/db for pairs in lowest terms with positive denominators,
     as such a pair. Fraction's own rule (Knuth, TAOCP Vol. 2, 4.5.1): the
     gcd of the denominators first, then the sum's gcd only against that
@@ -599,7 +611,7 @@ def _qadd(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:
     return t // g2, s * (db // g2)
 
 
-def _qmul(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:
+def _qmul(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
     """na/da * nb/db as _qadd's pairs, cross-cancelling before multiplying."""
     g1 = gcd(na, db)
     if g1 > 1:
@@ -612,7 +624,7 @@ def _qmul(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:
     return na * nb, da * db
 
 
-def _qdiv(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:
+def _qdiv(na: int, da: int, nb: int, db: int) -> tuple[int, int]:
     """na/da / (nb/db) as _qadd's pairs, for nonzero nb."""
     g1 = gcd(na, nb)
     if g1 > 1:
@@ -626,7 +638,7 @@ def _qdiv(na: int, da: int, nb: int, db: int) -> Tuple[int, int]:
     return (-n, -d) if d < 0 else (n, d)
 
 
-def _qpow(p: int, q: int, en: int, ed: int) -> Tuple[int, int]:
+def _qpow(p: int, q: int, en: int, ed: int) -> tuple[int, int]:
     """(p/q) ** (en/ed) as _qadd's pairs, with pair_power's refusals as
     ExactEvalError."""
     if ed != 1:
@@ -639,10 +651,10 @@ def _qpow(p: int, q: int, en: int, ed: int) -> Tuple[int, int]:
 
 # an exact value: an int, or a pair (numerator, denominator) in lowest
 # terms with a positive denominator
-_Exact = Union[int, Tuple[int, int]]
+_Exact = int | tuple[int, int]
 
 
-def _eval_exact(node: Node, env: Dict[str, _Exact], work: _Work) -> _Exact:
+def _eval_exact(node: Node, env: dict[str, _Exact], work: _Work) -> _Exact:
     """node's exact value. + - * of two ints stay ints; every other result
     of arithmetic is a pair from _qadd, _qmul, _qdiv or _qpow, an int
     entering as its value over 1. A registry function gets a Fraction for
@@ -743,7 +755,7 @@ def _eval_exact(node: Node, env: Dict[str, _Exact], work: _Work) -> _Exact:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _sum_exact(node: Sum, env: Dict[str, _Exact], work: _Work) -> _Exact:
+def _sum_exact(node: Sum, env: dict[str, _Exact], work: _Work) -> _Exact:
     """_eval_exact for a Sum, whose index is bound in env while its body
     runs; its range length is charged to work.passes, as in _sum_range."""
     lo = _eval_exact(node.lo, env, work)
@@ -783,11 +795,11 @@ def _sum_exact(node: Sum, env: Dict[str, _Exact], work: _Work) -> _Exact:
     return total
 
 
-def _bind_pairs(params: Mapping[str, Fraction]) -> Dict[str, _Exact]:
+def _bind_pairs(params: Mapping[str, Fraction]) -> dict[str, _Exact]:
     """Exact bindings with the same derived q rule as the float path: an
     int for each integer value, else (numerator, denominator) in lowest
     terms with a positive denominator."""
-    env: Dict[str, _Exact] = {}
+    env: dict[str, _Exact] = {}
     for name, value in params.items():
         if not isinstance(value, (int, Fraction)):
             value = Fraction(value)

@@ -11,9 +11,9 @@ Bernoulli convention is B(1) == -1/2.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Tuple
 
 __all__ = [
     "bernoulli_number",
@@ -50,13 +50,13 @@ def bernoulli_number(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
-def _over_common_denominator(coeffs: Sequence[Fraction]) -> Tuple[int, Tuple[int, ...]]:
+def _over_common_denominator(coeffs: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     """(D, integers C_i) with coeffs[i] == C_i / D, high degree first."""
     d = math.lcm(*(c.denominator for c in coeffs))
     return d, tuple(c.numerator * (d // c.denominator) for c in coeffs)
 
 
-def _horner(poly: Tuple[int, Tuple[int, ...]], p: int, q: int) -> Tuple[int, int]:
+def _horner(poly: tuple[int, tuple[int, ...]], p: int, q: int) -> tuple[int, int]:
     """The polynomial (D, C) at x = p/q, q > 0, as an unreduced pair
     (numerator, denominator) of integers: after step i the accumulator is
     q^i times the Horner value over D, and the denominator is D q^deg."""
@@ -70,7 +70,7 @@ def _horner(poly: Tuple[int, Tuple[int, ...]], p: int, q: int) -> Tuple[int, int
 
 
 @lru_cache(maxsize=None)
-def _euler_poly_ints(n: int) -> Tuple[int, Tuple[int, ...]]:
+def _euler_poly_ints(n: int) -> tuple[int, tuple[int, ...]]:
     if n + 1 > _MAX_ORDER:
         raise ValueError(f"Euler numbers and polynomials are not computed for n > {_MAX_ORDER - 1}")
     # E_n(x) = sum_k C(n,k) E_k(0) x^(n-k), with E_k(0) = -2 (2^(k+1) - 1) B(k+1) / (k+1)
@@ -88,7 +88,7 @@ def euler_poly(n: int, x: Fraction) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_poly_ints(n: int) -> Tuple[int, Tuple[int, ...]]:
+def _bernoulli_poly_ints(n: int) -> tuple[int, tuple[int, ...]]:
     if n > _MAX_ORDER:
         raise ValueError(f"Bernoulli polynomials are not computed for n > {_MAX_ORDER}")
     # B_n(x) = sum_k C(n,k) B(k) x^(n-k)

@@ -24,10 +24,10 @@ Syntax sketch:
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Mapping
 from functools import lru_cache
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, List, Mapping, Optional, Tuple, Union
 
 __all__ = [
     "BinaryOp",
@@ -84,21 +84,31 @@ class _Node:
     ParamRef("a") != BoundVarRef("a"). A class's __init__ takes its fields
     in order and stores them with _set."""
 
-    __slots__ = ()
-    _fields: Tuple[str, ...]
+    # _hash holds the node's hash once it is first taken, never at parse
+    # time: the integrand compiler's cache looks an integral up on every
+    # evaluation, and would otherwise hash its whole tree each time
+    __slots__ = ("_hash",)
+    _fields: tuple[str, ...]
     _key: Callable[["_Node"], object]
+    _hash_fields: Callable[["_Node"], int]
 
     def __init_subclass__(cls) -> None:
         if "_fields" not in cls.__dict__:
             cls._fields = cls.__slots__
         key = cls._key = attrgetter(*cls._fields)
-        # a node hashes as the tuple of its field values; the integrand
-        # compiler's cache hashes a whole tree per evaluation, and a closure
-        # per class costs less than a shared method that looks up the key
+        # a node hashes as the tuple of its field values
         if len(cls._fields) == 1:
-            cls.__hash__ = lambda self: hash((key(self),))  # type: ignore[method-assign]
+            cls._hash_fields = lambda self: hash((key(self),))
         else:
-            cls.__hash__ = lambda self: hash(key(self))  # type: ignore[method-assign]
+            cls._hash_fields = lambda self: hash(key(self))
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            value = self._hash_fields()
+            _set(self, "_hash", value)
+            return value
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -128,7 +138,7 @@ class NumberLiteral(_Node):
         _set(self, "value", value)
         n, d = value.numerator, value.denominator
         try:
-            fvalue: Optional[float] = n / d
+            fvalue: float | None = n / d
         except OverflowError:
             fvalue = None
         _set(self, "fvalue", fvalue)
@@ -175,7 +185,7 @@ class BinaryOp(_Node):
 class Call(_Node):
     __slots__ = ("name", "args")
 
-    def __init__(self, name: str, args: Tuple["Node", ...]) -> None:
+    def __init__(self, name: str, args: tuple["Node", ...]) -> None:
         _set(self, "name", name)
         _set(self, "args", args)
 
@@ -198,17 +208,17 @@ class Integral(_Node):
         _set(self, "body", body)
 
 
-Node = Union[
-    NumberLiteral,
-    ConstantRef,
-    ParamRef,
-    BoundVarRef,
-    UnaryNeg,
-    BinaryOp,
-    Call,
-    Sum,
-    Integral,
-]
+Node = (
+    NumberLiteral
+    | ConstantRef
+    | ParamRef
+    | BoundVarRef
+    | UnaryNeg
+    | BinaryOp
+    | Call
+    | Sum
+    | Integral
+)
 
 
 # ----------------------------------------------------------------------
@@ -234,7 +244,7 @@ _WORD = re.compile(r"\w+")
 # 3.11, and earlier 3.10 releases do not; a fixed cap makes them all agree.
 _MAX_LITERAL_DIGITS = 4300
 
-_Token = Tuple[str, str, int]  # (kind, text, offset)
+_Token = tuple[str, str, int]  # (kind, text, offset)
 
 
 def _is_name(text: str) -> bool:
@@ -242,13 +252,13 @@ def _is_name(text: str) -> bool:
     return (text[:1] == "_" or text[:1].isalpha()) and _WORD.fullmatch(text) is not None
 
 
-def _position(src: str, offset: int) -> Tuple[int, int]:
+def _position(src: str, offset: int) -> tuple[int, int]:
     """The 1-based (line, column) of offset in src."""
     return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
 
 
-def _lex(src: str) -> List[_Token]:
-    tokens: List[_Token] = []
+def _lex(src: str) -> list[_Token]:
+    tokens: list[_Token] = []
     append = tokens.append
     for m in _TOKEN.finditer(src):
         kind = m.lastgroup
@@ -335,7 +345,7 @@ class _Parser:
         self.tokens = _lex(src)
         self.pos = 0
         self.functions = functions
-        self.bound: List[str] = []
+        self.bound: list[str] = []
         self.depth = 0
         self.sums = 0  # sums whose body is being parsed
 
@@ -420,7 +430,7 @@ class _Parser:
             if name not in self.functions:
                 raise self.error(f"unknown function {name!r}", tok)
             self.pos += 1
-            args: List[Node] = [self.additive()]
+            args: list[Node] = [self.additive()]
             while tokens[self.pos][0] == ",":
                 self.pos += 1
                 args.append(self.additive())
@@ -466,7 +476,7 @@ class _Parser:
         return Sum(var, lo, hi, body) if is_sum else Integral(var, body)
 
 
-def binder_error(var: str, is_sum: bool, functions: Mapping[str, int]) -> Optional[str]:
+def binder_error(var: str, is_sum: bool, functions: Mapping[str, int]) -> str | None:
     """Why var cannot be a sum's index (is_sum) or an integral's variable,
     or None when it can: it must be one name that is not a keyword, a
     constant or a function."""
@@ -479,7 +489,7 @@ def binder_error(var: str, is_sum: bool, functions: Mapping[str, int]) -> Option
 
 
 def parse_expression(
-    src: str, functions: Optional[Mapping[str, int]] = None
+    src: str, functions: Mapping[str, int] | None = None
 ) -> Node:
     """Parse source text into an AST, checking call arities as it goes."""
     if functions is None:
@@ -525,7 +535,7 @@ def _format_fraction(value: Fraction) -> str:
     return f"{text[:-digits]}.{text[-digits:]}"
 
 
-def _render(node: Node) -> Tuple[str, int]:
+def _render(node: Node) -> tuple[str, int]:
     if isinstance(node, NumberLiteral):
         return _format_fraction(node.value), _PREC_ATOM
     if isinstance(node, (ConstantRef, ParamRef, BoundVarRef)):

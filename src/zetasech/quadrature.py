@@ -15,7 +15,8 @@ from the node tables, not per call.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from collections import namedtuple
+from collections.abc import Callable
 
 __all__ = [
     "DEFAULT_EVAL_CAP",
@@ -38,17 +39,19 @@ class QuadratureError(ValueError):
     """Raised when an integrand cannot be handled (non-finite samples)."""
 
 
-class QuadResult(NamedTuple):
-    value: float
-    abs_error_estimate: float
-    evaluations: int
-    converged: bool
+class QuadResult(
+    namedtuple("QuadResult", ("value", "abs_error_estimate", "evaluations", "converged"))
+):
+    """An integral's value and error estimate (floats), the integrand
+    evaluations it took (int) and whether refinement met the tolerance."""
+
+    __slots__ = ()
 
 
 # dm = 1 - tanh((pi/2) sinh t) is the node's distance from the interval edge
 # in unit coordinates; w is the tanh-sinh weight at that t.
-_NodeRow = Tuple[float, float]
-_node_cache: Dict[int, List[_NodeRow]] = {}
+_NodeRow = tuple[float, float]
+_node_cache: dict[int, list[_NodeRow]] = {}
 
 
 def _node_row(t: float) -> _NodeRow:
@@ -58,7 +61,7 @@ def _node_row(t: float) -> _NodeRow:
     return dm, w
 
 
-def _nodes_for_level(level: int) -> List[_NodeRow]:
+def _nodes_for_level(level: int) -> list[_NodeRow]:
     rows = _node_cache.get(level)
     if rows is not None:
         return rows
@@ -85,7 +88,7 @@ def _add_pairs(
     a: float,
     b: float,
     half: float,
-    rows: List[_NodeRow],
+    rows: list[_NodeRow],
     total: float,
 ) -> float:
     """total plus w * (f(b - d) + f(a + d)) for each row, in row order.
@@ -161,7 +164,7 @@ def tanh_sinh(
     return QuadResult(estimate, max(err, floor), evals, converged)
 
 
-def _pick_cutoff(rate: float, p_max: int, target: float, vmax: Optional[float]) -> float:
+def _pick_cutoff(rate: float, p_max: int, target: float, vmax: float | None) -> float:
     # fixed-point solve of exp(-rate*V) * (1+V)^p_max == target
     v = 30.0
     log_target = math.log(target)
@@ -175,7 +178,7 @@ def _pick_cutoff(rate: float, p_max: int, target: float, vmax: Optional[float]) 
     return v
 
 
-def _algebraic_cutoff(p_max: int, target: float, vmax: Optional[float]) -> float:
+def _algebraic_cutoff(p_max: int, target: float, vmax: float | None) -> float:
     # solve (1+V)^(p_max+1) / (-p_max-1) == target
     power = float(-(p_max + 1))
     v = max((power * target) ** (-1.0 / power) - 1.0, 1.0)
@@ -194,7 +197,7 @@ def integrate_decaying(
     rate: float,
     rel_tol: float = 1e-12,
     p_max: int = 8,
-    vmax: Optional[float] = None,
+    vmax: float | None = None,
     eval_cap: int = DEFAULT_EVAL_CAP,
 ) -> QuadResult:
     """Integrate f over [0, inf) given a decay envelope.

@@ -8,9 +8,10 @@ with zero residual instead of a tolerance.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
 from . import exact, specfun
 
@@ -31,11 +32,22 @@ class RegistryError(ValueError):
     pass
 
 
-class FunctionSpec(NamedTuple):
-    name: str
-    arity: int
-    numeric: Callable[..., float]
-    exact: Optional[Callable[..., Union[int, Fraction]]] = None
+class FunctionSpec(
+    namedtuple(
+        "FunctionSpec",
+        (
+            "name",  # str
+            "arity",  # int
+            "numeric",  # Callable[..., float]
+            "exact",  # Callable[..., int | Fraction] | None
+        ),
+        defaults=(None,),
+    )
+):
+    """A function of the expression language: its float implementation and,
+    when it is rational-valued on rationals, its exact one."""
+
+    __slots__ = ()
 
 
 def _as_index(x: float, what: str) -> int:
@@ -70,7 +82,7 @@ def _comb(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def pair_power(p: int, q: int, n: int) -> Tuple[int, int]:
+def pair_power(p: int, q: int, n: int) -> tuple[int, int]:
     """(p/q)**n as a pair (numerator, denominator > 0) in lowest terms, for
     p/q in lowest terms with q > 0; refuses 0 to a non-positive power and
     results over the bit cap."""
@@ -247,5 +259,5 @@ def function_table() -> Mapping[str, FunctionSpec]:
 
 
 @lru_cache(maxsize=1)
-def function_arities() -> Dict[str, int]:
+def function_arities() -> dict[str, int]:
     return {name: spec.arity for name, spec in function_table().items()}

@@ -28,9 +28,10 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional, Tuple
 
 from .ddmath import (
     DD,
@@ -80,7 +81,7 @@ class SpecfunError(ValueError):
 # ----------------------------------------------------------------------
 # the double-double Hurwitz engine, values with an optional d/ds
 
-_DDual = Tuple[DD, DD]
+_DDual = tuple[DD, DD]
 
 _LN2_DD = dd_ln(2.0)
 _EM_TAIL_TERMS = 15
@@ -111,7 +112,7 @@ def _head_log(k: int, a: float) -> DD:
 # A row holds one double-double per head term k = 0 .. n - 1, as an array
 # of hi words and one of lo words (16 bytes a term). A row is a function of
 # its key alone, so a hit returns the words a rebuild would give.
-_Row = Tuple[array, array]
+_Row = tuple[array, array]
 
 
 def _row(terms: Iterable[DD]) -> _Row:
@@ -144,7 +145,7 @@ def _recip_row(a: float, n: int) -> _Row:
     return _row(dd_div((1.0, 0.0), _two_sum(float(k), a)) for k in range(n))
 
 
-def _pow_dual(lnbase: DD, s: float, ds: bool) -> Tuple[DD, Optional[DD]]:
+def _pow_dual(lnbase: DD, s: float, ds: bool) -> tuple[DD, DD | None]:
     """base^(-s), and its d/ds if ds, for base = exp(lnbase) constant in s."""
     e = dd_exp(dd_mul_d(lnbase, -s))
     return e, dd_mul(e, (-lnbase[0], -lnbase[1])) if ds else None
@@ -158,7 +159,7 @@ def _ddu_mul(x: _DDual, y: _DDual) -> _DDual:
 
 
 @lru_cache(maxsize=1)
-def _bern_over_fact() -> Tuple[DD, ...]:
+def _bern_over_fact() -> tuple[DD, ...]:
     # B(2j) / (2j)! for j = 1 .. _EM_TAIL_TERMS, exactly rounded to dd
     rows = []
     for j in range(1, _EM_TAIL_TERMS + 1):
@@ -201,7 +202,7 @@ def _horner(row: _Row, start: int, w: DD) -> DD:
     return p
 
 
-def _em_tail(sv: float, z: DD, pw: DD, d: Optional[DD]) -> Tuple[DD, Optional[DD]]:
+def _em_tail(sv: float, z: DD, pw: DD, d: DD | None) -> tuple[DD, DD | None]:
     """The Bernoulli tail of the Euler-Maclaurin sum, and its d/ds if d is given.
 
     sum_j B(2j)/(2j)! * (s)_(2j-1) * z^(-s-2j+1) is r * P(w) with
@@ -229,7 +230,7 @@ def _past_range(name: str, sv: float, a: float) -> SpecfunError:
 
 
 @lru_cache(maxsize=8192)
-def _hz_dd(sv: float, a: float, ds: bool) -> Tuple[DD, Optional[DD]]:
+def _hz_dd(sv: float, a: float, ds: bool) -> tuple[DD, DD | None]:
     """Euler-Maclaurin Hurwitz zeta as a double-double, and d/ds if ds.
 
     The order splits exactly as s = s0 + m, m = round(s), and every power
@@ -337,7 +338,7 @@ _ETA_BAND = 0.6
 _CVZ_TERMS = 60
 
 
-def _eta_cvz(sv: float, a: float) -> Tuple[float, float]:
+def _eta_cvz(sv: float, a: float) -> tuple[float, float]:
     # accelerated alternating sum; weights stay O(1) relative to the result
     # only while the terms (k+a)^(-s) decay, hence the band around s = 1
     n = _CVZ_TERMS
@@ -357,7 +358,7 @@ def _eta_cvz(sv: float, a: float) -> Tuple[float, float]:
     return acc_v / d, acc_d / d
 
 
-def _eta_parts(sv: float, a: float, ds: bool) -> Tuple[float, Optional[float]]:
+def _eta_parts(sv: float, a: float, ds: bool) -> tuple[float, float | None]:
     # value of eta, and d/ds if ds; the accelerated sum always gives both
     if a <= 0.0:
         raise SpecfunError("eta needs a > 0")
@@ -424,7 +425,7 @@ _PSI_TERMS = 10
 
 
 @lru_cache(maxsize=1)
-def _psi_coeffs() -> Tuple[float, ...]:
+def _psi_coeffs() -> tuple[float, ...]:
     return tuple(
         float(bernoulli_number(2 * k)) / (2 * k) for k in range(1, _PSI_TERMS + 1)
     )
@@ -671,13 +672,15 @@ def loggamma_q4(w: float) -> float:
 # ----------------------------------------------------------------------
 # named constants, each produced by the machinery above
 
-class ConstantTable(NamedTuple):
-    pi: float
-    ln2: float
-    euler_gamma: float
-    catalan: float
-    ln_glaisher: float
-    ln_glaisher3: float
+class ConstantTable(
+    namedtuple(
+        "ConstantTable",
+        ("pi", "ln2", "euler_gamma", "catalan", "ln_glaisher", "ln_glaisher3"),
+    )
+):
+    """The float value of each named constant of the expression language."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=1)

@@ -9,18 +9,18 @@ than the record floor, proving the harness can still see a wrong formula.
 A side the evaluator refuses (a numeric one whose value or budget is not
 finite, or whose quadrature did not converge) makes the case an ERROR with
 null values, and so does a residual or allowed error past the float range.
+The case's err_budget is null too when the sides' budgets sum past it.
 """
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
 import time
+from collections import namedtuple
+from collections.abc import Callable, Hashable, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Dict, Hashable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .catalog import (
     GridValue,
@@ -77,31 +77,43 @@ class Status(Enum):
         return self not in (Status.FAIL, Status.ERROR, Status.EXPECTED_FAIL_VIOLATED)
 
 
-class CaseResult(NamedTuple):
-    identity: str
-    group: str
-    kind: Kind
-    tol_class: str
-    params: Tuple[Tuple[str, GridValue], ...]
-    status: Status
-    lhs: Optional[float]
-    rhs: Optional[float]
-    residual: Optional[float]
-    allowed: Optional[float]
-    err_budget: float
-    quad_evals: int
-    ms: float
-    message: str = ""
+class CaseResult(
+    namedtuple(
+        "CaseResult",
+        (
+            "identity",  # str
+            "group",  # str
+            "kind",  # Kind
+            "tol_class",  # str
+            "params",  # tuple[tuple[str, GridValue], ...]
+            "status",  # Status
+            "lhs",  # float | None
+            "rhs",  # float | None
+            "residual",  # float | None
+            "allowed",  # float | None
+            "err_budget",  # float | None
+            "quad_evals",  # int
+            "ms",  # float
+            "message",  # str
+        ),
+        defaults=("",),
+    )
+):
+    """The verdict on one record at one parameter point. A value that is
+    None is null in reports."""
+
+    __slots__ = ()
 
     def params_text(self) -> str:
         return ", ".join(f"{k}={_format_value(v)}" for k, v in self.params)
 
 
-class SuiteResult(NamedTuple):
-    results: Tuple[CaseResult, ...]
-    elapsed_ms: float
+class SuiteResult(namedtuple("SuiteResult", ("results", "elapsed_ms"))):
+    """The case results of one run, in catalog order, and its time (ms)."""
 
-    def counts(self) -> Dict[str, int]:
+    __slots__ = ()
+
+    def counts(self) -> dict[str, int]:
         out = {status.value: 0 for status in Status}
         for res in self.results:
             out[res.status.value] += 1
@@ -140,10 +152,10 @@ _EVAL_ERRORS = (
 
 def judge(
     record: IdentityRecord,
-    left: Union[Fraction, NumericResult],
-    right: Union[Fraction, NumericResult],
-    tol_override: Optional[float] = None,
-) -> Tuple[Status, Optional[float], Optional[float], str]:
+    left: Fraction | NumericResult,
+    right: Fraction | NumericResult,
+    tol_override: float | None = None,
+) -> tuple[Status, float | None, float | None, str]:
     """The verdict on two evaluated sides: (status, residual, allowed, message).
 
     The sides are Fractions for EXACT records and NumericResults otherwise.
@@ -191,7 +203,7 @@ def judge(
     return Status.FAIL, diff, allowed, message
 
 
-def _float_or_none(x: Fraction) -> Optional[float]:
+def _float_or_none(x: Fraction) -> float | None:
     """x as a float, or None (null in reports) when it does not fit one."""
     try:
         return float(x)
@@ -199,9 +211,9 @@ def _float_or_none(x: Fraction) -> Optional[float]:
         return None
 
 
-_Side = Union[Fraction, NumericResult]
+_Side = Fraction | NumericResult
 # (side source, parameter point, EvalConfig or None for exact) -> side
-_Memo = Dict[Tuple[str, Hashable, Optional[EvalConfig]], _Side]
+_Memo = dict[tuple[str, Hashable, EvalConfig | None], _Side]
 
 
 def _point(params: Mapping[str, GridValue]) -> Hashable:
@@ -216,7 +228,7 @@ def _side(
     node: Callable[[], Node],
     params: Mapping[str, GridValue],
     point: Hashable,
-    cfg: Optional[EvalConfig],
+    cfg: EvalConfig | None,
     eval_cap: int,
 ) -> _Side:
     """One side evaluated, or taken from memo when it was evaluated at the
@@ -238,9 +250,9 @@ def verify_case(
     record: IdentityRecord,
     params: Mapping[str, GridValue],
     eval_cap: int = DEFAULT_EVAL_CAP,
-    tol_override: Optional[float] = None,
+    tol_override: float | None = None,
     *,
-    memo: Optional[_Memo] = None,
+    memo: _Memo | None = None,
 ) -> CaseResult:
     """Evaluate both sides of one record at one parameter point, reusing
     the sides stored in memo and storing new ones; None is a fresh memo."""
@@ -257,6 +269,10 @@ def verify_case(
         else:
             lhs, rhs = left.value, right.value
             budget = left.err_budget + right.err_budget
+            # two finite budgets may sum past the float range; judge has
+            # then made the case an ERROR
+            if not math.isfinite(budget):
+                budget = None
             evals = left.quad_evals + right.quad_evals
     except _EVAL_ERRORS as exc:
         lhs = rhs = residual = allowed = None
@@ -281,9 +297,9 @@ def verify_case(
 
 
 def run_suite(
-    records: Optional[Sequence[IdentityRecord]] = None,
+    records: Sequence[IdentityRecord] | None = None,
     eval_cap: int = DEFAULT_EVAL_CAP,
-    tol_overrides: Optional[Mapping[str, float]] = None,
+    tol_overrides: Mapping[str, float] | None = None,
 ) -> SuiteResult:
     """Verify every case of every record, in deterministic catalog order.
 
@@ -331,7 +347,7 @@ _COLUMNS = (
 )
 
 
-def _row(res: CaseResult, include_ms: bool = True) -> Dict[str, object]:
+def _row(res: CaseResult, include_ms: bool = True) -> dict[str, object]:
     """A case as a JSON report row."""
     row = dict(zip(_COLUMNS, res))
     row.update(
@@ -359,7 +375,11 @@ def _case(row: Mapping[str, object]) -> CaseResult:
 
 def to_json(suite: SuiteResult, include_ms: bool = True) -> str:
     """JSON report; include_ms=False yields fully run-deterministic text."""
-    doc: Dict[str, object] = {
+    # json and csv are imported where a report is written or read, so a
+    # process that handles no report never loads them
+    import json
+
+    doc: dict[str, object] = {
         "suite": "zetasech",
         "ok": suite.ok,
         "counts": suite.counts(),
@@ -372,6 +392,8 @@ def to_json(suite: SuiteResult, include_ms: bool = True) -> str:
 
 def from_json(text: str) -> SuiteResult:
     """Rebuild a SuiteResult from to_json output (for report re-rendering)."""
+    import json
+
     try:
         doc = json.loads(text)
         cases = tuple(_case(row) for row in doc["cases"])
@@ -415,6 +437,8 @@ def to_markdown(suite: SuiteResult) -> str:
 
 def to_csv(suite: SuiteResult) -> str:
     """CSV report: the JSON rows without timing, params as params_text()."""
+    import csv
+
     buf = io.StringIO()
     header = [name for name in _COLUMNS if name != "ms"]
     writer = csv.DictWriter(buf, header, extrasaction="ignore", lineterminator="\n")

@@ -11,6 +11,7 @@ import pytest
 import zetasech
 from zetasech.catalog import (
     CatalogError,
+    IdentityRecord,
     Kind,
     TOLERANCES,
     TolClass,
@@ -19,6 +20,11 @@ from zetasech.catalog import (
     get_identity,
     parse_catalog,
 )
+from zetasech.evaluator import EvalConfig, NumericResult
+from zetasech.quadrature import QuadResult
+from zetasech.registry import FunctionSpec
+from zetasech.specfun import ConstantTable
+from zetasech.verifier import CaseResult, SuiteResult
 
 EXPECTED_IDS = [
     "Theorem4", "Theorem4S", "Theorem2", "Theorem2S", "Theorem4a", "Thm4b", "Thm4c", "Eq3p3",
@@ -210,22 +216,27 @@ def test_overlong_literal_names_the_record_line():
 
 # Each of these costs milliseconds to import, which every `zetasech` command
 # would pay before any work; dataclasses brings in inspect, ast, dis and
-# tokenize. mpmath is a test dependency only. decimal cannot be listed,
-# because fractions imports it; test_ddmath builds ddmath's tables with it
-# blocked instead.
+# tokenize, and typing brings in contextlib before Python 3.13. json and csv
+# are loaded where a report is written or read. mpmath is a test dependency
+# only. decimal cannot be listed, because fractions imports it; test_ddmath
+# builds ddmath's tables with it blocked instead.
 _HEAVY_MODULES = {
     "argparse",
     "ast",
+    "contextlib",
+    "csv",
     "dataclasses",
     "dis",
     "importlib.metadata",
     "importlib.resources",
     "inspect",
+    "json",
     "mpmath",
     "pathlib",
     "subprocess",
     "tempfile",
     "tokenize",
+    "typing",
     "zipfile",
 }
 
@@ -242,3 +253,39 @@ def test_catalog_build_loads_no_heavy_modules():
     loaded = set(out.split())
     assert "zetasech.exprlang" in loaded
     assert not loaded & _HEAVY_MODULES
+
+
+# The record types are plain namedtuples; their fields, order and defaults
+# are part of the API (keyword construction, _replace, report columns).
+@pytest.mark.parametrize(
+    "record_type, fields, defaults",
+    [
+        (IdentityRecord,
+         ("id", "group", "paper_anchor", "kind", "tol_class", "lhs_src", "rhs_src", "grid",
+          "quad_decay", "quad_vmax", "quad_p_max", "floor", "notes"),
+         {"grid": (), "quad_decay": math.pi, "quad_vmax": None, "quad_p_max": 8,
+          "floor": 1e-3, "notes": ""}),
+        (EvalConfig,
+         ("quad_rel_tol", "quad_decay", "quad_vmax", "quad_p_max", "eval_cap"),
+         {"quad_rel_tol": 1e-12, "quad_decay": math.pi, "quad_vmax": None, "quad_p_max": 8,
+          "eval_cap": 1_000_000}),
+        (NumericResult, ("value", "err_budget", "quad_evals"), {}),
+        (QuadResult, ("value", "abs_error_estimate", "evaluations", "converged"), {}),
+        (FunctionSpec, ("name", "arity", "numeric", "exact"), {"exact": None}),
+        (ConstantTable,
+         ("pi", "ln2", "euler_gamma", "catalan", "ln_glaisher", "ln_glaisher3"), {}),
+        (CaseResult,
+         ("identity", "group", "kind", "tol_class", "params", "status", "lhs", "rhs",
+          "residual", "allowed", "err_budget", "quad_evals", "ms", "message"),
+         {"message": ""}),
+        (SuiteResult, ("results", "elapsed_ms"), {}),
+    ],
+)
+def test_record_types_keep_their_shape(record_type, fields, defaults):
+    assert record_type._fields == fields
+    assert record_type._field_defaults == defaults
+    record = record_type(*range(len(fields)))
+    assert record == tuple(range(len(fields)))
+    assert repr(record).startswith(f"{record_type.__name__}({fields[0]}=0")
+    with pytest.raises(AttributeError):
+        record.extra = 1

@@ -1,5 +1,7 @@
 """Command line behavior: subcommands, exit codes, and output contracts."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -589,6 +591,55 @@ def test_report_rerenders_saved_json(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "report", str(saved), "--format", "csv")
     assert code == 0
     assert out.startswith("identity,")
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_budget_sum_past_the_float_range_is_null(tmp_path, capsys):
+    # each side's budget, 10^308 times a tail bound of ~0.95, is finite;
+    # their sum is not
+    side = "10^308*integral[v]{exp(-v)}"
+    catalog = tmp_path / "probe.cat"
+    catalog.write_text(_record(lhs=side, rhs=side, extra="quad = decay=1.0 vmax=0.05 p_max=0\n"))
+    saved = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "run", "--catalog", str(catalog), "--out", str(saved))
+    assert code == 1
+    (row,) = json.loads(saved.read_text(), parse_constant=_refuse_constant)["cases"]
+    assert row["status"] == "ERROR"
+    assert row["message"] == "residual or allowed error past the float range"
+    assert row["err_budget"] is None
+    assert row["lhs"] == row["rhs"] > 1e306
+    code, out, _ = run_cli(capsys, "report", str(saved), "--format", "csv")
+    assert code == 0
+    (cells,) = csv.DictReader(io.StringIO(out))
+    assert [cells[name] for name in ("status", "residual", "allowed", "err_budget")] == [
+        "ERROR", "", "", ""
+    ]
+
+
+def test_cli_import_loads_no_report_modules(tmp_path):
+    # typing and json/csv are not on the import path; a report written and
+    # read in the same fresh interpreter loads json and csv on the spot
+    src_dir = os.path.dirname(os.path.dirname(zetasech.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src_dir!r}); import zetasech.cli\n"
+        "loaded = sorted({'typing', 'contextlib', 'json', 'csv'} & set(sys.modules))\n"
+        "from zetasech import SuiteResult, from_json, get_identity, to_csv, to_json,"
+        " verify_case\n"
+        "rec = get_identity('SinId')\n"
+        "suite = SuiteResult((verify_case(rec, rec.case_params()[0]),), 1.0)\n"
+        "back = from_json(to_json(suite))\n"
+        "assert to_json(back, include_ms=False) == to_json(suite, include_ms=False)\n"
+        "assert to_csv(back) == to_csv(suite)\n"
+        "print(loaded, to_csv(back).splitlines()[1].split(',')[5])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code],
+        capture_output=True, text=True, check=True, cwd=tmp_path,
+    ).stdout
+    assert out == "[] PASS\n"
 
 
 def test_report_missing_file_is_io_error(capsys):

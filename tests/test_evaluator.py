@@ -522,6 +522,26 @@ def test_module_functions_have_resolvable_type_hints():
             typing.get_type_hints(obj)
 
 
+def test_integral_lookups_hash_each_tree_once(monkeypatch):
+    # the compiled-integral cache hashes its key on every evaluation; a
+    # node keeps its hash from the first lookup, and parsing takes none
+    src = "integral[v]{exp(-b*v) * sum[k=1,2]{ln(1 + v/k)}}"
+    first, second = parse_expression(src), parse_expression(src)
+    assert first is not second
+    assert not hasattr(first, "_hash") and not hasattr(first.body, "_hash")
+    make = _compile_integral(first)
+    assert _compile_integral(second) is make
+    assert hash(first) == hash(second) == hash((first.var, first.body))
+
+    def rehash(node):
+        raise AssertionError(f"{type(node).__name__} hashed again")
+
+    for cls in (BinaryOp, BoundVarRef, Call, Integral, NumberLiteral, ParamRef, Sum):
+        monkeypatch.setattr(cls, "_hash_fields", rehash)
+    assert _compile_integral(first) is make and _compile_integral(second) is make
+    assert evaluate_numeric(first, {"b": 2.0}) == evaluate_numeric(second, {"b": 2.0})
+
+
 def _sources(monkeypatch):
     """The generated sources compiled from here on."""
     seen = []
