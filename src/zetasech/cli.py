@@ -10,8 +10,10 @@ stdout, so identical flags give identical output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
+from io import TextIOBase
 
 from .catalog import (
     TOLERANCES,
@@ -135,21 +137,36 @@ def _select_records(args: argparse.Namespace) -> tuple[IdentityRecord, ...]:
     return tuple(records)
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _write_output(out: str | None, write: Callable[[TextIOBase], object]) -> None:
+    """Call write with stdout, or with the file out opened for writing.
+
+    A reader that stops reading stdout early, as `| head` does, ends the
+    output without an error; stdout then points at the null device, so
+    the flush at exit has nowhere to fail."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            write(sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        write(fh)
 
 
-def _render(suite: SuiteResult, fmt: str, to_stdout: bool) -> str:
-    if fmt == "json":
-        # timings are kept out of stdout so runs stay reproducible
-        return to_json(suite, include_ms=not to_stdout)
-    if fmt == "md":
-        return to_markdown(suite)
-    return to_csv(suite)
+def _write_report(suite: SuiteResult, fmt: str, out: str | None) -> None:
+    """Write suite's report to the file out, or to stdout, as it is rendered."""
+
+    def write(stream: TextIOBase) -> None:
+        if fmt == "json":
+            # timings are kept out of stdout so runs stay reproducible
+            to_json(suite, include_ms=out is not None, stream=stream)
+        elif fmt == "md":
+            to_markdown(suite, stream=stream)
+        else:
+            to_csv(suite, stream=stream)
+
+    _write_output(out, write)
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -183,7 +200,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(_case_line(res))
     print(suite.summary())
     if args.out is not None:
-        _write_output(_render(suite, args.format, to_stdout=False), args.out)
+        _write_report(suite, args.format, args.out)
     return EXIT_OK if suite.ok else EXIT_VERIFY
 
 
@@ -238,14 +255,15 @@ def _cmd_quad(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_catalog(args: argparse.Namespace) -> int:
-    _write_output(format_catalog(_select_records(args)), args.out)
+    text = format_catalog(_select_records(args))
+    _write_output(args.out, lambda fh: fh.write(text))
     return EXIT_OK
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
         suite = from_json(fh.read())
-    _write_output(_render(suite, args.format, to_stdout=args.out is None), args.out)
+    _write_report(suite, args.format, args.out)
     return EXIT_OK
 
 

@@ -128,14 +128,23 @@ def bind_parameters(params: Mapping[str, float]) -> dict[str, float]:
 class _Work:
     """The work of one evaluation: quadrature samples (evals) and passes
     through sum bodies (passes). A sum charges its range length to passes
-    as it starts and is refused once evals + passes > cap; an integral may
-    take what cap leaves."""
+    as it starts, and a quadrature level its samples to evals; either is
+    refused once evals + passes > cap. An integral may take what cap
+    leaves when it starts."""
 
     __slots__ = ("cap", "evals", "passes")
 
     def __init__(self, cap: int = DEFAULT_EVAL_CAP) -> None:
         self.cap = cap
         self.evals = self.passes = 0
+
+    def charge(self, evals: int = 0, passes: int = 0) -> None:
+        """Charge a quadrature level's samples, or a sum's passes, before
+        they run; past the cap this refuses them."""
+        self.evals += evals
+        self.passes += passes
+        if self.evals + self.passes > self.cap:
+            raise EvalError(_OVER_CAP.format(self.cap))
 
 
 def _near_int(x: float, what: str) -> int:
@@ -151,9 +160,7 @@ def _sum_range(lov: float, hiv: float, usage: _Work) -> Iterator[float]:
     range length charged to usage.passes against the cap."""
     lo = _near_int(lov, "sum lower bound")
     hi = _near_int(hiv, "sum upper bound")
-    usage.passes += max(hi - lo + 1, 0)
-    if usage.evals + usage.passes > usage.cap:
-        raise EvalError(_OVER_CAP.format(usage.cap))
+    usage.charge(passes=max(hi - lo + 1, 0))
     return map(float, range(lo, hi + 1))
 
 
@@ -296,8 +303,10 @@ def _integrate(
     usage: _Work,
 ) -> tuple[float, float]:
     """Value and error estimate of one integral, which may take the
-    samples usage's cap has left; they are charged to usage.evals. It
-    raises on a value that is not finite, then on no convergence."""
+    samples usage's cap has left; each level's are charged to usage.evals
+    as it starts, so the sums and integrals it runs meanwhile are checked
+    against them. It raises on a value that is not finite, then on no
+    convergence."""
     remaining = usage.cap - usage.evals - usage.passes
     if remaining <= 0:
         raise EvalError(_OVER_CAP.format(usage.cap))
@@ -309,10 +318,10 @@ def _integrate(
             p_max=cfg.quad_p_max,
             vmax=cfg.quad_vmax,
             eval_cap=remaining,
+            charge=usage.charge,
         )
     except QuadratureError as exc:
         raise EvalError(f"quadrature failed: {exc}") from None
-    usage.evals += quad.evaluations
     if not math.isfinite(quad.value):
         raise EvalError(_NOT_FINITE.format("value", quad.value))
     if not quad.converged:

@@ -10,7 +10,8 @@ tanh_sinh calls the integrand directly, with no wrapper per sample: the
 center node first, then each pair's b - d before its a + d. Each value is
 tested right after its call, and the first non-finite one raises
 QuadratureError before any other node is sampled. Evaluations are counted
-from the node tables, not per call.
+from the node tables, not per call, and a caller's charge hook hears of
+each level's count as the level starts.
 """
 from __future__ import annotations
 
@@ -83,6 +84,10 @@ def _not_finite(x: float) -> QuadratureError:
     return QuadratureError(f"integrand not finite at x={x!r}")
 
 
+def _no_charge(evals: int) -> None:
+    """The default charge hook: evaluations are only counted in the result."""
+
+
 def _add_pairs(
     f: Callable[[float], float],
     a: float,
@@ -117,6 +122,7 @@ def tanh_sinh(
     b: float,
     rel_tol: float = 1e-13,
     eval_cap: int = DEFAULT_EVAL_CAP,
+    charge: Callable[[int], object] = _no_charge,
 ) -> QuadResult:
     """Integrate f over the finite interval [a, b].
 
@@ -124,7 +130,9 @@ def tanh_sinh(
     levels, floored at a few ulps of the result; it is a heuristic, not a
     bound, and callers should fold it into their own error budgets. An
     eval_cap below the first level's 7 evaluations raises QuadratureError
-    before any sample.
+    before any sample. charge is called with each level's evaluations once
+    the level fits eval_cap, before its first sample; what it raises stops
+    the quadrature.
     """
     if not (b > a):
         raise QuadratureError("tanh_sinh needs b > a")
@@ -135,6 +143,7 @@ def tanh_sinh(
         raise QuadratureError(
             f"eval cap {eval_cap} is below the {evals} evaluations of the first level"
         )
+    charge(evals)
     half = 0.5 * (b - a)
     mid = a + half
     center = f(mid)
@@ -151,6 +160,7 @@ def tanh_sinh(
         rows = _nodes_for_level(level)
         if evals + 2 * len(rows) > eval_cap:
             break
+        charge(2 * len(rows))
         inner = _add_pairs(f, a, b, half, rows, 0.0)
         evals += 2 * len(rows)
         h *= 0.5
@@ -199,6 +209,7 @@ def integrate_decaying(
     p_max: int = 8,
     vmax: float | None = None,
     eval_cap: int = DEFAULT_EVAL_CAP,
+    charge: Callable[[int], object] = _no_charge,
 ) -> QuadResult:
     """Integrate f over [0, inf) given a decay envelope.
 
@@ -207,7 +218,8 @@ def integrate_decaying(
     below rel_tol/100.  rate == 0 selects a purely algebraic envelope
     |f(v)| <= (1+v)^p_max, which then needs p_max < -1; the reported tail
     bound is the exact envelope integral.  QuadratureError names the
-    envelope when it has no finite cutoff and tail.
+    envelope when it has no finite cutoff and tail. eval_cap and charge
+    are passed to tanh_sinh.
     """
     if not (0.0 <= rate < math.inf):
         raise QuadratureError("integrate_decaying needs a finite nonnegative decay rate")
@@ -227,7 +239,7 @@ def integrate_decaying(
         raise _no_cutoff(rate, p_max) from None
     if not (math.isfinite(v_cut) and math.isfinite(tail)):
         raise _no_cutoff(rate, p_max)
-    inner = tanh_sinh(f, 0.0, v_cut, rel_tol=rel_tol, eval_cap=eval_cap)
+    inner = tanh_sinh(f, 0.0, v_cut, rel_tol=rel_tol, eval_cap=eval_cap, charge=charge)
     return QuadResult(
         inner.value,
         inner.abs_error_estimate + tail,

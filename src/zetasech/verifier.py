@@ -18,9 +18,10 @@ import io
 import math
 import time
 from collections import namedtuple
-from collections.abc import Callable, Hashable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, islice
 
 from .catalog import (
     GridValue,
@@ -373,8 +374,28 @@ def _case(row: Mapping[str, object]) -> CaseResult:
     )
 
 
-def to_json(suite: SuiteResult, include_ms: bool = True) -> str:
-    """JSON report; include_ms=False yields fully run-deterministic text."""
+# a few tens of KB of report text per write
+_CHUNKS_PER_WRITE = 4096
+
+
+def _emit(chunks: Iterable[str], stream: io.TextIOBase | None) -> str | None:
+    """The report's text, or None once it is written to stream a batch of
+    chunks at a time as they are rendered, so that no report is held
+    whole in memory."""
+    if stream is None:
+        return "".join(chunks)
+    # a write per json chunk would add about a fifth to the report time
+    chunks = iter(chunks)
+    while text := "".join(islice(chunks, _CHUNKS_PER_WRITE)):
+        stream.write(text)
+    return None
+
+
+def to_json(
+    suite: SuiteResult, include_ms: bool = True, stream: io.TextIOBase | None = None
+) -> str | None:
+    """JSON report; include_ms=False yields fully run-deterministic text,
+    written to stream as json encodes it when one is given (see _emit)."""
     # json and csv are imported where a report is written or read, so a
     # process that handles no report never loads them
     import json
@@ -387,7 +408,8 @@ def to_json(suite: SuiteResult, include_ms: bool = True) -> str:
     if include_ms:
         doc["elapsed_ms"] = round(suite.elapsed_ms, 3)
     doc["cases"] = [_row(res, include_ms) for res in suite.results]
-    return json.dumps(doc, indent=2) + "\n"
+    # the text of json.dumps(doc, indent=2), in chunks
+    return _emit(chain(json.JSONEncoder(indent=2).iterencode(doc), ("\n",)), stream)
 
 
 def from_json(text: str) -> SuiteResult:
@@ -402,47 +424,45 @@ def from_json(text: str) -> SuiteResult:
         raise ValueError(f"not a zetasech JSON report: {exc}") from None
 
 
-def to_markdown(suite: SuiteResult) -> str:
-    lines = [
-        "# zetasech verification report",
-        "",
-        suite.summary(),
-        "",
-        "| identity | group | kind | tol | params | status | residual | allowed | message |",
-        "| --- | --- | --- | --- | --- | --- | --- | --- | --- |",
-    ]
+def _markdown_lines(suite: SuiteResult) -> Iterator[str]:
+    yield "# zetasech verification report\n"
+    yield "\n"
+    yield suite.summary() + "\n"
+    yield "\n"
+    yield "| identity | group | kind | tol | params | status | residual | allowed | message |\n"
+    yield "| --- | --- | --- | --- | --- | --- | --- | --- | --- |\n"
     for res in suite.results:
         resid = "" if res.residual is None else f"{res.residual:.3e}"
         allowed = "" if res.allowed is None else f"{res.allowed:.3e}"
-        lines.append(
-            "| "
-            + " | ".join(
-                (
-                    res.identity,
-                    res.group,
-                    res.kind.value,
-                    res.tol_class,
-                    res.params_text() or "-",
-                    res.status.value,
-                    resid,
-                    allowed,
-                    res.message or "-",
-                )
-            )
-            + " |"
+        cells = (
+            res.identity,
+            res.group,
+            res.kind.value,
+            res.tol_class,
+            res.params_text() or "-",
+            res.status.value,
+            resid,
+            allowed,
+            res.message or "-",
         )
-    lines.append("")
-    return "\n".join(lines)
+        yield "| " + " | ".join(cells) + " |\n"
 
 
-def to_csv(suite: SuiteResult) -> str:
-    """CSV report: the JSON rows without timing, params as params_text()."""
+def to_markdown(suite: SuiteResult, stream: io.TextIOBase | None = None) -> str | None:
+    """Markdown report, one table row per case (see _emit for stream)."""
+    return _emit(_markdown_lines(suite), stream)
+
+
+def to_csv(suite: SuiteResult, stream: io.TextIOBase | None = None) -> str | None:
+    """CSV report: the JSON rows without timing, params as params_text().
+    With a stream the rows are written to it as they are rendered, and
+    None is returned, as by _emit."""
     import csv
 
-    buf = io.StringIO()
+    out = io.StringIO() if stream is None else stream
     header = [name for name in _COLUMNS if name != "ms"]
-    writer = csv.DictWriter(buf, header, extrasaction="ignore", lineterminator="\n")
+    writer = csv.DictWriter(out, header, extrasaction="ignore", lineterminator="\n")
     writer.writeheader()
     for res in suite.results:
         writer.writerow({**_row(res, include_ms=False), "params": res.params_text()})
-    return buf.getvalue()
+    return out.getvalue() if stream is None else None

@@ -593,6 +593,134 @@ def test_report_rerenders_saved_json(tmp_path, capsys):
     assert out.startswith("identity,")
 
 
+def _capture_suites(monkeypatch):
+    """The suites run_suite returns to the command line, in call order."""
+    from zetasech import cli
+
+    suites = []
+    run_suite = cli.run_suite
+
+    def recording(*args, **kwargs):
+        suites.append(run_suite(*args, **kwargs))
+        return suites[-1]
+
+    monkeypatch.setattr(cli, "run_suite", recording)
+    return suites
+
+
+# a PASS, an EXACT PASS and a confirmed negative control
+_MIXED = ("--id", "SinId", "--id", "EuId", "--id", "Eq3p1Ctl")
+
+
+def test_run_out_writes_json_encoders_own_text(tmp_path, capsys, monkeypatch):
+    from zetasech.verifier import to_json
+
+    suites = _capture_suites(monkeypatch)
+    saved = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "run", *_MIXED, "--out", str(saved))
+    assert code == 0
+    (suite,) = suites
+    text = saved.read_text(encoding="utf-8")
+    # the file keeps the timings; json reads back every float exactly
+    assert text == to_json(suite) == to_json(suite, include_ms=True)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert {"SinId", "EuId", "Eq3p1Ctl"} == {row["identity"] for row in json.loads(text)["cases"]}
+
+
+def test_run_out_of_an_empty_suite(tmp_path, capsys):
+    empty = tmp_path / "empty.cat"
+    empty.write_text("")
+    saved = tmp_path / "r.json"
+    code, _, _ = run_cli(capsys, "run", "--catalog", str(empty), "--out", str(saved))
+    assert code == 0
+    text = saved.read_text(encoding="utf-8")
+    assert text.endswith('  "cases": []\n}\n')
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "md"])
+def test_run_out_text_formats_equal_their_renderers(tmp_path, capsys, monkeypatch, fmt):
+    from zetasech.verifier import to_csv, to_markdown
+
+    suites = _capture_suites(monkeypatch)
+    saved = tmp_path / f"r.{fmt}"
+    code, _, _ = run_cli(capsys, "run", *_MIXED, "--format", fmt, "--out", str(saved))
+    assert code == 0
+    render = to_csv if fmt == "csv" else to_markdown
+    assert saved.read_text(encoding="utf-8") == render(suites[0])
+
+
+def test_report_writes_the_same_text_to_a_file_and_to_stdout(tmp_path, capsys):
+    saved = tmp_path / "r.json"
+    run_cli(capsys, "run", *_MIXED, "--out", str(saved))
+    # re-rendering a saved report as json reproduces it byte for byte
+    again = tmp_path / "r2.json"
+    assert run_cli(capsys, "report", str(saved), "--format", "json", "--out", str(again))[0] == 0
+    assert again.read_bytes() == saved.read_bytes()
+    for fmt in ("csv", "md"):
+        written = tmp_path / f"r.{fmt}"
+        assert run_cli(capsys, "report", str(saved), "--format", fmt, "--out", str(written))[0] == 0
+        code, out, _ = run_cli(capsys, "report", str(saved), "--format", fmt)
+        assert code == 0
+        assert out == written.read_text(encoding="utf-8")
+
+
+def test_json_reports_go_through_to_json_once(tmp_path, capsys, monkeypatch):
+    # the benchmark's tracer times the report by wrapping the name to_json
+    from zetasech import cli
+
+    calls = []
+    to_json = cli.to_json
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("stream") is not None)
+        return to_json(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "to_json", counting)
+    saved = tmp_path / "r.json"
+    assert run_cli(capsys, "run", "--id", "SinId", "--out", str(saved))[0] == 0
+    assert calls == [True]
+    assert run_cli(capsys, "report", str(saved), "--format", "json")[0] == 0
+    assert calls == [True, True]
+
+
+def test_report_to_a_closed_pipe_ends_quietly(tmp_path):
+    # a reader that stops early, as `| head` does: the report is ~1 MB on
+    # stdout, far past a pipe's buffer, so writing it meets a closed pipe
+    from zetasech import get_identity, verify_case
+    from zetasech.verifier import SuiteResult, to_json
+
+    rec = get_identity("SinId")
+    suite = SuiteResult((verify_case(rec, rec.case_params()[0]),) * 12000, 1.0)
+    saved = tmp_path / "big.json"
+    saved.write_text(to_json(suite), encoding="utf-8")
+    src_dir = os.path.dirname(os.path.dirname(zetasech.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src_dir!r}); from zetasech.cli import main\n"
+        f"sys.exit(main(['report', {str(saved)!r}, '--format', 'md']))\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-I", "-c", code], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.read(10) == b"# zetasech"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (0, b"")
+
+
+def test_unwritable_out_is_io_error(tmp_path, capsys):
+    target = str(tmp_path / "no" / "such" / "dir" / "r.json")
+    code, out, err = run_cli(capsys, "run", "--id", "SinId", "--out", target)
+    assert code == 3
+    assert err.startswith("zetasech: error: ")
+    saved = tmp_path / "r.json"
+    run_cli(capsys, "run", "--id", "SinId", "--out", str(saved))
+    for fmt in ("json", "csv", "md"):
+        code, out, err = run_cli(capsys, "report", str(saved), "--format", fmt, "--out", target)
+        assert (code, out) == (3, "")
+        assert err.startswith("zetasech: error: ")
+
+
 def _refuse_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
@@ -667,22 +795,32 @@ def test_eval_cap_env_override(capsys):
 
 def test_eval_cap_below_the_first_level_is_input_error(capsys):
     # the first level takes 7 evaluations; a nested integral left fewer
-    # than 7 by the cap is refused the same way. At cap 10 the first inner
-    # integral fits its first level but not its second, so it did not
-    # converge, and that refuses the whole evaluation.
+    # than 7 by the cap is refused the same way. The outer integral's first
+    # level is charged before its first sample, so at cap 10 the first
+    # inner integral is left 3. At cap 252 it is left 245: it fits its
+    # first levels (125 samples) but not the one that would converge it
+    # (249), and that refuses the whole evaluation.
     below = "quadrature failed: eval cap {} is below the 7 evaluations of the first level"
     for cmd, cap, message in (
         (("quad", "exp(-pi*v)"), "3", below.format(3)),
         (("eval", "integral[v]{exp(-pi*v)}"), "6", below.format(6)),
-        (("eval", "integral[v]{integral[w]{exp(-v-w)}}"), "10",
-         "quadrature did not converge after 7 evaluations"),
-        # the first inner integral converges after 249 samples
-        (("eval", "integral[v]{exp(-pi*v)*integral[w]{exp(-pi*w)}}"), "252", below.format(3)),
+        (("eval", "integral[v]{integral[w]{exp(-v-w)}}"), "10", below.format(3)),
+        (("eval", "integral[v]{exp(-pi*v)*integral[w]{exp(-pi*w)}}"), "252",
+         "quadrature did not converge after 132 evaluations"),
     ):
         code, out, err = run_cli(capsys, *cmd, "--eval-cap", cap)
         assert code == 2, cmd
         assert err == f"zetasech: error: {message}\n"
         assert out == ""
+
+
+def test_integrand_samples_count_against_the_cap_as_they_are_taken(capsys):
+    # 249 samples and 24,900 sum passes: past a cap of 24,900
+    code, out, err = run_cli(
+        capsys, "eval", "integral[v]{exp(-pi*v)*sum[k=1,100]{1}}", "--eval-cap", "24900"
+    )
+    assert (code, out) == (2, "")
+    assert err == "zetasech: error: eval cap 24900 exceeded by sum passes and integrand samples\n"
 
 
 def test_eval_cap_bounds_exact_evaluations(capsys):

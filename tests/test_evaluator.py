@@ -235,6 +235,17 @@ def test_integrand_samples_leave_a_sum_the_rest_of_the_cap():
         evaluate_numeric(parse_expression(src), {}, EvalConfig(eval_cap=cap))
 
 
+def test_integrand_samples_are_charged_as_each_level_starts():
+    # 249 samples, each running a sum of 100 passes: 25,149 units of work.
+    # The samples taken so far count when each sum checks the cap.
+    src = "integral[v]{exp(-pi*v)*sum[k=1,100]{1}}"
+    res = evaluate_numeric(parse_expression(src), {}, EvalConfig(eval_cap=25149))
+    assert res.quad_evals == 249
+    for cap in (25148, 24900):
+        with pytest.raises(EvalError, match=f"^{_over_cap(cap)}$"):
+            evaluate_numeric(parse_expression(src), {}, EvalConfig(eval_cap=cap))
+
+
 def test_literals_past_the_float_range_are_numeric_errors():
     big = "1" + "0" * 400
     with pytest.raises(EvalError, match="number literal too large for a float"):

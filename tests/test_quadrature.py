@@ -70,6 +70,39 @@ def test_eval_cap_below_the_first_level_is_refused_before_sampling(cap):
     assert (res.evaluations, res.converged, len(calls)) == (7, False, 7)
 
 
+def test_each_level_is_charged_before_its_samples():
+    events = []
+
+    def f(x):
+        events.append("sample")
+        return 1.0 / (1.0 + x * x)
+
+    res = tanh_sinh(f, 0.0, 1.0, charge=events.append)
+    charges = [e for e in events if e != "sample"]
+    assert sum(charges) == res.evaluations == events.count("sample") == 125
+    # each charge comes right before its level's samples
+    at = 0
+    for n in charges:
+        assert events[at] == n and events[at + 1:at + 1 + n] == ["sample"] * n
+        at += 1 + n
+
+
+def test_a_refused_charge_stops_the_rule_before_the_level():
+    calls = []
+
+    def charge(n):
+        if n > 7:
+            raise QuadratureError("over")
+
+    def f(x):
+        calls.append(x)
+        return 1.0
+
+    with pytest.raises(QuadratureError, match="^over$"):
+        integrate_decaying(f, rate=1.0, charge=charge)
+    assert len(calls) == 7
+
+
 def test_result_is_deterministic():
     a = tanh_sinh(lambda x: math.cos(3 * x) ** 2, 0.0, 2.0)
     b = tanh_sinh(lambda x: math.cos(3 * x) ** 2, 0.0, 2.0)

@@ -1,6 +1,7 @@
 """Verification semantics: statuses, determinism, and report formats."""
 
 import hashlib
+import io
 import json
 
 import pytest
@@ -219,6 +220,40 @@ def test_builtin_reports_are_pinned(builtin_suite, render, digest):
     # the same on CPython 3.10 to 3.13; a change that moves a number must
     # explain it and pin the new digest
     assert hashlib.sha256(render(builtin_suite).encode("utf-8")).hexdigest() == digest
+
+
+def _streamed(render, suite, **kwargs):
+    buf = io.StringIO()
+    assert render(suite, stream=buf, **kwargs) is None
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("include_ms", [True, False])
+def test_streamed_json_is_json_dumps_text(builtin_suite, include_ms):
+    text = to_json(builtin_suite, include_ms=include_ms)
+    assert _streamed(to_json, builtin_suite, include_ms=include_ms) == text
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_streamed_text_reports_equal_their_strings(builtin_suite):
+    for render in (to_csv, to_markdown):
+        assert _streamed(render, builtin_suite) == render(builtin_suite)
+
+
+def test_reports_of_an_empty_suite():
+    empty = SuiteResult((), 0.0)
+    for include_ms in (True, False):
+        text = to_json(empty, include_ms=include_ms)
+        assert json.loads(text)["cases"] == []
+        assert text.endswith('  "cases": []\n}\n')
+        assert _streamed(to_json, empty, include_ms=include_ms) == text
+    header = (
+        "identity,group,kind,tol,params,status,lhs,rhs,residual,allowed,err_budget,quad_evals,"
+        "message\n"
+    )
+    assert to_csv(empty) == _streamed(to_csv, empty) == header
+    assert _streamed(to_markdown, empty) == to_markdown(empty)
+    assert to_markdown(empty).endswith("| --- | --- | --- | --- | --- | --- | --- | --- | --- |\n")
 
 
 def test_a_run_integrates_a_shared_side_once_per_point(monkeypatch):
