@@ -25,9 +25,8 @@ from .catalog import (
     format_catalog,
     parse_catalog,
 )
-from .evaluator import EvalConfig, NumericResult, evaluate_exact, evaluate_numeric
+from .evaluator import DEFAULT_EVAL_CAP, EvalConfig, NumericResult, evaluate_exact, evaluate_numeric
 from .exprlang import binder_error, parse_expression
-from .quadrature import DEFAULT_EVAL_CAP
 from .registry import function_arities
 from .verifier import (
     SuiteResult,

@@ -61,11 +61,12 @@ from .exprlang import (
     Sum,
     UnaryNeg,
 )
-from .quadrature import DEFAULT_EVAL_CAP, QuadratureError, integrate_decaying
+from .quadrature import QuadratureError, integrate_decaying
 from .registry import _MAX_EXACT_BITS, RegistryError, function_table, pair_power
 from .specfun import constants
 
 __all__ = [
+    "DEFAULT_EVAL_CAP",
     "EvalConfig",
     "EvalError",
     "ExactEvalError",
@@ -75,6 +76,7 @@ __all__ = [
     "evaluate_numeric",
 ]
 
+DEFAULT_EVAL_CAP = 1_000_000
 _OVER_CAP = "eval cap {} exceeded by sum passes and integrand samples"
 _NOT_FINITE = "the {} is not finite: {!r}"
 _NUM_ERRORS = (ValueError, ZeroDivisionError, OverflowError)
@@ -129,13 +131,14 @@ class _Work:
     """The work of one evaluation: quadrature samples (evals) and passes
     through sum bodies (passes). A sum charges its range length to passes
     as it starts, and a quadrature level its samples to evals; either is
-    refused once evals + passes > cap. An integral may take what cap
-    leaves when it starts."""
+    refused, with error, once evals + passes > cap. charge is the one
+    place work meets the cap."""
 
-    __slots__ = ("cap", "evals", "passes")
+    __slots__ = ("cap", "error", "evals", "passes")
 
-    def __init__(self, cap: int = DEFAULT_EVAL_CAP) -> None:
+    def __init__(self, cap: int = DEFAULT_EVAL_CAP, error: type[ValueError] = EvalError) -> None:
         self.cap = cap
+        self.error = error
         self.evals = self.passes = 0
 
     def charge(self, evals: int = 0, passes: int = 0) -> None:
@@ -144,7 +147,7 @@ class _Work:
         self.evals += evals
         self.passes += passes
         if self.evals + self.passes > self.cap:
-            raise EvalError(_OVER_CAP.format(self.cap))
+            raise self.error(_OVER_CAP.format(self.cap))
 
 
 def _near_int(x: float, what: str) -> int:
@@ -302,14 +305,11 @@ def _integrate(
     cfg: EvalConfig,
     usage: _Work,
 ) -> tuple[float, float]:
-    """Value and error estimate of one integral, which may take the
-    samples usage's cap has left; each level's are charged to usage.evals
-    as it starts, so the sums and integrals it runs meanwhile are checked
-    against them. It raises on a value that is not finite, then on no
-    convergence."""
-    remaining = usage.cap - usage.evals - usage.passes
-    if remaining <= 0:
-        raise EvalError(_OVER_CAP.format(usage.cap))
+    """Value and error estimate of one integral. Each level's samples are
+    charged to usage.evals as it starts, so the sums and integrals it runs
+    meanwhile are checked against them, and usage.charge alone stops it at
+    the cap. It raises on a value that is not finite, then on a ladder
+    that ran out unconverged."""
     try:
         quad = integrate_decaying(
             make(env, cfg, usage),
@@ -317,7 +317,6 @@ def _integrate(
             rel_tol=cfg.quad_rel_tol,
             p_max=cfg.quad_p_max,
             vmax=cfg.quad_vmax,
-            eval_cap=remaining,
             charge=usage.charge,
         )
     except QuadratureError as exc:
@@ -766,7 +765,7 @@ def _eval_exact(node: Node, env: dict[str, _Exact], work: _Work) -> _Exact:
 
 def _sum_exact(node: Sum, env: dict[str, _Exact], work: _Work) -> _Exact:
     """_eval_exact for a Sum, whose index is bound in env while its body
-    runs; its range length is charged to work.passes, as in _sum_range."""
+    runs; its range length is charged to work, as in _sum_range."""
     lo = _eval_exact(node.lo, env, work)
     hi = _eval_exact(node.hi, env, work)
     # a pair is an integer only over 1
@@ -776,9 +775,7 @@ def _sum_exact(node: Sum, env: dict[str, _Exact], work: _Work) -> _Exact:
         hi = hi[0] if hi[1] == 1 else None
     if lo is None or hi is None:
         raise ExactEvalError("sum bounds must be integers")
-    work.passes += max(hi - lo + 1, 0)  # type: ignore[operator]
-    if work.passes > work.cap:
-        raise ExactEvalError(_OVER_CAP.format(work.cap))
+    work.charge(passes=max(hi - lo + 1, 0))  # type: ignore[operator]
     total: _Exact = 0
     saved = env.get(node.var, _MISSING)
     try:
@@ -833,7 +830,7 @@ def evaluate_exact(
 ) -> Fraction:
     env = _bind_pairs(params)
     try:
-        value = _eval_exact(node, env, _Work(eval_cap))
+        value = _eval_exact(node, env, _Work(eval_cap, ExactEvalError))
     except RecursionError:
         raise ExactEvalError("expression nested too deeply to evaluate") from None
     return Fraction(value) if type(value) is int else Fraction(*value)

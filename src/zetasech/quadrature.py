@@ -11,7 +11,8 @@ center node first, then each pair's b - d before its a + d. Each value is
 tested right after its call, and the first non-finite one raises
 QuadratureError before any other node is sampled. Evaluations are counted
 from the node tables, not per call, and a caller's charge hook hears of
-each level's count as the level starts.
+each level's count as the level starts. A caller that bounds work stops
+the ladder before _MAX_LEVEL only by raising from that hook.
 """
 from __future__ import annotations
 
@@ -20,19 +21,17 @@ from collections import namedtuple
 from collections.abc import Callable
 
 __all__ = [
-    "DEFAULT_EVAL_CAP",
     "QuadResult",
     "QuadratureError",
     "integrate_decaying",
     "tanh_sinh",
 ]
 
-DEFAULT_EVAL_CAP = 1_000_000
-
 # Outermost abscissa of the t-grid. At t = 3.9 the node sits about 1e-33
 # of the interval width away from the endpoint and the weight is ~1e-31,
 # which exhausts binary64 before the ladder runs out of nodes.
 _T_MAX = 3.9
+# the ladder's own bound: the first level and 12 refinements, 31,949 samples
 _MAX_LEVEL = 12
 
 
@@ -121,28 +120,22 @@ def tanh_sinh(
     a: float,
     b: float,
     rel_tol: float = 1e-13,
-    eval_cap: int = DEFAULT_EVAL_CAP,
     charge: Callable[[int], object] = _no_charge,
 ) -> QuadResult:
     """Integrate f over the finite interval [a, b].
 
     The error estimate is the difference between the last two refinement
     levels, floored at a few ulps of the result; it is a heuristic, not a
-    bound, and callers should fold it into their own error budgets. An
-    eval_cap below the first level's 7 evaluations raises QuadratureError
-    before any sample. charge is called with each level's evaluations once
-    the level fits eval_cap, before its first sample; what it raises stops
-    the quadrature.
+    bound, and callers should fold it into their own error budgets. The
+    ladder ends at _MAX_LEVEL, after at most 31,949 evaluations. charge is
+    called with each level's evaluations before its first sample; what it
+    raises stops the quadrature, the only way a caller ends it sooner.
     """
     if not (b > a):
         raise QuadratureError("tanh_sinh needs b > a")
     # level 0: the center node plus the integer-t pairs
     rows = _nodes_for_level(0)
     evals = 1 + 2 * len(rows)
-    if eval_cap < evals:
-        raise QuadratureError(
-            f"eval cap {eval_cap} is below the {evals} evaluations of the first level"
-        )
     charge(evals)
     half = 0.5 * (b - a)
     mid = a + half
@@ -158,8 +151,6 @@ def tanh_sinh(
     converged = False
     for level in range(1, _MAX_LEVEL + 1):
         rows = _nodes_for_level(level)
-        if evals + 2 * len(rows) > eval_cap:
-            break
         charge(2 * len(rows))
         inner = _add_pairs(f, a, b, half, rows, 0.0)
         evals += 2 * len(rows)
@@ -208,7 +199,6 @@ def integrate_decaying(
     rel_tol: float = 1e-12,
     p_max: int = 8,
     vmax: float | None = None,
-    eval_cap: int = DEFAULT_EVAL_CAP,
     charge: Callable[[int], object] = _no_charge,
 ) -> QuadResult:
     """Integrate f over [0, inf) given a decay envelope.
@@ -218,8 +208,8 @@ def integrate_decaying(
     below rel_tol/100.  rate == 0 selects a purely algebraic envelope
     |f(v)| <= (1+v)^p_max, which then needs p_max < -1; the reported tail
     bound is the exact envelope integral.  QuadratureError names the
-    envelope when it has no finite cutoff and tail. eval_cap and charge
-    are passed to tanh_sinh.
+    envelope when it has no finite cutoff and tail. charge is passed to
+    tanh_sinh, and bounds the work as there.
     """
     if not (0.0 <= rate < math.inf):
         raise QuadratureError("integrate_decaying needs a finite nonnegative decay rate")
@@ -239,7 +229,7 @@ def integrate_decaying(
         raise _no_cutoff(rate, p_max) from None
     if not (math.isfinite(v_cut) and math.isfinite(tail)):
         raise _no_cutoff(rate, p_max)
-    inner = tanh_sinh(f, 0.0, v_cut, rel_tol=rel_tol, eval_cap=eval_cap, charge=charge)
+    inner = tanh_sinh(f, 0.0, v_cut, rel_tol=rel_tol, charge=charge)
     return QuadResult(
         inner.value,
         inner.abs_error_estimate + tail,

@@ -33,6 +33,7 @@ from .catalog import (
     builtin_identities,
 )
 from .evaluator import (
+    DEFAULT_EVAL_CAP,
     EvalConfig,
     EvalError,
     ExactEvalError,
@@ -41,7 +42,7 @@ from .evaluator import (
     evaluate_numeric,
 )
 from .exprlang import Node, SourceError
-from .quadrature import DEFAULT_EVAL_CAP, QuadratureError
+from .quadrature import QuadratureError
 from .specfun import SpecfunError
 
 __all__ = [

@@ -784,34 +784,41 @@ def test_report_rejects_foreign_json(tmp_path, capsys):
     assert "report" in err
 
 
+def _over_cap(cap):
+    return f"zetasech: error: eval cap {cap} exceeded by sum passes and integrand samples\n"
+
+
 def test_eval_cap_env_override(capsys):
-    # a non-converged integral is not an answer: nothing goes to stdout
+    # an integral the cap stops is not an answer: nothing goes to stdout
     for cmd in (("quad", "exp(-pi*v)"), ("eval", "integral[v]{exp(-pi*v)}")):
         code, out, err = run_cli(capsys, *cmd, "--eval-cap", "25")
-        assert code == 2, cmd
-        assert "zetasech: error: quadrature did not converge after 15 evaluations" in err
-        assert out == ""
+        assert (code, out, err) == (2, "", _over_cap(25)), cmd
 
 
 def test_eval_cap_below_the_first_level_is_input_error(capsys):
-    # the first level takes 7 evaluations; a nested integral left fewer
-    # than 7 by the cap is refused the same way. The outer integral's first
-    # level is charged before its first sample, so at cap 10 the first
-    # inner integral is left 3. At cap 252 it is left 245: it fits its
-    # first levels (125 samples) but not the one that would converge it
-    # (249), and that refuses the whole evaluation.
-    below = "quadrature failed: eval cap {} is below the 7 evaluations of the first level"
-    for cmd, cap, message in (
-        (("quad", "exp(-pi*v)"), "3", below.format(3)),
-        (("eval", "integral[v]{exp(-pi*v)}"), "6", below.format(6)),
-        (("eval", "integral[v]{integral[w]{exp(-v-w)}}"), "10", below.format(3)),
-        (("eval", "integral[v]{exp(-pi*v)*integral[w]{exp(-pi*w)}}"), "252",
-         "quadrature did not converge after 132 evaluations"),
+    # the first level takes 7 evaluations, charged before its first sample.
+    # A cap below that, or a nested integral whose first level passes what
+    # the outer one left, is refused naming the cap that was given: at cap
+    # 10 the outer first level takes 7 and the inner one's 7 pass the cap.
+    # At cap 252 the integrals fit their first levels but not the ones
+    # that would converge them.
+    for cmd, cap in (
+        (("quad", "exp(-pi*v)"), 3),
+        (("eval", "integral[v]{exp(-pi*v)}"), 6),
+        (("eval", "integral[v]{integral[w]{exp(-v-w)}}"), 10),
+        (("eval", "integral[v]{exp(-pi*v)*integral[w]{exp(-pi*w)}}"), 252),
     ):
-        code, out, err = run_cli(capsys, *cmd, "--eval-cap", cap)
-        assert code == 2, cmd
-        assert err == f"zetasech: error: {message}\n"
-        assert out == ""
+        code, out, err = run_cli(capsys, *cmd, "--eval-cap", str(cap))
+        assert (code, out, err) == (2, "", _over_cap(cap)), cmd
+
+
+def test_an_integral_whose_ladder_runs_out_is_input_error(capsys):
+    # no cap stops it: the ladder takes all its 31,949 samples unconverged
+    for cmd in (("quad", "exp(-pi*v)*sin(1000*v)"),
+                ("eval", "integral[v]{exp(-pi*v)*sin(1000*v)}")):
+        code, out, err = run_cli(capsys, *cmd)
+        assert (code, out) == (2, ""), cmd
+        assert err == "zetasech: error: quadrature did not converge after 31949 evaluations\n"
 
 
 def test_integrand_samples_count_against_the_cap_as_they_are_taken(capsys):

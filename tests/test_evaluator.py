@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from zetasech import evaluator
 from zetasech.catalog import builtin_identities
 from zetasech.evaluator import (
+    DEFAULT_EVAL_CAP,
     EvalConfig,
     EvalError,
     ExactEvalError,
@@ -39,7 +40,6 @@ from zetasech.exprlang import (
     UnaryNeg,
     parse_expression,
 )
-from zetasech.quadrature import DEFAULT_EVAL_CAP
 from zetasech.registry import function_table
 from zetasech.specfun import constants
 from zetasech.verifier import config_for
@@ -218,11 +218,13 @@ def test_a_sum_of_the_cap_s_length_is_accepted():
 
 def test_sum_passes_leave_an_integral_the_rest_of_the_cap():
     src = "sum[k=1,1000]{1} + integral[v]{exp(-pi*v)}"
-    # 20 samples left: the first two levels take 15, the third does not fit
-    with pytest.raises(EvalError, match="^quadrature did not converge after 15 evaluations$"):
-        evaluate_numeric(parse_expression(src), {}, EvalConfig(eval_cap=1020))
-    with pytest.raises(EvalError, match=f"^{_over_cap(1000)}$"):
-        evaluate_numeric(parse_expression(src), {}, EvalConfig(eval_cap=1000))
+    # the integral converges in 249 samples; with fewer left, the level
+    # that passes the cap is refused (at 1020, the third: 15 samples fit)
+    res = evaluate_numeric(parse_expression(src), {}, EvalConfig(eval_cap=1249))
+    assert res.quad_evals == 249
+    for cap in (1248, 1020, 1000):
+        with pytest.raises(EvalError, match=f"^{_over_cap(cap)}$"):
+            evaluate_numeric(parse_expression(src), {}, EvalConfig(eval_cap=cap))
 
 
 def test_integrand_samples_leave_a_sum_the_rest_of_the_cap():
@@ -310,20 +312,43 @@ def test_integral_respects_decay_config():
 
 def test_small_eval_cap_spoils_convergence():
     cfg = EvalConfig(eval_cap=25)
-    with pytest.raises(EvalError, match="^quadrature did not converge after 15 evaluations$"):
+    with pytest.raises(EvalError, match=f"^{_over_cap(25)}$"):
         evaluate_numeric(parse_expression("integral[v]{ exp(-pi*v) }"), {}, cfg)
 
 
 def test_an_unconverged_inner_integral_is_refused_alike_on_both_paths():
+    # the inner integral takes all 31,949 samples of the ladder unconverged;
+    # the generated integrand hands the sample to the walk
+    node = parse_expression("integral[v]{integral[w]{exp(-pi*v-pi*w)*sin(1000*w)}}")
+    refusal = "^quadrature did not converge after 31949 evaluations$"
+    with pytest.raises(EvalError, match=refusal):
+        _compile_integral(node)({}, EvalConfig(), _Work())(0.5)
+    with pytest.raises(EvalError, match=refusal):
+        _eval_num(node.body, {"v": 0.5}, EvalConfig(), _Work())
+
+
+def test_a_capped_inner_integral_is_refused_alike_on_both_paths():
     # the inner integral fits its first level of 7 samples in the cap of 10,
-    # not its second; the generated integrand hands the sample to the walk
+    # not its second
     node = parse_expression("integral[v]{integral[w]{exp(-v-w)}}")
     cfg = EvalConfig(eval_cap=10)
-    refusal = "^quadrature did not converge after 7 evaluations$"
-    with pytest.raises(EvalError, match=refusal):
+    with pytest.raises(EvalError, match=f"^{_over_cap(10)}$"):
         _compile_integral(node)({}, cfg, _Work(10))(0.5)
-    with pytest.raises(EvalError, match=refusal):
+    with pytest.raises(EvalError, match=f"^{_over_cap(10)}$"):
         _eval_num(node.body, {"v": 0.5}, cfg, _Work(10))
+
+
+def test_a_spent_exact_cap_raises_exact_eval_error():
+    # one ledger serves both paths; the exact path's refuses as its own
+    # error, never as the numeric EvalError
+    src = "sum[k=1,3]{k} + sum[k=1,1]{k}"
+    assert evaluate_exact(parse_expression(src), {}, 4) == 7
+    with pytest.raises(ExactEvalError, match=f"^{_over_cap(3)}$"):
+        evaluate_exact(parse_expression(src), {}, 3)
+    work = _Work(3, ExactEvalError)
+    work.charge(passes=3)
+    with pytest.raises(ExactEvalError, match=f"^{_over_cap(3)}$"):
+        work.charge(passes=1)
 
 
 def test_budgets_add_across_integrals():
@@ -350,11 +375,7 @@ def test_function_calls_in_numeric_context():
             {},
             "fact failed: fact needs an integer, got 8.860720131937228",
         ),
-        (
-            "integral[v]{exp(-pi*v)}",
-            {"eval_cap": 20},
-            "quadrature did not converge after 15 evaluations",
-        ),
+        ("integral[v]{exp(-pi*v)}", {"eval_cap": 20}, _over_cap(20)),
         (
             "integral[v]{sum[k=0,3]{v^k}*exp(-v)}",
             {},
@@ -371,6 +392,11 @@ def test_function_calls_in_numeric_context():
             (1.2499995981299288, 5.181500306163177e-15, 46875),
         ),
         ("integral[v]{sum[k=0,1]{b*exp(-v)}}", {}, "unbound name 'b'"),
+        (
+            "integral[v]{exp(-pi*v)*sin(1000*v)}",
+            {},
+            "quadrature did not converge after 31949 evaluations",
+        ),
     ],
 )
 def test_integral_outcomes_are_pinned(src, config, want):

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
+from zetasech.evaluator import DEFAULT_EVAL_CAP, EvalError, _Work
 from zetasech.quadrature import (
-    DEFAULT_EVAL_CAP,
     QuadratureError,
     QuadResult,
     integrate_decaying,
@@ -45,10 +45,21 @@ def test_reversed_interval_rejected():
         tanh_sinh(lambda x: x, 1.0, 0.0)
 
 
+def _over_cap(cap):
+    return f"^eval cap {cap} exceeded by sum passes and integrand samples$"
+
+
 def test_eval_cap_blocks_convergence():
-    res = tanh_sinh(lambda x: math.sin(x), 0.0, math.pi, eval_cap=20)
-    assert not res.converged
-    assert res.evaluations <= 20
+    # levels of 7, 8 and 16 samples: the ledger refuses the third at 20
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.sin(x)
+
+    with pytest.raises(EvalError, match=_over_cap(20)):
+        tanh_sinh(f, 0.0, math.pi, charge=_Work(20).charge)
+    assert len(calls) == 15
 
 
 @pytest.mark.parametrize("cap", [1, 6])
@@ -60,14 +71,27 @@ def test_eval_cap_below_the_first_level_is_refused_before_sampling(cap):
         calls.append(x)
         return 1.0
 
-    want = f"eval cap {cap} is below the 7 evaluations of the first level"
-    with pytest.raises(QuadratureError, match=f"^{want}$"):
-        tanh_sinh(f, 0.0, 1.0, eval_cap=cap)
-    with pytest.raises(QuadratureError, match=f"^{want}$"):
-        integrate_decaying(f, rate=1.0, eval_cap=cap)
+    with pytest.raises(EvalError, match=_over_cap(cap)):
+        tanh_sinh(f, 0.0, 1.0, charge=_Work(cap).charge)
+    with pytest.raises(EvalError, match=_over_cap(cap)):
+        integrate_decaying(f, rate=1.0, charge=_Work(cap).charge)
     assert calls == []
-    res = tanh_sinh(f, 0.0, 1.0, eval_cap=7)
-    assert (res.evaluations, res.converged, len(calls)) == (7, False, 7)
+    with pytest.raises(EvalError, match=_over_cap(7)):
+        tanh_sinh(f, 0.0, 1.0, charge=_Work(7).charge)
+    assert len(calls) == 7
+
+
+def test_the_ladder_ends_at_its_last_level():
+    # with no hook to stop it, an integrand that never converges takes
+    # every level: the first (7 samples) and twelve refinements
+    def f(x):
+        return math.sin(1000.0 * x)
+
+    res = tanh_sinh(f, 0.0, 10.0)
+    assert (res.evaluations, res.converged) == (31949, False)
+    charges = []
+    assert tanh_sinh(f, 0.0, 10.0, charge=charges.append) == res
+    assert (sum(charges), len(charges), charges[:3]) == (31949, 13, [7, 8, 16])
 
 
 def test_each_level_is_charged_before_its_samples():
@@ -110,20 +134,18 @@ def test_result_is_deterministic():
 
 
 @pytest.mark.parametrize(
-    "f, a, b, eval_cap, want",
+    "f, a, b, want",
     [
-        (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, DEFAULT_EVAL_CAP,
+        (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0,
          ("0x1.0000000000000p+1", "0x1.c000000000000p-49", 63, True)),
-        (lambda x: math.exp(-x) * math.sin(5.0 * x), 0.0, 4.0, DEFAULT_EVAL_CAP,
+        (lambda x: math.exp(-x) * math.sin(5.0 * x), 0.0, 4.0,
          ("0x1.8595d7a6c97e7p-3", "0x1.8595d7a6c97e7p-53", 249, True)),
-        (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, DEFAULT_EVAL_CAP,
+        (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0,
          ("0x1.921fb54442d18p-1", "0x1.921fb54442d18p-51", 125, True)),
-        (lambda x: math.cos(3.0 * x), -1.0, 2.0, 40,
-         ("-0x1.799bd978309fap-5", "0x1.14a65d0adb194p-6", 31, False)),
     ],
 )
-def test_results_are_pinned(f, a, b, eval_cap, want):
-    res = tanh_sinh(f, a, b, eval_cap=eval_cap)
+def test_results_are_pinned(f, a, b, want):
+    res = tanh_sinh(f, a, b)
     got = (res.value.hex(), res.abs_error_estimate.hex(), res.evaluations, res.converged)
     assert got == want
 

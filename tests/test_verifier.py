@@ -8,7 +8,7 @@ import pytest
 
 from zetasech import evaluator, verifier
 from zetasech.catalog import builtin_identities, get_identity, parse_catalog
-from zetasech.quadrature import DEFAULT_EVAL_CAP
+from zetasech.evaluator import DEFAULT_EVAL_CAP
 from zetasech.verifier import (
     Status,
     SuiteResult,
@@ -299,6 +299,9 @@ def test_a_side_that_raises_is_evaluated_again(monkeypatch):
 # the case parameters and eval cap, then the expected status, message prefix
 # ("" means no message) and which of lhs/rhs/residual/allowed are None.
 SIDES = ("lhs", "rhs", "residual", "allowed")
+UNCONVERGED = "integral[v]{exp(-pi*v)*sin(1000*v)}"
+LADDER_RAN_OUT = "quadrature did not converge after 31949 evaluations"
+OVER_CAP_20 = "eval cap 20 exceeded by sum passes and integrand samples"
 VERDICT_BRANCHES = [
     pytest.param("exp(ln(10))", "10", "NUMERIC", "TIGHT", {}, DEFAULT_EVAL_CAP,
                  Status.PASS, "", (), id="pass"),
@@ -308,9 +311,10 @@ VERDICT_BRANCHES = [
                  Status.ERROR, "hzeta failed:", SIDES, id="eval-error"),
     pytest.param("10^200*10^200", "1", "NUMERIC", "TIGHT", {}, DEFAULT_EVAL_CAP,
                  Status.ERROR, "the value is not finite: inf", SIDES, id="non-finite"),
+    pytest.param(UNCONVERGED, "1000/(pi^2 + 1000^2)", "NUMERIC", "TIGHT", {},
+                 DEFAULT_EVAL_CAP, Status.ERROR, LADDER_RAN_OUT, SIDES, id="unconverged"),
     pytest.param("integral[v]{exp(-pi*v)}", "1/pi", "NUMERIC", "TIGHT", {}, 20,
-                 Status.ERROR, "quadrature did not converge after 15 evaluations", SIDES,
-                 id="unconverged"),
+                 Status.ERROR, OVER_CAP_20, SIDES, id="over-cap"),
     # each side is finite, their difference is not
     pytest.param("10^308", "-10^308", "NUMERIC", "TIGHT", {}, DEFAULT_EVAL_CAP,
                  Status.ERROR, "residual or allowed error past the float range",
@@ -341,9 +345,10 @@ VERDICT_BRANCHES = [
     pytest.param("2 + 2", "4", "NEGATIVE_CONTROL", "MED", {}, DEFAULT_EVAL_CAP,
                  Status.EXPECTED_FAIL_VIOLATED,
                  "control variant was not detectably wrong", (), id="control-violated"),
+    pytest.param(UNCONVERGED, "2/pi", "NEGATIVE_CONTROL", "MED", {}, DEFAULT_EVAL_CAP,
+                 Status.ERROR, LADDER_RAN_OUT, SIDES, id="control-unconverged"),
     pytest.param("integral[v]{exp(-pi*v)}", "2/pi", "NEGATIVE_CONTROL", "MED", {}, 20,
-                 Status.ERROR, "quadrature did not converge", SIDES,
-                 id="control-unconverged"),
+                 Status.ERROR, OVER_CAP_20, SIDES, id="control-over-cap"),
 ]
 
 
@@ -376,8 +381,8 @@ def test_non_finite_outcomes_are_error_rows_in_strict_json():
                    extra="quad = decay=1.0 vmax=0.5 p_max=8\n")
     cases = [
         (budget, DEFAULT_EVAL_CAP, "the error budget is not finite: inf"),
-        (probe("Unconverged", "integral[v]{exp(-pi*v)}", "1/pi"), 20,
-         "quadrature did not converge after 15 evaluations"),
+        (probe("Unconverged", UNCONVERGED, "0"), DEFAULT_EVAL_CAP, LADDER_RAN_OUT),
+        (probe("Capped", "integral[v]{exp(-pi*v)}", "1/pi"), 20, OVER_CAP_20),
         (probe("Value", "10^200*10^200", "1"), DEFAULT_EVAL_CAP,
          "the value is not finite: inf"),
         (probe("Residual", "10^308", "-10^308"), DEFAULT_EVAL_CAP,
