@@ -10,25 +10,23 @@ literal's float from the node (NumberLiteral.fvalue, converted once when
 the node is built), not from its Fraction.
 
 Code is generated only for what runs at every quadrature sample: the
-per-sample function of each integral body, which quadrature calls
-hundreds of times per integral. Every other part of a side, numeric or
-exact, is walked, and so are the parts of an integral body that read
-only parameters: make walks them once per integral, before quadrature
-starts, and hands their values to the generated function as locals
-(_Codegen says which parts). Their failures therefore raise the walk's
-message before the first sample, and before the quadrature settings are
-checked. Each sum in a body is a for loop inline in the one generated
-function, nested in the loop of its enclosing sum. Generated sources hold
-only generated names, so each distinct text is compiled once and its code
+per-sample function of each integral body that holds no Sum and no
+Integral, which quadrature calls hundreds of times per integral. Every
+other part of a side, numeric or exact, is walked, and so is every sample
+of a body that holds a sum or an integral. The parts of a compiled body
+that read only parameters are walked too: make walks them once per
+integral, before quadrature starts, and hands their values to the
+generated function as locals (_Codegen says which parts). Their failures
+therefore raise the walk's message before the first sample, and before
+the quadrature settings are checked. Generated sources hold only
+generated names, so each distinct text is compiled once and its code
 object run in each tree's namespace.
 
 The generated code tests nothing step by step. It runs straight through
 inside one try, with one finiteness test over the results of its calls and
 powers, and on any failure hands the sample to the AST walk, which gives
 the same value or raises its own message. Every error message therefore
-comes from _eval_num alone. The generated per-sample function nests that
-try and one loop per sum; the parser's cap of 16 nested sums keeps it
-within CPython's 20 nested blocks per code object.
+comes from _eval_num alone.
 
 The exact path walks the tree over Python ints and pairs of ints, a
 numerator and a positive denominator in lowest terms (_eval_exact), and
@@ -324,14 +322,14 @@ def _integrate(
     if not math.isfinite(quad.value):
         raise EvalError(_NOT_FINITE.format("value", quad.value))
     if not quad.converged:
-        raise EvalError(f"quadrature did not converge after {usage.evals} evaluations")
+        raise EvalError(f"quadrature did not converge after {quad.evaluations} evaluations")
     return quad.value, quad.abs_error_estimate
 
 
 _BODY = " " * 4
 # what a generated fast path catches: float arithmetic's ZeroDivisionError
-# and OverflowError, the ValueErrors of registry functions, sum bounds and
-# nested integrals (EvalError), and the TypeError a complex value meets
+# and OverflowError, the ValueErrors of registry functions, and the
+# TypeError a complex value meets
 _FAILS = (ArithmeticError, ValueError, TypeError)
 
 
@@ -342,16 +340,22 @@ def _compiled(source: str) -> CodeType:
     return compile(source, "<expression>", "exec")
 
 
+def _holds_loop(node: Node) -> bool:
+    """Whether node holds a Sum or an Integral."""
+    if isinstance(node, (Sum, Integral)):
+        return True
+    if isinstance(node, UnaryNeg):
+        return _holds_loop(node.operand)
+    if isinstance(node, BinaryOp):
+        return _holds_loop(node.left) or _holds_loop(node.right)
+    if isinstance(node, Call):
+        return any(_holds_loop(arg) for arg in node.args)
+    return False
+
+
 def _fixed_subtrees(node: Node, var: str, out: set[int]) -> bool:
-    """Whether node reads no var and holds no Sum or Integral; adds the id
-    of each such subtree, node included, to out. Sum bodies are not
-    searched: they run in a loop."""
-    if isinstance(node, Sum):
-        _fixed_subtrees(node.lo, var, out)
-        _fixed_subtrees(node.hi, var, out)
-        return False
-    if isinstance(node, Integral):
-        return False
+    """Whether node, which holds no Sum or Integral, reads no var; adds
+    the id of each such subtree, node included, to out."""
     if isinstance(node, (ParamRef, BoundVarRef)):
         fixed = node.name != var
     elif isinstance(node, UnaryNeg):
@@ -369,65 +373,43 @@ def _fixed_subtrees(node: Node, var: str, out: set[int]) -> bool:
     return fixed
 
 
-def _product(names: list[str]) -> str:
-    """names multiplied left to right. From a first factor of 0.0, every
-    partial product is exactly 0.0 or -0.0 while the factors are finite
-    floats, so large finite values never fail the test; an infinite or
-    NaN factor makes it NaN, a complex one complex, and None (a literal
-    past the float range) raises TypeError."""
-    return " * ".join(names)
-
-
 class _Codegen:
-    """Python source for the per-sample function f of one integral body.
+    """Python source for the per-sample function f of one integral body
+    that holds no Sum and no Integral.
 
     Every node gets one temporary, computed in the walk's operation order,
     so a value is the walk's bit for bit. The source holds only generated
-    names; values, callables and strings reach it through the exec
-    namespace, and the values of one integral through the arguments of
-    the binder that returns f, which f reads as locals.
+    names; values and callables reach it through the exec namespace, and
+    the values of one integral through the arguments of the binder that
+    returns f, which f reads as locals; f's argument x is the integration
+    variable.
 
-    Parameter-only work is not generated. A subtree at f's top level (not
-    inside a sum loop) that reads no local (the integration variable or a
-    sum index) and holds no Sum or Integral is walked once per integral
-    by make, unless it is a float literal or a constant; so is the first
-    top-level read of each parameter. walked maps the local of each such
-    subtree to the subtree. A parameter read only inside sum loops is read
-    from env by make.
+    Parameter-only work is not generated. A subtree that does not read the
+    integration variable is walked once per integral by make, unless it is
+    a float literal or a constant; so is the first read of each parameter.
+    A literal past the float range is such a subtree, so make raises the
+    walk's message for it. walked maps the local of each such subtree to
+    the subtree.
 
     f tests no step: it runs straight through inside one try. Division by
-    zero and the errors of functions and sum bounds raise on their own;
-    one finiteness test over every call and power result (checks) catches
-    an infinite or NaN result, a complex power and a literal past the
-    float range (None). Inside a sum loop each pass multiplies its results
-    into the running check ok. On a failure f hands the sample to the
-    walk, which gives the same value or raises its own message. Each sum
-    loop charges its range length to usage.passes as it starts, through
-    the walk's own _sum_range and against the one cap, and a nested
-    integral charges its samples to usage.evals; f restores both first
-    when it holds either, so only the walk's work counts.
-
-    f nests one try and one loop per sum; the parser's cap of 16 nested
-    sums keeps that within CPython's 20 nested blocks per code object.
+    zero and the errors of functions raise on their own; one finiteness
+    test over every call and power result (checks) catches an infinite or
+    NaN result and a complex power. On a failure f hands the sample to the
+    walk, which gives the same value or raises its own message.
     """
 
     def __init__(self, node: Integral) -> None:
         self.namespace: dict[str, object] = {
             "FAILS": _FAILS,
             "isfinite": math.isfinite,
-            "srange": _sum_range,
-            "integrate": _integrate,
             "walk": _eval_num,
         }
+        self.var = node.var
         self.params: dict[str, str] = {}
         self.walked: dict[str, Node] = {}
         self.lines: list[str] = []
-        # the call and power results, and literals past the float range,
-        # that the current block's finiteness test covers
+        # the call and power results that the finiteness test covers
         self.checks: list[str] = []
-        self.running = False
-        # whether f charges usage: it holds a sum or an integral
-        self.charged = False
         self.temps = 0
         self.fixed: set[int] = set()
         _fixed_subtrees(node.body, node.var, self.fixed)
@@ -441,80 +423,42 @@ class _Codegen:
         self.temps += 1
         return f"t{self.temps}"
 
-    def line(self, indent: str, text: str) -> None:
-        self.lines.append(indent + text)
-
-    def emit(self, node: Node, scope: dict[str, str], indent: str) -> str:
-        """Emit the lines computing node, indented relative to their
-        block; return the name holding its value."""
+    def emit(self, node: Node) -> str:
+        """Emit the lines computing node; return the name holding its value."""
         if isinstance(node, NumberLiteral) and node.fvalue is not None:
             return self.const(node.fvalue)
         if isinstance(node, ConstantRef):
             return self.const(getattr(constants(), node.name))
         if isinstance(node, (ParamRef, BoundVarRef)):
-            # scope maps each bound variable in reach to its local; any
-            # other name is a parameter
-            local = scope.get(node.name)
-            if local:
-                return local
+            if node.name == self.var:
+                return "x"
             local = self.params.setdefault(node.name, f"p{len(self.params)}")
-            if not indent:
-                self.walked.setdefault(local, node)
+            self.walked.setdefault(local, node)
             return local
-        if not indent and id(node) in self.fixed:
+        if id(node) in self.fixed:
             local = f"h{len(self.walked)}"
             self.walked[local] = node
             return local
-        if isinstance(node, NumberLiteral):
-            # past the float range, in a sum loop: the finiteness test fails
-            name = self.const(None)
-            self.checks.append(name)
-            return name
         if isinstance(node, UnaryNeg):
-            v = self.emit(node.operand, scope, indent)
+            v = self.emit(node.operand)
             t = self.temp()
-            self.line(indent, f"{t} = -{v}")
+            self.lines.append(f"{t} = -{v}")
             return t
         if isinstance(node, BinaryOp):
-            lv = self.emit(node.left, scope, indent)
-            rv = self.emit(node.right, scope, indent)
+            lv = self.emit(node.left)
+            rv = self.emit(node.right)
             t = self.temp()
             op = "**" if node.op == "^" else node.op
-            self.line(indent, f"{t} = {lv} {op} {rv}")
+            self.lines.append(f"{t} = {lv} {op} {rv}")
             if op == "**":
                 self.checks.append(t)
             return t
         if isinstance(node, Call):
-            args = ", ".join(self.emit(arg, scope, indent) for arg in node.args)
+            args = ", ".join(self.emit(arg) for arg in node.args)
             fn = self.const(function_table()[node.name].numeric)
             t = self.temp()
-            self.line(indent, f"{t} = {fn}({args})")
+            self.lines.append(f"{t} = {fn}({args})")
             self.checks.append(t)
-            return t
-        if isinstance(node, Sum):
-            lov = self.emit(node.lo, scope, indent)
-            hiv = self.emit(node.hi, scope, indent)
-            total, kv = self.temp(), self.temp()
-            self.line(indent, f"{total} = 0.0")
-            self.line(indent, f"for {kv} in srange({lov}, {hiv}, usage):")
-            self.charged = True
-            inner = indent + _BODY
-            around, self.checks = self.checks, []
-            v = self.emit(node.body, {**scope, node.var: kv}, inner)
-            if self.checks:
-                self.line(inner, f"ok = {_product(['ok', *self.checks])}")
-                self.running = True
-            self.checks = around
-            self.line(inner, f"{total} += {v}")
-            return total
-        if isinstance(node, Integral):
-            make = self.const(_compile_integral(node))
-            bound, t = self.temp(), self.temp()
-            self.line(indent, f"{bound} = dict(env)")
-            for name, local in scope.items():
-                self.line(indent, f"{bound}[{self.const(name)}] = {local}")
-            self.line(indent, f"{t} = integrate({make}, {bound}, cfg, usage)[0]")
-            self.charged = True
             return t
         raise TypeError(f"not an expression node: {node!r}")
 
@@ -524,59 +468,45 @@ def _compile_integral(node: Integral) -> _Make:
     """The integrand of node as a factory make(env, cfg, usage) -> f(x).
 
     Compiled once per distinct node, on first evaluation, so the function
-    table is read after any wrapping of its entries. make walks the
-    parameter-only parts of the body (see _Codegen) once, in the walk's
+    table is read after any wrapping of its entries. A body that holds a
+    Sum or an Integral is sampled by the walk. For any other body, make
+    walks its parameter-only parts (see _Codegen) once, in the walk's
     order, so the first of their failures raises before the first sample
-    and before the quadrature settings are checked. It then reads from env
-    the parameters used only in sum loops; if one is missing, the walk is
-    the integrand. Otherwise it binds these values into the generated f,
-    which evaluates the rest of the body at one abscissa on the fast path
-    and falls back to the walk at that abscissa.
+    and before the quadrature settings are checked. It binds their values
+    into the generated f, which evaluates the rest of the body at one
+    abscissa on the fast path and falls back to the walk at that abscissa.
     """
-    gen = _Codegen(node)
-    result = gen.emit(node.body, {node.var: "x"}, "")
     body, var = node.body, node.var
-    fast, ret = gen.lines, f"return {result}"
-    if gen.running:
-        fast.insert(0, "ok = 0.0")
-        gen.checks.append("ok")
+    if _holds_loop(body):
+        return lambda env, cfg, usage: lambda x: _eval_num(body, {**env, var: x}, cfg, usage)[0]
+    gen = _Codegen(node)
+    fast, ret = gen.lines, f"return {gen.emit(body)}"
     if gen.checks:
-        fast.append(f"if isfinite({_product(['0.0', *gen.checks])}):")
+        # from a first factor of 0.0 every partial product is exactly 0.0 or
+        # -0.0 while the factors are finite floats, so large finite values
+        # never fail the test; an infinite or NaN factor makes it NaN, and a
+        # complex one raises TypeError in isfinite
+        fast.append(f"if isfinite({' * '.join(['0.0', *gen.checks])}):")
         ret = _BODY + ret
-    work = "usage.evals, usage.passes"
-    save, restore = ([f"n, m = {work}"], [f"{work} = n, m"]) if gen.charged else ([], [])
     sample = [
-        *save,
         "try:",
         *(_BODY + line for line in [*fast, ret]),
         "except FAILS:",
         _BODY + "pass",
-        *restore,
         f"return walk({gen.const(body)}, {{**env, {gen.const(var)}: x}}, cfg, usage)[0]",
     ]
-    read = {name: local for name, local in gen.params.items() if local not in gen.walked}
     source = [
-        f"def bind({', '.join(['env', 'cfg', 'usage', *gen.walked, *read.values()])}):",
+        f"def bind({', '.join(['env', 'cfg', 'usage', *gen.walked])}):",
         f"{_BODY}def f(x):",
         *(_BODY * 2 + line for line in sample),
         f"{_BODY}return f",
     ]
-    try:
-        code = _compiled("\n".join(source))
-    except SyntaxError:
-        # a tree that skipped the parser's cap can nest more blocks than
-        # CPython compiles
-        raise EvalError("expression nested too deeply to evaluate") from None
-    exec(code, gen.namespace)
+    exec(_compiled("\n".join(source)), gen.namespace)
     bind = gen.namespace["bind"]
-    walked, names = tuple(gen.walked.values()), tuple(read)
+    walked = tuple(gen.walked.values())
 
     def make(env: dict[str, float], cfg: EvalConfig, usage: _Work) -> Callable[[float], float]:
         values = [_eval_num(sub, env, cfg, usage)[0] for sub in walked]
-        try:
-            values += [env[name] for name in names]
-        except KeyError:
-            return lambda x: _eval_num(body, {**env, var: x}, cfg, usage)[0]
         return bind(env, cfg, usage, *values)  # type: ignore[operator]
 
     return make

@@ -5,10 +5,9 @@ with ^ for powers, registered function calls with parse-time arity checks,
 finite sums, and integrals over [0, inf). The formatter emits canonical text
 whose re-parse reproduces the AST node for node.
 
-Sums nest at most 16 deep, counting only sums inside another sum's body
-(_MAX_SUM_DEPTH); a 17th is a SourceError at its `sum` token. Other
-constructs nest at most 100 deep (_MAX_DEPTH). A number literal has at most
-4300 digits (_MAX_LITERAL_DIGITS).
+Constructs, sums and integrals included, nest at most 100 deep
+(_MAX_DEPTH); a deeper one is a SourceError at its position. A number
+literal has at most 4300 digits (_MAX_LITERAL_DIGITS).
 
 One compiled pattern (_TOKEN) lexes the source into a list of plain
 (kind, text, offset) tuples: kind is "number", "name", "end" or, for an
@@ -53,12 +52,9 @@ CONSTANT_NAMES = frozenset(
 _KEYWORDS = frozenset(["sum", "integral"])
 # Every nested construct re-enters the parser through unary(), taking at most
 # seven Python frames per level, so this bound keeps parsing well inside the
-# default recursion limit of 1000.
+# default recursion limit of 1000. It is the only bound on nesting: sums and
+# integrals count as any other construct, since the evaluators walk them.
 _MAX_DEPTH = 100
-# The integrand compiler nests each sum's loop in its enclosing sum's loop,
-# in one function, all inside that function's one try: 16 loops and the try
-# are 17 nested blocks, within CPython's 20.
-_MAX_SUM_DEPTH = 16
 
 
 class SourceError(ValueError):
@@ -347,7 +343,6 @@ class _Parser:
         self.functions = functions
         self.bound: list[str] = []
         self.depth = 0
-        self.sums = 0  # sums whose body is being parsed
 
     def error(self, message: str, tok: _Token) -> SourceError:
         return SourceError(message, *_position(self.src, tok[2]))
@@ -451,8 +446,6 @@ class _Parser:
         """sum[var = lo, hi]{ body } or integral[var]{ body }, after the
         keyword; var is bound in the body alone."""
         is_sum = keyword[1] == "sum"
-        if is_sum and self.sums == _MAX_SUM_DEPTH:
-            raise self.error(f"sums nested more than {_MAX_SUM_DEPTH} deep", keyword)
         self.expect("[")
         var_tok = self.expect("name")
         var = var_tok[1]
@@ -468,9 +461,7 @@ class _Parser:
         self.expect("{")
         # a parse error ends the parse, so the binder needs no unwinding
         self.bound.append(var)
-        self.sums += is_sum
         body = self.additive()
-        self.sums -= is_sum
         self.bound.pop()
         self.expect("}")
         return Sum(var, lo, hi, body) if is_sum else Integral(var, body)

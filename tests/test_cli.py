@@ -139,8 +139,6 @@ def _record(kind="NUMERIC", lhs="integral[v]{exp(-v)}", rhs="1", extra=""):
         (_record(extra="quad = decay=1\nquad = p_max=4\n"), "line 9: repeated field 'quad'"),
         (_record(lhs="x", rhs="x", extra="params = x in {1, 2}; x in {3}\n"),
          "line 8: repeated parameter 'x'"),
-        (_record(lhs=_nested_sums("1", 17)),
-         "line 6, column 205: record Probe: sums nested more than 16 deep"),
     ],
 )
 def test_catalog_hints_out_of_range_are_input_errors(tmp_path, capsys, text, message):
@@ -150,6 +148,14 @@ def test_catalog_hints_out_of_range_are_input_errors(tmp_path, capsys, text, mes
     assert code == 2
     assert out == ""
     assert err == f"zetasech: error: {message}\n"
+
+
+def test_a_record_with_17_nested_sums_runs(tmp_path, capsys):
+    path = tmp_path / "probe.cat"
+    path.write_text(_record(lhs=_nested_sums("1", 17), rhs="1"))
+    code, out, err = run_cli(capsys, "run", "--catalog", str(path))
+    assert code == 0, err
+    assert out == "1 cases: 1 PASS\n"
 
 
 def test_non_finite_sum_bound_is_an_error_row(tmp_path, capsys):
@@ -279,6 +285,17 @@ def test_eval_takes_algebraic_envelope(capsys):
     assert abs(float(out.splitlines()[0]) - 0.5) < 1e-12
 
 
+def test_a_body_holding_a_sum_is_checked_at_its_first_sample(capsys):
+    # a loop-free body walks its parameter-only parts before quadrature
+    # starts; a body that holds a sum is walked from its first sample on,
+    # after the quadrature settings are checked
+    code, out, err = run_cli(capsys, "quad", "b*exp(-v)", "--decay", "0")
+    assert (code, out, err) == (2, "", "zetasech: error: unbound name 'b'\n")
+    code, out, err = run_cli(capsys, "quad", "b*sum[k=0,1]{exp(-v)}", "--decay", "0")
+    assert (code, out) == (2, "")
+    assert err == "zetasech: error: quadrature failed: algebraic envelope needs p_max < -1\n"
+
+
 @pytest.mark.parametrize("expr", ["10^(10^8)", "pow(10, 10^8)", "fact(10^7)"])
 def test_oversized_exact_result_is_input_error(expr):
     # a child process with a timeout, so that a missing guard fails the test
@@ -298,8 +315,8 @@ def test_oversized_exact_result_is_input_error(expr):
 
 
 def test_deeply_nested_sums_evaluate(capsys):
-    # 16 is the parser's cap; the integrand compiler nests one loop per sum
-    # in one code object, where CPython allows 20 nested blocks
+    # an integrand that holds sums is sampled by the walk, so no nesting of
+    # loops in one code object limits them
     code, out, err = run_cli(capsys, "eval", "--exact", _nested_sums("1"))
     assert code == 0, err
     assert out.strip() == "1"
@@ -311,8 +328,8 @@ def test_deeply_nested_sums_evaluate(capsys):
 
 
 def test_capped_sums_leave_room_for_a_guarded_call(capsys):
-    # the generated function nests the 16 loops in its one try, 17 of
-    # CPython's 20 blocks
+    # a call inside 16 nested sums evaluates on the exact, the numeric and
+    # the integrand path
     code, out, err = run_cli(capsys, "eval", "--exact", _nested_sums("binom(2, 1)"))
     assert code == 0, err
     assert out.strip() == "2"
@@ -338,15 +355,24 @@ def test_capped_sums_leave_room_for_a_guarded_call(capsys):
     ],
 )
 def test_sums_nested_past_the_cap_are_positioned_errors(capsys, depth, argv):
+    # sums nested depth deep evaluate; the one cap on nesting is the
+    # parser's 100 levels, which 100 nested sums pass at the 100th sum's
+    # lower bound (the integral is a level of its own)
     *flags, template = argv
-    expr = template.format(_nested_sums("exp(-v)", depth))
+    body = "exp(-v)" if "integral" in template else "2"
+    code, want, err = run_cli(capsys, "eval", *flags, template.format(body))
+    assert code == 0, err
+    code, out, err = run_cli(capsys, "eval", *flags, template.format(_nested_sums(body, depth)))
+    assert code == 0, err
+    assert out == want
+    expr = template.format(_nested_sums(body, 100))
     code, out, err = run_cli(capsys, "eval", *flags, expr)
-    assert code == 2
-    assert out == ""
-    assert "Traceback" not in err
-    column = expr.index("sum[k16=") + 1  # the 17th sum
+    assert (code, out) == (2, "")
+    last = "sum[k98=" if "integral" in template else "sum[k99="
+    column = expr.index(last) + len(last) + 1
     assert err == (
-        f"zetasech: error: sums nested more than 16 deep (line 1, column {column})\n"
+        "zetasech: error: expression nested more than 100 levels deep"
+        f" (line 1, column {column})\n"
     )
 
 
@@ -813,9 +839,11 @@ def test_eval_cap_below_the_first_level_is_input_error(capsys):
 
 
 def test_an_integral_whose_ladder_runs_out_is_input_error(capsys):
-    # no cap stops it: the ladder takes all its 31,949 samples unconverged
+    # no cap stops it: the ladder takes all its 31,949 samples unconverged,
+    # and N counts those alone, not the samples of an integral around it
     for cmd in (("quad", "exp(-pi*v)*sin(1000*v)"),
-                ("eval", "integral[v]{exp(-pi*v)*sin(1000*v)}")):
+                ("eval", "integral[v]{exp(-pi*v)*sin(1000*v)}"),
+                ("eval", "integral[v]{exp(-pi*v)*integral[w]{exp(-pi*w)*sin(1000*w)}}")):
         code, out, err = run_cli(capsys, *cmd)
         assert (code, out) == (2, ""), cmd
         assert err == "zetasech: error: quadrature did not converge after 31949 evaluations\n"

@@ -6,6 +6,7 @@ import math
 import operator
 import typing
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -258,7 +259,7 @@ def test_literals_past_the_float_range_are_numeric_errors():
 
 
 def _nested_sum_tree(depth, body):
-    # built by hand: the parser refuses more than 16 nested sums
+    # sum[k0=0,0]{ sum[k1=0,0]{ ... body ... } }, built by hand
     zero = NumberLiteral(F(0))
     for i in reversed(range(depth)):
         body = Sum(f"k{i}", zero, zero, body)
@@ -269,15 +270,17 @@ _BINOM = Call("binom", (NumberLiteral(F(2)), NumberLiteral(F(1))))
 
 
 @pytest.mark.parametrize("depth, body", [(40, NumberLiteral(F(1))), (20, _BINOM)])
-def test_compilers_refuse_trees_nested_past_cpython_blocks(depth, body):
-    # 20 nested loops compile on CPython 3.10 to 3.13; the one try around
-    # the sample's code takes them past the limit of 20 nested blocks. The
-    # exact path walks the tree, so it has no such limit.
+def test_compilers_refuse_trees_nested_past_cpython_blocks(monkeypatch, depth, body):
+    # loops nested this deep would pass CPython's 20 nested blocks in one
+    # code object; no integrand that holds a sum is compiled, so the walk
+    # samples it, and each one-pass sum adds its body's value to 0.0
     tree = _nested_sum_tree(depth, body)
     assert evaluate_exact(tree, {}) == _walk(tree, {}, _Work()) == _walk(body, {}, _Work())
-    integrand = BinaryOp("*", Call("exp", (UnaryNeg(BoundVarRef("v")),)), tree)
-    with pytest.raises(EvalError, match="^expression nested too deeply to evaluate$"):
-        evaluate_numeric(Integral("v", integrand), {})
+    exp_v = Call("exp", (UnaryNeg(BoundVarRef("v")),))
+    seen = _sources(monkeypatch)
+    got = evaluate_numeric(Integral("v", BinaryOp("*", exp_v, tree)), {})
+    assert seen == []
+    assert got == evaluate_numeric(Integral("v", BinaryOp("*", exp_v, body)), {})
 
 
 def test_sum_evaluates_inclusively():
@@ -318,7 +321,7 @@ def test_small_eval_cap_spoils_convergence():
 
 def test_an_unconverged_inner_integral_is_refused_alike_on_both_paths():
     # the inner integral takes all 31,949 samples of the ladder unconverged;
-    # the generated integrand hands the sample to the walk
+    # a body that holds an integral is sampled by the walk
     node = parse_expression("integral[v]{integral[w]{exp(-pi*v-pi*w)*sin(1000*w)}}")
     refusal = "^quadrature did not converge after 31949 evaluations$"
     with pytest.raises(EvalError, match=refusal):
@@ -336,6 +339,45 @@ def test_a_capped_inner_integral_is_refused_alike_on_both_paths():
         _compile_integral(node)({}, cfg, _Work(10))(0.5)
     with pytest.raises(EvalError, match=f"^{_over_cap(10)}$"):
         _eval_num(node.body, {"v": 0.5}, cfg, _Work(10))
+
+
+def _exp_calls(monkeypatch):
+    """The arguments of every exp call from here on. A fresh integrand
+    cache compiles each body with the wrapped entry, and is dropped after
+    the test."""
+    calls = []
+    spec = function_table()["exp"]
+
+    def exp(x):
+        calls.append(x)
+        return spec.numeric(x)
+
+    monkeypatch.setitem(function_table(), "exp", spec._replace(numeric=exp))
+    fresh = lru_cache(maxsize=256)(evaluator._compile_integral.__wrapped__)
+    monkeypatch.setattr(evaluator, "_compile_integral", fresh)
+    return calls
+
+
+def test_a_refused_inner_integral_runs_once(monkeypatch):
+    # the outer integral's first sample makes one exp call, then the inner
+    # ladder one per sample until it runs out; the refusal ends the
+    # evaluation, so no sample is taken again
+    calls = _exp_calls(monkeypatch)
+    node = parse_expression("integral[v]{exp(-pi*v)*integral[w]{exp(-pi*w)*sin(1000*w)}}")
+    with pytest.raises(EvalError, match="^quadrature did not converge after 31949 evaluations$"):
+        evaluate_numeric(node, {})
+    assert len(calls) == 1 + 31_949
+
+
+def test_the_cap_bounds_the_samples_taken(monkeypatch):
+    # each sample makes one exp call and is charged before it runs
+    calls = _exp_calls(monkeypatch)
+    node = parse_expression(
+        "integral[u]{exp(-pi*u)*integral[v]{exp(-pi*v)*integral[w]{exp(-pi*w)}}}"
+    )
+    with pytest.raises(EvalError, match=f"^{_over_cap(100_000)}$"):
+        evaluate_numeric(node, {}, EvalConfig(eval_cap=100_000))
+    assert 0 < len(calls) <= 100_000
 
 
 def test_a_spent_exact_cap_raises_exact_eval_error():
@@ -457,8 +499,8 @@ def test_compiled_integrands_equal_the_ast_walk():
 
 
 def test_compiled_sums_read_outer_locals_and_parameters():
-    # each sum is a loop inline in the integrand, reading the integrand
-    # variable, enclosing indices and parameters as locals
+    # a body that holds sums is sampled by the walk, which binds the
+    # integrand variable and the indices beside the parameters
     cfg = EvalConfig()
     node = parse_expression("integral[v]{ sum[k=0,n]{ sum[j=k,n]{ a*v^j/(k+1) } - k*a } }")
     env = bind_parameters({"n": 3.0, "a": 0.5})
@@ -521,7 +563,8 @@ def test_a_literal_past_the_float_range_comes_before_the_settings_check():
     cfg = EvalConfig(quad_decay=0.0)
     with pytest.raises(EvalError, match="^number literal too large for a float$"):
         evaluate_numeric(parse_expression(f"integral[v]{{exp(-v)*{big}}}"), {}, cfg)
-    # in a sum loop the literal is read at the sample, after the check
+    # a body that holds a sum is walked from the first sample on, so the
+    # literal is read there, after the check
     node = parse_expression(f"integral[v]{{sum[k=0,1]{{exp(-v)*{big}}}}}")
     with pytest.raises(EvalError, match="^quadrature failed: "):
         evaluate_numeric(node, {}, cfg)
@@ -598,11 +641,14 @@ def test_sample_code_is_one_try_and_one_finiteness_test(monkeypatch):
     # walked, not compiled.
     seen = _sources(monkeypatch)
     assert exact("x/3 + x*x - sum[k=1,n]{x/k}", x=F(1, 2), n=2) == F(-1, 3)
-    node = parse_expression(
-        "integral[v]{exp(-v*b) * (b + sum[k=1,2]{ln(b*v + k)/k}) / 2^(a/3)}"
-    )
+    node = parse_expression("integral[v]{exp(-v*b) * (b + ln(b*v + 2)/2) / 2^(a/3)}")
     evaluate_numeric(node, {"a": 1.0, "b": 1.0})
+    # a body that holds a sum or an integral is not compiled
+    evaluate_numeric(parse_expression("integral[v]{exp(-v*b) * sum[k=1,2]{ln(b*v + k)/k}}"),
+                     {"b": 1.0})
     (source,) = seen
+    for text in ("for ", "srange", "integrate(", "usage.evals"):
+        assert text not in source
     lines = source.splitlines()
     start = lines.index("    def f(x):")
     end = next(i for i in range(start + 1, len(lines)) if not lines[i].startswith(" " * 8))
@@ -634,7 +680,7 @@ def test_large_finite_call_results_stay_on_the_fast_path(monkeypatch, x):
 
     monkeypatch.setattr(evaluator, "_eval_num", spy)
     # a body no other test compiles, so its code is built with the spy
-    node = parse_expression("integral[v]{sum[k=1,2]{cosh(v)} - cosh(v) + v^2/4}")
+    node = parse_expression("integral[v]{cosh(v) + cosh(v) - cosh(v) + v^2/4}")
     cfg = EvalConfig()
     got = _compile_integral(node)({}, cfg, _Work())(x)
     assert calls == []

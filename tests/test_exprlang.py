@@ -179,19 +179,17 @@ def _nested_sums(depth, body="1"):
 
 
 def test_sum_nesting_is_capped_at_the_offending_sum():
-    parse_expression(_nested_sums(16))
-    src = "integral[v]{\n  " + _nested_sums(17, "v") + "}"
+    # sums count toward the one nesting cap of 100 levels as any other
+    # construct; the integral is the first level, the 99th sum the 100th,
+    # and its lower bound the 101st
+    parse_expression(_nested_sums(17))
+    parse_expression("integral[v]{\n  " + _nested_sums(98, "v") + "}")
+    src = "integral[v]{\n  " + _nested_sums(99, "v") + "}"
     with pytest.raises(SourceError) as info:
         parse_expression(src)
-    assert info.value.message == "sums nested more than 16 deep"
-    assert (info.value.line, info.value.col) == (2, src.split("\n")[1].index("sum[k16=") + 1)
-
-
-def test_sums_in_bounds_do_not_count_toward_the_cap():
-    deep = _nested_sums(16)
-    parse_expression(f"sum[j = {deep}, {deep}]{{ j }}")
-    with pytest.raises(SourceError):
-        parse_expression(f"sum[j = 0, 1]{{ {deep} }}")
+    assert info.value.message == "expression nested more than 100 levels deep"
+    column = src.split("\n")[1].index("sum[k98=") + len("sum[k98=") + 1
+    assert (info.value.line, info.value.col) == (2, column)
 
 
 @pytest.mark.parametrize("src", ROUND_TRIP_SOURCES)
