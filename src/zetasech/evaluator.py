@@ -35,6 +35,14 @@ are added, multiplied and divided by Fraction's own gcd rules, and a
 Fraction is built only for a registry function's argument and for the
 result. It refuses anything that is not rational-valued, so a successful
 exact evaluation is a proof-grade computation.
+
+The exact path computes each registry value and each rational power once
+per process: a call is looked up by the registry's exact callable and its
+operands as ints or pairs (_exact_call), after they are evaluated and
+before any Fraction is built, and a power by (p, q, n) in pair_power. Both
+caches are bounded lru_caches that fill on first use. An exact result is
+the one rational those inputs have, and a refusal raises without being
+stored, so no value or message depends on what ran before.
 """
 from __future__ import annotations
 
@@ -592,6 +600,22 @@ def _qpow(p: int, q: int, en: int, ed: int) -> tuple[int, int]:
 _Exact = int | tuple[int, int]
 
 
+# A catalog pass makes 521 distinct exact calls, ~270 bytes an entry. An
+# entry holds its operands and its result. fact, binom and gammafn results
+# are under _MAX_EXACT_BITS (12.5 kB) and pow's pairs under ~40 kB (see
+# pair_power), so 1,024 entries of those hold at most ~40 MB; a Bernoulli or
+# Euler polynomial value has about (order + 1) times its argument's bits.
+@lru_cache(maxsize=1024)
+def _exact_call(fn: Callable[..., int | Fraction], *args: _Exact) -> _Exact:
+    """fn at args, an int or a pair as _eval_exact returns it. The key is
+    the registry's exact callable itself and its operands as ints or pairs,
+    so no Fraction is built on a hit. A result is the one rational that fn
+    gives at those operands, so a hit is the value a call would return;
+    a refusal raises and is not stored, so each repeat raises it again."""
+    result = fn(*[v if type(v) is int else Fraction(*v) for v in args])
+    return result if type(result) is int else (result.numerator, result.denominator)
+
+
 def _eval_exact(node: Node, env: dict[str, _Exact], work: _Work) -> _Exact:
     """node's exact value. + - * of two ints stay ints; every other result
     of arithmetic is a pair from _qadd, _qmul, _qdiv or _qpow, an int
@@ -652,21 +676,19 @@ def _eval_exact(node: Node, env: dict[str, _Exact], work: _Work) -> _Exact:
         fn = function_table()[node.name].exact
         if fn is None:
             raise ExactEvalError(f"{node.name} has no exact evaluation")
-        args = []
+        args = [fn]
         for a in node.args:
             at = type(a)
             if at is NumberLiteral:
-                v = a.exact
+                args.append(a.exact)
             elif (at is ParamRef or at is BoundVarRef) and a.name in env:
-                v = env[a.name]
+                args.append(env[a.name])
             else:
-                v = _eval_exact(a, env, work)
-            args.append(v if type(v) is int else Fraction(*v))
+                args.append(_eval_exact(a, env, work))
         try:
-            result = fn(*args)
+            return _exact_call(*args)
         except _NUM_ERRORS as exc:
             raise ExactEvalError(f"{node.name} failed: {exc}") from None
-        return result if type(result) is int else (result.numerator, result.denominator)
     if t is UnaryNeg:
         a = node.operand
         at = type(a)

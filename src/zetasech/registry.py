@@ -82,10 +82,15 @@ def _comb(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+# A catalog pass makes 686 distinct calls, ~250 bytes an entry. The bit
+# check below is a lower bound: a result int holds at most ~158,500 bits
+# (3^100,000), so an entry holds under ~40 kB and 1,024 entries ~40 MB.
+@lru_cache(maxsize=1024)
 def pair_power(p: int, q: int, n: int) -> tuple[int, int]:
     """(p/q)**n as a pair (numerator, denominator > 0) in lowest terms, for
     p/q in lowest terms with q > 0; refuses 0 to a non-positive power and
-    results over the bit cap."""
+    results over the bit cap. Cached by (p, q, n): a refusal raises and is
+    not stored, so each repeat raises it again."""
     if p == 0 and n <= 0:
         raise RegistryError("0 to a non-positive power")
     # a lower bound, |n| * floor(log2 max(|p|, q)), so that 1 and -1 pass

@@ -21,7 +21,8 @@ modes. The alternating variant switches between a convergence-accelerated
 alternating sum (stable near s = 1, including at the point itself) and the
 double-double zeta difference (stable for decidedly non-positive s). S_of
 is 2^s times that variant; tests/test_specfun.py checks it, and eta, against
-mpmath.
+mpmath. Its values and d/ds are cached by (s, a, ds) (_eta_parts), like
+_hz_dd's, so a repeat skips the two engine lookups and the exp of 2^(-s).
 """
 from __future__ import annotations
 
@@ -358,8 +359,18 @@ def _eta_cvz(sv: float, a: float) -> tuple[float, float]:
     return acc_v / d, acc_d / d
 
 
+# A catalog pass fills 178 entries and an offgrid pass 266, ~250 bytes
+# each; keys and values are floats, so 512 entries hold at most ~130 kB.
+@lru_cache(maxsize=512)
 def _eta_parts(sv: float, a: float, ds: bool) -> tuple[float, float | None]:
-    # value of eta, and d/ds if ds; the accelerated sum always gives both
+    """eta(sv, a), and d/ds if ds (else None), for eta, eta_ds, S_of, S_ds
+    and dirichlet_beta.
+
+    Cached like _hz_dd: callers pass the arguments positionally, so each
+    mode has one key, and orders 0.0 and -0.0 share an entry, whose words
+    are the same from either. A hit also skips the dd_exp of 2^(-s) and
+    the two _hz_dd lookups. A refusal raises and is not stored.
+    """
     if a <= 0.0:
         raise SpecfunError("eta needs a > 0")
     if abs(sv - 1.0) < _ETA_BAND:
@@ -368,6 +379,7 @@ def _eta_parts(sv: float, a: float, ds: bool) -> tuple[float, float | None]:
             v, d = _eta_cvz(sv, a)
         except OverflowError:
             raise _past_range("eta", sv, a) from None
+        # the accelerated sum always gives both
         d = d if ds else 0.0
     else:
         # eta(s,a) = 2^(-s) * (zeta(s, a/2) - zeta(s, (a+1)/2))

@@ -828,6 +828,41 @@ def test_exact_results_are_fractions_at_integer_values(src, params, want):
     assert got == want
 
 
+def test_exact_calls_are_cached_by_their_callable(monkeypatch):
+    # the key is the registry's callable, not the name: a warm entry must
+    # not answer for another callable under the same name
+    want = exact("bernpoly(5, 1/3)")
+    table = function_table()
+    spec = table["bernpoly"]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return spec.exact(*args)
+
+    monkeypatch.setitem(table, "bernpoly", spec._replace(exact=counting))
+    assert exact("bernpoly(5, 1/3)") == want
+    assert exact("bernpoly(5, 1/3)") == want
+    assert calls == [(F(5), F(1, 3))]
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("fact(-1)", "fact failed: fact needs n >= 0"),
+        ("0^(-1)", "0 to a non-positive power"),
+        ("pow(0, -1)", "pow failed: 0 to a non-positive power"),
+        ("2^(10^6)", "power would exceed 100000 bits"),
+        ("pow(2, 10^6)", "pow failed: power would exceed 100000 bits"),
+    ],
+)
+def test_exact_refusals_are_not_cached(src, message):
+    for _ in range(2):
+        with pytest.raises(ExactEvalError) as info:
+            exact(src)
+        assert str(info.value) == message
+
+
 def test_integer_valued_exact_functions_return_ints():
     # so that the exact walk multiplies them as ints, not Fractions
     table = function_table()

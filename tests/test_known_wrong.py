@@ -1,4 +1,4 @@
-"""Known wrong answers: a ledger of the violations two oracles find.
+"""Known wrong answers: a ledger of the violations three oracles find.
 
 known_wrong.txt holds one line per violation, its fields separated by
 " | ": the oracle, the identity or command, the point, the side, and the
@@ -13,6 +13,15 @@ Oracles:
 - exact: every side of every EXACT record, at every grid point, through
   the numeric evaluator, against the float of its exact value. A violation
   is |num - exact| > err_budget + 2u|exact|, with u = 2^-53.
+- moment: integrals over [0, inf) whose exact values exact.py gives, in
+  four families: v^n exp(-cv) = n!/c^(n+1); the sech kernel,
+  v^(2n)/cosh(pi v) = |E_2n|/2^(2n+1); the Bose-Einstein moments,
+  v^(2n-1)/(e^(2 pi v) - 1) = |B_2n|/(4n); and the Laplace transforms
+  of sin(wv) and cos(wv), w/(c^2+w^2) and c/(c^2+w^2). Each member runs
+  with its right hints (decay the integrand's rate, p_max its degree) and
+  with wrong ones: twice the rate, the default decay pi where that is
+  larger than the rate, and p_max 8 below the degree. A violation is the
+  exact oracle's rule.
 - cli: wrong-answer probes of the command line, run in-process through
   cli.main, against known values. A violation is exit 0 with
   |value - truth| > err_budget + 1e-12|truth|.
@@ -31,7 +40,9 @@ import mpmath
 
 from zetasech import builtin_identities, cli
 from zetasech.catalog import Kind
-from zetasech.evaluator import evaluate_exact, evaluate_numeric
+from zetasech.evaluator import EvalConfig, evaluate_exact, evaluate_numeric
+from zetasech.exact import bernoulli_number, euler_number
+from zetasech.exprlang import parse_expression
 from zetasech.verifier import config_for
 
 LEDGER = Path(__file__).with_name("known_wrong.txt")
@@ -64,6 +75,58 @@ def exact_violations():
                 error = abs(got.value - exact)
                 if error > got.err_budget + 2.0 * _U * abs(exact):
                     yield _line("exact", rec.id, point, side, error, got.err_budget)
+
+
+def _decay(k, of_pi):
+    """The decay rate k, or k*pi if of_pi, as its label and its float."""
+    if not of_pi:
+        return str(k), float(k)
+    return ("pi" if k == 1 else f"{k}*pi"), float(k) * math.pi
+
+
+def _moments():
+    """(integrand, exact value, decay rate as (k, of_pi), degree) of each member."""
+    for c in map(Fraction, ("1/4", "1/2", "1", "3/2", "2", "3")):
+        for n in (0, 1, 2, 4, 6, 8, 12, 16, 20):
+            yield f"v^{n}*exp(-{c}*v)", math.factorial(n) / c ** (n + 1), (c, False), n
+    for n in range(11):
+        exact = Fraction(abs(euler_number(2 * n)), 2 ** (2 * n + 1))
+        yield f"v^{2 * n}/cosh(pi*v)", exact, (1, True), 2 * n
+    for n in range(1, 11):
+        exact = abs(bernoulli_number(2 * n)) / (4 * n)
+        yield f"v^{2 * n - 1}/expm1(2*pi*v)", exact, (2, True), 2 * n - 1
+    for c in map(Fraction, ("1/4", "1/2", "1", "2", "3")):
+        for w in map(Fraction, ("1/2", "1", "2", "5")):
+            yield f"exp(-{c}*v)*sin({w}*v)", w / (c * c + w * w), (c, False), 0
+            yield f"exp(-{c}*v)*cos({w}*v)", c / (c * c + w * w), (c, False), 0
+
+
+def _hints(rate, degree):
+    """The right hints, then the wrong ones, as (label, decay, p_max)."""
+    k, of_pi = rate
+    wrong = [(2 * k, of_pi, degree)]
+    if _decay(k, of_pi)[1] < math.pi:
+        wrong.append((1, True, degree))
+    if degree >= 8:
+        wrong.append((k, of_pi, degree - 8))
+    for k, of_pi, p_max in [(*rate, degree), *wrong]:
+        label, decay = _decay(k, of_pi)
+        yield f"decay={label}, p_max={p_max}", decay, p_max
+
+
+def moment_violations():
+    """The moment integrals that miss their exact value under some hints."""
+    for integrand, exact, rate, degree in _moments():
+        node = parse_expression(f"integral[v]{{{integrand}}}")
+        exact = float(exact)
+        for point, decay, p_max in _hints(rate, degree):
+            try:
+                got = evaluate_numeric(node, {}, EvalConfig(quad_decay=decay, quad_p_max=p_max))
+            except (ValueError, ArithmeticError):
+                continue
+            error = abs(got.value - exact)
+            if error > got.err_budget + 2.0 * _U * abs(exact):
+                yield _line("moment", integrand, point, "value", error, got.err_budget)
 
 
 def _sin_over_one_plus_v():
@@ -122,7 +185,10 @@ def _listed():
 
 
 def test_known_wrong_answers_are_listed():
-    found = {_key(line): line for line in [*exact_violations(), *cli_violations()]}
+    found = {
+        _key(line): line
+        for line in [*exact_violations(), *moment_violations(), *cli_violations()]
+    }
     listed = _listed()
     new = [line for key, line in found.items() if key not in listed]
     fixed = [line for key, line in listed.items() if key not in found]

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import sys
 
 import pytest
 
@@ -206,11 +207,13 @@ def test_full_builtin_suite_is_green(builtin_suite):
     assert to_markdown(back) == to_markdown(suite)
 
 
+JSON_DIGEST = "437e1895e49c58b2c1db5175308f72df0c7d605575fb9ad03d3c44f3529391d5"
+
+
 @pytest.mark.parametrize(
     "render, digest",
     [
-        (lambda suite: to_json(suite, include_ms=False),
-         "437e1895e49c58b2c1db5175308f72df0c7d605575fb9ad03d3c44f3529391d5"),
+        (lambda suite: to_json(suite, include_ms=False), JSON_DIGEST),
         (to_csv, "39fb2a22182e7a5344491ae3e2413a80ac3a4dec4680800797e3d03e4e68e804"),
         (to_markdown, "e87ae02b9f7bc1a6e5505d8d8d2156ca8795e4dbdee87d06367f50ffe9e6cc13"),
     ],
@@ -220,6 +223,39 @@ def test_builtin_reports_are_pinned(builtin_suite, render, digest):
     # the same on CPython 3.10 to 3.13; a change that moves a number must
     # explain it and pin the new digest
     assert hashlib.sha256(render(builtin_suite).encode("utf-8")).hexdigest() == digest
+
+
+def _clear_every_cache():
+    for name, module in list(sys.modules.items()):
+        if name == "zetasech" or name.startswith("zetasech."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+def test_reports_do_not_depend_on_call_history():
+    # the catalog with every cache cold, in reversed record order, then in
+    # catalog order on the caches that run left behind: each case gives the
+    # same row, and both runs the pinned report
+    _clear_every_cache()
+    records = builtin_identities()
+    backward = run_suite(records[::-1])
+    forward = run_suite(records)
+
+    def rows(suite):
+        return {
+            (res.identity, res.params): json.dumps(verifier._row(res, include_ms=False))
+            for res in suite.results
+        }
+
+    forward_rows = rows(forward)
+    assert len(forward_rows) == 994
+    assert rows(backward) == forward_rows
+    order = {(res.identity, res.params): i for i, res in enumerate(forward.results)}
+    restored = sorted(backward.results, key=lambda res: order[res.identity, res.params])
+    for suite in (SuiteResult(tuple(restored), 0.0), forward):
+        text = to_json(suite, include_ms=False)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == JSON_DIGEST
 
 
 def _streamed(render, suite, **kwargs):
