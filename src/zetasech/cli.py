@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from collections.abc import Callable, Sequence
+from fractions import Fraction
 from io import TextIOBase
 
 from .catalog import (
@@ -26,7 +27,7 @@ from .catalog import (
     parse_catalog,
 )
 from .evaluator import DEFAULT_EVAL_CAP, EvalConfig, NumericResult, evaluate_exact, evaluate_numeric
-from .exprlang import binder_error, parse_expression
+from .exprlang import _int_digits, binder_error, parse_expression
 from .registry import function_arities
 from .verifier import (
     SuiteResult,
@@ -203,17 +204,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK if suite.ok else EXIT_VERIFY
 
 
-def _exact_text(value: object) -> str:
-    # an exact result may have ~30,000 digits, past the interpreter's
-    # default limit on int-to-str conversion; lift it for this one str()
-    if not hasattr(sys, "get_int_max_str_digits"):  # Python < 3.10.7
-        return str(value)
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(old)
+def _exact_text(value: Fraction) -> str:
+    """value as str() prints it, n or n/d; an exact result may have ~30,000
+    digits, past the interpreter's limit on int-to-str conversion."""
+    text = _int_digits(value.numerator)
+    return text if value.denominator == 1 else f"{text}/{_int_digits(value.denominator)}"
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -243,7 +238,6 @@ def _cmd_quad(args: argparse.Namespace) -> int:
     node = parse_expression(f"integral[{args.var}]{{ {args.expr} }}")
     params = _parse_params(args.param or ())
     cfg = EvalConfig(
-        quad_rel_tol=args.rel_tol,
         quad_decay=args.decay,
         quad_vmax=args.vmax,
         quad_p_max=args.p_max,
@@ -288,9 +282,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_envelope(p: argparse.ArgumentParser) -> None:
         p.add_argument("--decay", type=_nonnegative_float,
-                       default=3.141592653589793, metavar="R",
+                       default=EvalConfig().quad_decay, metavar="R",
                        help="exponential decay rate (0 = algebraic)")
-        p.add_argument("--p-max", type=int, default=8, metavar="P",
+        p.add_argument("--p-max", type=int, default=EvalConfig().quad_p_max, metavar="P",
                        help="polynomial envelope degree")
 
     p_list = sub.add_parser("list", help="print the identity manifest")
@@ -328,7 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_envelope(p_quad)
     p_quad.add_argument("--vmax", type=_positive_float, metavar="V",
                         help="cap the truncation cutoff")
-    p_quad.add_argument("--rel-tol", type=_positive_float, default=1e-12, metavar="T")
     add_eval_cap(p_quad)
     p_quad.set_defaults(func=_cmd_quad)
 

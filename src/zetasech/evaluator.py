@@ -13,10 +13,12 @@ Code is generated only for what runs at every quadrature sample: the
 per-sample function of each integral body that holds no Sum and no
 Integral, which quadrature calls hundreds of times per integral. Every
 other part of a side, numeric or exact, is walked, and so is every sample
-of a body that holds a sum or an integral. The parts of a compiled body
-that read only parameters are walked too: make walks them once per
-integral, before quadrature starts, and hands their values to the
-generated function as locals (_Codegen says which parts). Their failures
+of a body that holds a sum or an integral. One pass over a body
+(_fixed_subtrees) finds the subtrees that read only parameters, and
+stops at a Sum or an Integral. Those subtrees are walked too, by one
+rule: make walks each distinct one, a lone parameter included, once per
+integral, before quadrature starts, and hands its value to the generated
+function as a local (_Codegen keys them by value). Their failures
 therefore raise the walk's message before the first sample, and before
 the quadrature settings are checked. Generated sources hold only
 generated names, so each distinct text is compiled once and its code
@@ -102,13 +104,12 @@ class EvalConfig(
     namedtuple(
         "EvalConfig",
         (
-            "quad_rel_tol",  # float
             "quad_decay",  # float
             "quad_vmax",  # float | None
             "quad_p_max",  # int
             "eval_cap",  # int
         ),
-        defaults=(1e-12, math.pi, None, 8, DEFAULT_EVAL_CAP),
+        defaults=(math.pi, None, 8, DEFAULT_EVAL_CAP),
     )
 ):
     """Quadrature settings and the work cap of one numeric evaluation."""
@@ -123,14 +124,23 @@ class NumericResult(namedtuple("NumericResult", ("value", "err_budget", "quad_ev
     __slots__ = ()
 
 
-def bind_parameters(params: Mapping[str, float]) -> dict[str, float]:
-    """Float bindings with the derived q = a/4 + 1/4 injected when absent."""
-    env = {name: float(value) for name, value in params.items()}
-    if "q" in env and "a" in env:
-        warnings.warn("explicit q overrides the derived q = a/4 + 1/4 binding")
-    elif "a" in env:
-        env["q"] = env["a"] / 4.0 + 0.25
+def _derive_q(env: dict) -> dict:
+    """env, of floats or of Fractions, with q = a/4 + 1/4 bound in their
+    arithmetic where a is bound and q is not; where both are, the explicit
+    q is kept, with a warning. In floats (a + 1)/4 is a/4 + 0.25 bit for
+    bit: dividing by 4 is exact above the subnormal range, and below it
+    both give 0.25."""
+    if "a" in env:
+        if "q" in env:
+            warnings.warn("explicit q overrides the derived q = a/4 + 1/4 binding")
+        else:
+            env["q"] = (env["a"] + 1) / 4
     return env
+
+
+def bind_parameters(params: Mapping[str, float]) -> dict[str, float]:
+    """Float bindings with the derived q (_derive_q)."""
+    return _derive_q({name: float(value) for name, value in params.items()})
 
 
 class _Work:
@@ -320,7 +330,6 @@ def _integrate(
         quad = integrate_decaying(
             make(env, cfg, usage),
             rate=cfg.quad_decay,
-            rel_tol=cfg.quad_rel_tol,
             p_max=cfg.quad_p_max,
             vmax=cfg.quad_vmax,
             charge=usage.charge,
@@ -348,22 +357,15 @@ def _compiled(source: str) -> CodeType:
     return compile(source, "<expression>", "exec")
 
 
-def _holds_loop(node: Node) -> bool:
-    """Whether node holds a Sum or an Integral."""
-    if isinstance(node, (Sum, Integral)):
-        return True
-    if isinstance(node, UnaryNeg):
-        return _holds_loop(node.operand)
-    if isinstance(node, BinaryOp):
-        return _holds_loop(node.left) or _holds_loop(node.right)
-    if isinstance(node, Call):
-        return any(_holds_loop(arg) for arg in node.args)
-    return False
+class _HoldsLoop(Exception):
+    """An integral body holds a Sum or an Integral, so the walk samples it."""
 
 
 def _fixed_subtrees(node: Node, var: str, out: set[int]) -> bool:
-    """Whether node, which holds no Sum or Integral, reads no var; adds
-    the id of each such subtree, node included, to out."""
+    """Whether node reads no var; adds the id of each such subtree, node
+    included, to out. A Sum or an Integral raises _HoldsLoop."""
+    if isinstance(node, (Sum, Integral)):
+        raise _HoldsLoop
     if isinstance(node, (ParamRef, BoundVarRef)):
         fixed = node.name != var
     elif isinstance(node, UnaryNeg):
@@ -383,7 +385,8 @@ def _fixed_subtrees(node: Node, var: str, out: set[int]) -> bool:
 
 class _Codegen:
     """Python source for the per-sample function f of one integral body
-    that holds no Sum and no Integral.
+    that holds no Sum and no Integral; constructing one raises _HoldsLoop
+    for any other body.
 
     Every node gets one temporary, computed in the walk's operation order,
     so a value is the walk's bit for bit. The source holds only generated
@@ -392,12 +395,12 @@ class _Codegen:
     returns f, which f reads as locals; f's argument x is the integration
     variable.
 
-    Parameter-only work is not generated. A subtree that does not read the
-    integration variable is walked once per integral by make, unless it is
-    a float literal or a constant; so is the first read of each parameter.
-    A literal past the float range is such a subtree, so make raises the
-    walk's message for it. walked maps the local of each such subtree to
-    the subtree.
+    Parameter-only work is not generated. Every subtree that does not read
+    the integration variable, a lone parameter included, is walked once per
+    integral by make, unless it is a float literal or a constant. walked
+    maps each such subtree to its local; nodes compare by value, so a
+    subtree that occurs twice is walked once. A literal past the float
+    range is such a subtree, so make raises the walk's message for it.
 
     f tests no step: it runs straight through inside one try. Division by
     zero and the errors of functions raise on their own; one finiteness
@@ -412,9 +415,7 @@ class _Codegen:
             "isfinite": math.isfinite,
             "walk": _eval_num,
         }
-        self.var = node.var
-        self.params: dict[str, str] = {}
-        self.walked: dict[str, Node] = {}
+        self.walked: dict[Node, str] = {}
         self.lines: list[str] = []
         # the call and power results that the finiteness test covers
         self.checks: list[str] = []
@@ -437,16 +438,10 @@ class _Codegen:
             return self.const(node.fvalue)
         if isinstance(node, ConstantRef):
             return self.const(getattr(constants(), node.name))
-        if isinstance(node, (ParamRef, BoundVarRef)):
-            if node.name == self.var:
-                return "x"
-            local = self.params.setdefault(node.name, f"p{len(self.params)}")
-            self.walked.setdefault(local, node)
-            return local
         if id(node) in self.fixed:
-            local = f"h{len(self.walked)}"
-            self.walked[local] = node
-            return local
+            return self.walked.setdefault(node, f"h{len(self.walked)}")
+        if isinstance(node, (ParamRef, BoundVarRef)):
+            return "x"  # a name that is not fixed is the integration variable
         if isinstance(node, UnaryNeg):
             v = self.emit(node.operand)
             t = self.temp()
@@ -476,18 +471,21 @@ def _compile_integral(node: Integral) -> _Make:
     """The integrand of node as a factory make(env, cfg, usage) -> f(x).
 
     Compiled once per distinct node, on first evaluation, so the function
-    table is read after any wrapping of its entries. A body that holds a
-    Sum or an Integral is sampled by the walk. For any other body, make
-    walks its parameter-only parts (see _Codegen) once, in the walk's
-    order, so the first of their failures raises before the first sample
-    and before the quadrature settings are checked. It binds their values
-    into the generated f, which evaluates the rest of the body at one
-    abscissa on the fast path and falls back to the walk at that abscissa.
+    table is read after any wrapping of its entries. One pass over the body
+    (_fixed_subtrees) finds its parameter-only subtrees, and stops at a Sum
+    or an Integral: such a body is sampled by the walk. For any other body,
+    make walks each distinct parameter-only subtree (see _Codegen) once, in
+    the walk's order, so the first of their failures raises before the
+    first sample and before the quadrature settings are checked. It binds
+    their values into the generated f, which evaluates the rest of the body
+    at one abscissa on the fast path and falls back to the walk at that
+    abscissa.
     """
     body, var = node.body, node.var
-    if _holds_loop(body):
+    try:
+        gen = _Codegen(node)
+    except _HoldsLoop:
         return lambda env, cfg, usage: lambda x: _eval_num(body, {**env, var: x}, cfg, usage)[0]
-    gen = _Codegen(node)
     fast, ret = gen.lines, f"return {gen.emit(body)}"
     if gen.checks:
         # from a first factor of 0.0 every partial product is exactly 0.0 or
@@ -504,14 +502,14 @@ def _compile_integral(node: Integral) -> _Make:
         f"return walk({gen.const(body)}, {{**env, {gen.const(var)}: x}}, cfg, usage)[0]",
     ]
     source = [
-        f"def bind({', '.join(['env', 'cfg', 'usage', *gen.walked])}):",
+        f"def bind({', '.join(['env', 'cfg', 'usage', *gen.walked.values()])}):",
         f"{_BODY}def f(x):",
         *(_BODY * 2 + line for line in sample),
         f"{_BODY}return f",
     ]
     exec(_compiled("\n".join(source)), gen.namespace)
     bind = gen.namespace["bind"]
-    walked = tuple(gen.walked.values())
+    walked = tuple(gen.walked)
 
     def make(env: dict[str, float], cfg: EvalConfig, usage: _Work) -> Callable[[float], float]:
         values = [_eval_num(sub, env, cfg, usage)[0] for sub in walked]
@@ -754,27 +752,12 @@ def _sum_exact(node: Sum, env: dict[str, _Exact], work: _Work) -> _Exact:
 
 
 def _bind_pairs(params: Mapping[str, Fraction]) -> dict[str, _Exact]:
-    """Exact bindings with the same derived q rule as the float path: an
-    int for each integer value, else (numerator, denominator) in lowest
-    terms with a positive denominator."""
-    env: dict[str, _Exact] = {}
-    for name, value in params.items():
-        if not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
-        env[name] = _reduced(value.numerator, value.denominator)
-    if "q" in env and "a" in env:
-        warnings.warn("explicit q overrides the derived q = a/4 + 1/4 binding")
-    elif "a" in env:
-        a = env["a"]
-        n, d = (a, 1) if type(a) is int else a
-        env["q"] = _reduced(n + d, 4 * d)
-    return env
-
-
-def _reduced(n: int, d: int) -> _Exact:
-    """n/d for d > 0 as an int, or as a pair in lowest terms."""
-    g = gcd(n, d)
-    return n // g if g == d else (n // g, d // g)
+    """Exact bindings with the derived q (_derive_q): an int for each
+    integer value, else (numerator, denominator) in lowest terms with a
+    positive denominator."""
+    env = _derive_q({name: Fraction(value) for name, value in params.items()})
+    return {name: v.numerator if v.denominator == 1 else (v.numerator, v.denominator)
+            for name, v in env.items()}
 
 
 def evaluate_exact(

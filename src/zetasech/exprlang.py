@@ -304,7 +304,10 @@ def _digits_int(digits: str) -> int:
 
 
 def _int_digits(value: int) -> str:
-    """The decimal text of an int, the reverse of _digits_int."""
+    """The decimal text of an int, the reverse of _digits_int for one
+    that is not negative, whatever the interpreter's digit limit."""
+    if value < 0:
+        return "-" + _int_digits(-value)
     base = 10 ** _INT_CHUNK
     chunks = []
     while value >= base:

@@ -1,10 +1,13 @@
 """Deterministic tanh-sinh quadrature for smooth decaying integrands.
 
-The infinite-range driver picks a truncation point V where an exponential
-envelope exp(-rate*v) * (1+v)^p bounds the tail below the tolerance, then
-refines the finite piece [0, V] with the tanh-sinh node ladder. Node tables
-are fixed, summation order is fixed, and there is no randomness, so repeated
-runs produce bit-identical results.
+The infinite-range driver has one relative tolerance, _REL_TOL = 1e-12,
+for every integral. It picks a truncation point V where an exponential
+envelope exp(-rate*v) * (1+v)^p bounds the tail below a hundredth of that
+tolerance, then refines the finite piece [0, V] with the tanh-sinh node
+ladder until two levels agree to it. tanh_sinh, for finite intervals,
+takes its tolerance from its caller. Node tables are fixed, summation
+order is fixed, and there is no randomness, so repeated runs produce
+bit-identical results.
 
 tanh_sinh calls the integrand directly, with no wrapper per sample: the
 center node first, then each pair's b - d before its a + d. Each value is
@@ -33,6 +36,8 @@ __all__ = [
 _T_MAX = 3.9
 # the ladder's own bound: the first level and 12 refinements, 31,949 samples
 _MAX_LEVEL = 12
+# the relative tolerance every integral over [0, inf) is refined to
+_REL_TOL = 1e-12
 
 
 class QuadratureError(ValueError):
@@ -196,7 +201,6 @@ def _no_cutoff(rate: float, p_max: int) -> QuadratureError:
 def integrate_decaying(
     f: Callable[[float], float],
     rate: float,
-    rel_tol: float = 1e-12,
     p_max: int = 8,
     vmax: float | None = None,
     charge: Callable[[int], object] = _no_charge,
@@ -205,8 +209,9 @@ def integrate_decaying(
 
     rate is the decay constant r in |f(v)| <= exp(-r v) (1+v)^p_max for
     large v; the truncation point V is where the envelope's tail falls
-    below rel_tol/100.  rate == 0 selects a purely algebraic envelope
-    |f(v)| <= (1+v)^p_max, which then needs p_max < -1; the reported tail
+    below _REL_TOL/100, and [0, V] is refined to _REL_TOL.  rate == 0
+    selects a purely algebraic envelope |f(v)| <= (1+v)^p_max, which
+    then needs p_max < -1; the reported tail
     bound is the exact envelope integral.  QuadratureError names the
     envelope when it has no finite cutoff and tail. charge is passed to
     tanh_sinh, and bounds the work as there.
@@ -217,7 +222,7 @@ def integrate_decaying(
         raise QuadratureError("algebraic envelope needs p_max < -1")
     if vmax is not None and not (0.0 < vmax < math.inf):
         raise QuadratureError("integrate_decaying needs a finite positive vmax")
-    target = 0.01 * rel_tol
+    target = 0.01 * _REL_TOL
     try:
         if rate == 0.0:
             v_cut = _algebraic_cutoff(p_max, target, vmax)
@@ -229,7 +234,7 @@ def integrate_decaying(
         raise _no_cutoff(rate, p_max) from None
     if not (math.isfinite(v_cut) and math.isfinite(tail)):
         raise _no_cutoff(rate, p_max)
-    inner = tanh_sinh(f, 0.0, v_cut, rel_tol=rel_tol, charge=charge)
+    inner = tanh_sinh(f, 0.0, v_cut, rel_tol=_REL_TOL, charge=charge)
     return QuadResult(
         inner.value,
         inner.abs_error_estimate + tail,

@@ -537,6 +537,7 @@ def _f21_unit(b: float, z: float) -> float:
     Small |z| goes through the series; otherwise the Euler integral
     b * int_0^1 u^(b-1) / (1 - z u) du is quadratured, which stays a route
     independent of the arctan/log closed forms the catalog checks against.
+    An integral whose ladder runs out unconverged, as at z = -4e200, raises.
     """
     if z >= 1.0:
         raise SpecfunError("2F1 reduction needs z < 1")
@@ -553,6 +554,10 @@ def _f21_unit(b: float, z: float) -> float:
                 break
         return b * acc
     res = tanh_sinh(lambda u: u ** (b - 1.0) / (1.0 - z * u), 0.0, 1.0, rel_tol=1e-14)
+    if not res.converged:
+        raise SpecfunError(
+            f"2F1 Euler integral did not converge after {res.evaluations} evaluations"
+        )
     return b * res.value
 
 

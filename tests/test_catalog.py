@@ -266,9 +266,8 @@ def test_catalog_build_loads_no_heavy_modules():
          {"grid": (), "quad_decay": math.pi, "quad_vmax": None, "quad_p_max": 8,
           "floor": 1e-3, "notes": ""}),
         (EvalConfig,
-         ("quad_rel_tol", "quad_decay", "quad_vmax", "quad_p_max", "eval_cap"),
-         {"quad_rel_tol": 1e-12, "quad_decay": math.pi, "quad_vmax": None, "quad_p_max": 8,
-          "eval_cap": 1_000_000}),
+         ("quad_decay", "quad_vmax", "quad_p_max", "eval_cap"),
+         {"quad_decay": math.pi, "quad_vmax": None, "quad_p_max": 8, "eval_cap": 1_000_000}),
         (NumericResult, ("value", "err_budget", "quad_evals"), {}),
         (QuadResult, ("value", "abs_error_estimate", "evaluations", "converged"), {}),
         (FunctionSpec, ("name", "arity", "numeric", "exact"), {"exact": None}),

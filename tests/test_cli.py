@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -203,6 +204,28 @@ def test_long_literal_reads_under_the_lowest_digit_limit():
         env={**os.environ, "PYTHONPATH": path, "PYTHONINTMAXSTRDIGITS": "640"},
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+
+
+def test_long_exact_fraction_prints_under_the_lowest_digit_limit():
+    # numerator and denominator have 6,021 and 6,203 digits, past a limit
+    # of 640 on int-to-str conversion; "--" keeps argparse from reading the
+    # leading minus as an option
+    src = os.path.dirname(os.path.dirname(zetasech.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zetasech.cli", "eval", "--exact", "--", "-2^20000/3^13000"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        env={**os.environ, "PYTHONPATH": path, "PYTHONINTMAXSTRDIGITS": "640"},
+    )
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = f"-{2**20000}/{3**13000}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
 
 def test_non_finite_param_is_input_error(capsys):
@@ -849,6 +872,29 @@ def test_an_integral_whose_ladder_runs_out_is_input_error(capsys):
         assert err == "zetasech: error: quadrature did not converge after 31949 evaluations\n"
 
 
+def test_quad_takes_no_tolerance_flag(capsys):
+    # every integral over [0, inf) is refined to one relative tolerance
+    code, out, err = run_cli(capsys, "quad", "exp(-v)", "--rel-tol", "1e-8")
+    assert (code, out) == (2, "")
+    assert "error: unrecognized arguments: --rel-tol 1e-8" in err
+
+
+def test_an_euler_integral_whose_ladder_runs_out_is_input_error(capsys):
+    # h2f1_log(0, t) integrates 1/(1 + 4t^2 u) over [0, 1]; at t = 10^100
+    # the ladder runs out, and its last level gave 1.94e-199 for 1.15e-198
+    code, out, err = run_cli(capsys, "eval", "h2f1_log(0, 10^100)")
+    assert (code, out) == (2, "")
+    assert err == (
+        "zetasech: error: h2f1_log failed: 2F1 Euler integral did not converge"
+        " after 31949 evaluations\n"
+    )
+    # 2F1(1, 1; 2; z) = -ln(1 - z)/z, here at z = -4e20
+    code, out, err = run_cli(capsys, "eval", "h2f1_log(0, 10^10)")
+    assert (code, err) == (0, "")
+    want = -math.log1p(4e20) / -4e20
+    assert abs(float(out.splitlines()[0]) - want) <= 1e-14 * want
+
+
 def test_integrand_samples_count_against_the_cap_as_they_are_taken(capsys):
     # 249 samples and 24,900 sum passes: past a cap of 24,900
     code, out, err = run_cli(
@@ -898,9 +944,9 @@ def test_deep_parentheses_are_positioned_error(capsys):
         (("run", "--id", "SinId", "--tol", "TIGHT=nan"), "--tol"),
         (("run", "--id", "SinId", "--tol", "TIGHT=inf"), "--tol"),
         (("run", "--id", "SinId", "--tol", "TIGHT=0"), "--tol"),
-        (("quad", "exp(-v)", "--rel-tol", "0"), "--rel-tol"),
-        (("quad", "exp(-v)", "--rel-tol", "-1"), "--rel-tol"),
-        (("quad", "exp(-v)", "--rel-tol", "inf"), "--rel-tol"),
+        (("quad", "exp(-v)", "--vmax", "inf"), "--vmax"),
+        (("quad", "exp(-v)", "--p-max", "x"), "--p-max"),
+        (("eval", "integral[v]{exp(-v)}", "--p-max", "1.5"), "--p-max"),
         (("quad", "exp(-v)", "--decay", "1", "--vmax", "0"), "--vmax"),
         (("quad", "exp(-v)", "--decay", "1", "--vmax", "-3"), "--vmax"),
         (("quad", "exp(-v)", "--vmax", "nan"), "--vmax"),

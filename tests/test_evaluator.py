@@ -668,6 +668,31 @@ def test_sample_code_is_one_try_and_one_finiteness_test(monkeypatch):
     assert not any(f" {a} = " in source for a in args[3:])
 
 
+def test_each_distinct_parameter_only_subtree_is_walked_once_per_integral(monkeypatch):
+    # b is read alone three times and b*b twice: nodes compare by value, so
+    # make walks b and b*b once each and the binder takes one local for each
+    seen = _sources(monkeypatch)
+    calls = []
+    walk = evaluator._eval_num
+
+    def spy(*args):
+        calls.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(evaluator, "_eval_num", spy)
+    # a body no other test compiles
+    node = parse_expression("integral[v]{exp(-v*b)*(b + v*(b*b)) + (b*b)*exp(-v)/b}")
+    cfg = EvalConfig()
+    f = _compile_integral(node)({"b": 1.5}, cfg, _Work())
+    b = ParamRef("b")
+    assert calls == [b, BinaryOp("*", b, b)]
+    (source,) = seen
+    assert source.startswith("def bind(env, cfg, usage, h0, h1):\n")
+    got = [f(x) for x in (0.0, 0.7, 3.0)]
+    assert len(calls) == 2
+    assert got == [walk(node.body, {"b": 1.5, "v": x}, cfg, _Work())[0] for x in (0.0, 0.7, 3.0)]
+
+
 @pytest.mark.parametrize("x", [700.0, 709.7])
 def test_large_finite_call_results_stay_on_the_fast_path(monkeypatch, x):
     # a finiteness test that summed the results would overflow here
